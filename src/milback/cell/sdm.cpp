@@ -12,23 +12,84 @@ namespace milback::cell {
 
 std::vector<std::vector<std::size_t>> sdm_partition(
     std::span<const channel::NodePose> poses, double min_separation_deg) {
-  require_non_negative(min_separation_deg, "min_separation_deg");
-  std::vector<std::vector<std::size_t>> slots;
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    bool placed = false;
-    for (auto& slot : slots) {
-      const bool compatible = std::all_of(slot.begin(), slot.end(), [&](std::size_t j) {
-        return std::abs(poses[i].azimuth_deg - poses[j].azimuth_deg) >=
-               min_separation_deg;
-      });
-      if (compatible) {
-        slot.push_back(i);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) slots.push_back({i});
+  const double sep = require_non_negative(min_separation_deg, "min_separation_deg");
+  // Node j blocks bearing v iff !(|v - a_j| >= sep). IEEE subtraction is
+  // monotone in v, so over the sorted distinct bearings that set is one
+  // contiguous key range around a_j. A NaN bearing blocks, and is blocked
+  // by, everyone; it never becomes a key.
+  std::vector<double> keys;
+  keys.reserve(poses.size());
+  for (const auto& p : poses) {
+    if (!std::isnan(p.azimuth_deg)) keys.push_back(p.azimuth_deg);
   }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const std::size_t m = keys.size();
+
+  // Bottom-up segment tree over the keys (leaves m..2m-1): tree node v holds
+  // the slots that block every key beneath it, in a word-major bitset —
+  // bit s of node v is word s/64 of row `blocked[(s/64) * 2m + v]`.
+  const std::size_t tree = 2 * m;
+  std::vector<std::uint64_t> blocked;
+  std::size_t words = 0;
+  std::vector<std::vector<std::size_t>> slots;
+
+  for (std::size_t i = 0; i < poses.size(); ++i) {
+    const double a = poses[i].azimuth_deg;
+    std::size_t s = slots.size();
+    std::size_t lo = 0;
+    std::size_t hi = m;
+    if (!std::isnan(a)) {
+      // -0.0 and 0.0 share a key: |±0 - x| is the same for every x.
+      const std::size_t p = std::size_t(
+          std::lower_bound(keys.begin(), keys.end(), a) - keys.begin());
+      // First fit: the lowest slot missing from the OR of the leaf-to-root
+      // path. Bits at or above slots.size() are never set, so a full path
+      // yields s == slots.size(), a new slot.
+      for (std::size_t w = 0; w < words; ++w) {
+        const std::uint64_t* row = blocked.data() + w * tree;
+        std::uint64_t taken = 0;
+        for (std::size_t v = p + m; v >= 1; v >>= 1) taken |= row[v];
+        if (taken != ~std::uint64_t{0}) {
+          s = 64 * w + std::size_t(std::countr_one(taken));
+          break;
+        }
+      }
+      const auto first = keys.begin();
+      lo = std::size_t(std::partition_point(first, first + std::ptrdiff_t(p),
+                                            [&](double v) {
+                                              return std::abs(v - a) >= sep;
+                                            }) -
+                       first);
+      hi = std::size_t(std::partition_point(first + std::ptrdiff_t(p), keys.end(),
+                                            [&](double v) {
+                                              return !(std::abs(v - a) >= sep);
+                                            }) -
+                       first);
+    }
+    if (s == slots.size()) {
+      slots.emplace_back();
+      if (s == 64 * words) blocked.resize(++words * tree, 0);
+    }
+    slots[s].push_back(i);
+
+    // Tag slot s on every key node i blocks: the canonical cover of [lo, hi).
+    std::uint64_t* row = blocked.data() + (s / 64) * tree;
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    for (std::size_t l = lo + m, r = hi + m; l < r; l >>= 1, r >>= 1) {
+      if (l & 1) row[l++] |= bit;
+      if (r & 1) row[--r] |= bit;
+    }
+  }
+
+  std::size_t placed = 0;
+  for (const auto& slot : slots) {
+    MILBACK_ENSURE(std::is_sorted(slot.begin(), slot.end()),
+                   "sdm_partition: slot members must be ascending");
+    placed += slot.size();
+  }
+  MILBACK_ENSURE(placed == poses.size(),
+                 "sdm_partition: every node must land in exactly one slot");
   return slots;
 }
 
