@@ -7,7 +7,7 @@
 // MilBack cell.
 #include "bench_common.hpp"
 
-#include "milback/core/network.hpp"
+#include "milback/cell/cell_engine.hpp"
 
 using namespace milback;
 
@@ -25,14 +25,13 @@ int main(int argc, char** argv) {
     // size, and placement/round draws depend only on (seed, n_nodes).
     // milback-analyze: no-rng(the environment is intentionally identical across population sizes; placement/round streams below key on n_nodes)
     auto env_rng = Rng::stream(seed, std::uint64_t{1});
-    core::MilBackNetwork net(channel::BackscatterChannel::make_default(
-                                 channel::Environment::indoor_office(env_rng)),
-                             core::NetworkConfig{});
+    cell::CellEngine net(channel::BackscatterChannel::make_default(
+        channel::Environment::indoor_office(env_rng)));
     auto place = Rng::stream(seed, std::uint64_t{1000}, n_nodes);
     for (std::size_t i = 0; i < n_nodes; ++i) {
       net.add_node("n" + std::to_string(i),
-                   {place.uniform(1.5, 6.0), place.uniform(-35.0, 35.0),
-                    place.uniform(-25.0, 25.0)});
+                   {.pose = {place.uniform(1.5, 6.0), place.uniform(-35.0, 35.0),
+                             place.uniform(-25.0, 25.0)}});
     }
 
     auto rng = Rng::stream(seed, std::uint64_t{2000}, n_nodes);

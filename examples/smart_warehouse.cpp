@@ -6,10 +6,10 @@
 // orientation), schedules them into SDM slots by bearing separation, then
 // runs uplink inventory rounds and reports per-tag link quality, goodput and
 // the interference penalty concurrent tags pay. A final phase replays a
-// working shift on the discrete-event cell engine: pallets leave on
-// forklifts, new stock arrives mid-shift, one pallet is relocated, and a
-// forklift parks in the aisle for a while (blockage) — churn none of the
-// single-round layers can express.
+// working shift on the event queue of a second cell engine: pallets leave
+// on forklifts, new stock arrives mid-shift, one pallet is relocated, and a
+// forklift parks in the aisle for a while (blockage) — churn a single SDM
+// round cannot express.
 //
 // Build & run:  ./build/examples/smart_warehouse [seed]
 //
@@ -24,7 +24,6 @@
 #include <iostream>
 
 #include "milback/cell/cell_engine.hpp"
-#include "milback/core/network.hpp"
 #include "milback/obs/exporters.hpp"
 #include "milback/util/table.hpp"
 
@@ -35,47 +34,47 @@ int main(int argc, char** argv) {
   Rng master(seed);
 
   auto env_rng = master.fork(1);
-  core::MilBackNetwork net(channel::BackscatterChannel::make_default(
-                               channel::Environment::indoor_office(env_rng)),
-                           core::NetworkConfig{});
+  cell::CellEngine net(channel::BackscatterChannel::make_default(
+      channel::Environment::indoor_office(env_rng)));
 
   // Six pallet tags spread across the aisle.
-  net.add_node("pallet-A1", {2.0, -28.0, 8.0});
-  net.add_node("pallet-A2", {3.5, -24.0, -12.0});
-  net.add_node("pallet-B1", {2.5, -2.0, 15.0});
-  net.add_node("pallet-B2", {4.5, 3.0, -18.0});
-  net.add_node("pallet-C1", {3.0, 25.0, 10.0});
-  net.add_node("pallet-C2", {5.0, 30.0, -8.0});
+  net.add_node("pallet-A1", {.pose = {2.0, -28.0, 8.0}});
+  net.add_node("pallet-A2", {.pose = {3.5, -24.0, -12.0}});
+  net.add_node("pallet-B1", {.pose = {2.5, -2.0, 15.0}});
+  net.add_node("pallet-B2", {.pose = {4.5, 3.0, -18.0}});
+  net.add_node("pallet-C1", {.pose = {3.0, 25.0, 10.0}});
+  net.add_node("pallet-C2", {.pose = {5.0, 30.0, -8.0}});
 
-  // --- Discovery sweep: localize + orientation for every tag.
-  std::cout << "Discovery sweep (" << net.nodes().size() << " tags):\n";
+  // --- Discovery sweep: localize + orientation for every tag, one at a time
+  // (the others keep their ports absorptive and are effectively invisible).
+  std::cout << "Discovery sweep (" << net.node_count() << " tags):\n";
   auto rng = master.fork(2);
-  const auto found = net.discover(rng);
   Table d({"tag", "true (m,deg)", "est range (m)", "est bearing (deg)",
            "est orient (deg)", "det SNR (dB)"});
   int discovered = 0;
-  for (std::size_t i = 0; i < found.size(); ++i) {
-    const auto& truth = net.nodes()[i].pose;
-    const auto& r = found[i];
-    if (r.localization.detected) ++discovered;
-    d.add_row({r.id,
+  for (std::size_t i = 0; i < net.node_count(); ++i) {
+    const auto& truth = net.node_pose(i);
+    const auto loc = net.link().localize(truth, rng);
+    const auto orient = net.link().sense_orientation_at_ap(truth, rng);
+    if (loc.detected) ++discovered;
+    d.add_row({std::string(net.node_id(i).view()),
                Table::num(truth.distance_m, 1) + ", " + Table::num(truth.azimuth_deg, 0),
-               r.localization.detected ? Table::num(r.localization.range_m, 2) : "-",
-               r.localization.detected ? Table::num(r.localization.angle_deg, 1) : "-",
-               r.orientation.valid ? Table::num(r.orientation.orientation_deg, 1) : "-",
-               r.localization.detected ? Table::num(r.localization.detection_snr_db, 1)
-                                       : "-"});
+               loc.detected ? Table::num(loc.range_m, 2) : "-",
+               loc.detected ? Table::num(loc.angle_deg, 1) : "-",
+               orient.valid ? Table::num(orient.orientation_deg, 1) : "-",
+               loc.detected ? Table::num(loc.detection_snr_db, 1) : "-"});
   }
   d.print(std::cout);
-  std::cout << "  discovered " << discovered << "/" << net.nodes().size() << " tags\n\n";
+  std::cout << "  discovered " << discovered << "/" << net.node_count() << " tags\n\n";
 
   // --- SDM schedule.
   const auto slots = net.sdm_slots();
   std::cout << "SDM schedule (min separation "
-            << Table::num(23.0, 0) << " deg -> " << slots.size() << " slots):\n";
+            << Table::num(net.config().network.sdm_min_separation_deg, 0) << " deg -> "
+            << slots.size() << " slots):\n";
   for (std::size_t s = 0; s < slots.size(); ++s) {
     std::cout << "  slot " << s << ":";
-    for (const auto i : slots[s]) std::cout << " " << net.nodes()[i].id;
+    for (const auto i : slots[s]) std::cout << " " << net.node_id(i).view();
     std::cout << "\n";
   }
 
@@ -138,5 +137,5 @@ int main(int argc, char** argv) {
   // With MILBACK_METRICS_DIR / MILBACK_TRACE_DIR set, dump the shift's
   // telemetry (metrics.jsonl / metrics.prom / Perfetto trace.json).
   obs::write_env_exports();
-  return discovered == int(net.nodes().size()) ? 0 : 1;
+  return discovered == int(net.node_count()) ? 0 : 1;
 }

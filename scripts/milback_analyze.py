@@ -13,7 +13,7 @@ qualified names:
   A2  ordering-sensitive iteration: iterating a `std::unordered_map` /
       `std::unordered_set` (also via typedefs/aliases/`auto`) inside any
       function that transitively writes a report or export type
-      (CellReport, MacReport, CsvWriter, the obs exporters) leaks hash-table
+      (CellReport, CsvWriter, the obs exporters) leaks hash-table
       order into deterministic outputs.
   A3  RNG discipline: (a) storing `Rng` by reference/pointer (member or
       global) lets draw order escape its scope; (b) `Rng::stream(...)` inside
@@ -47,12 +47,9 @@ finding):
 A waiver covers findings on its own line and on the line directly below it;
 for A1 it may sit at either the header declaration or the definition.
 
-Frontends: with the `clang` Python bindings and a loadable libclang the
-analyzer walks real clang ASTs (`--frontend libclang`); otherwise it falls
-back to a built-in single-pass C++ semantic frontend (`--frontend internal`)
-that resolves the same alias/typedef/member-type information from the token
-stream. `--frontend auto` (default) prefers libclang when importable. Both
-frontends populate the same semantic model; the checks are shared.
+Frontend: a built-in single-pass C++ semantic parser that resolves
+alias/typedef/member-type information from the token stream and needs
+nothing beyond the Python standard library.
 
 Findings print as `path:line: [A<k>] message` (physics_lint's format) and the
 exit status is non-zero when any finding survives waivers.
@@ -86,7 +83,7 @@ WAIVER_KEYS = {key: check for check, (key, _) in CHECKS.items()}
 # Sink names that mark a function as writing report/export state (A2 taint
 # seeds). Type names and exporter entry points, not generic method names.
 SINK_NAMES = {
-    "CellReport", "CellNodeReport", "MacReport", "MacNodeReport",
+    "CellReport", "CellNodeReport",
     "MeshReport", "MeshNodeReport",
     "CsvWriter", "metrics_jsonl", "prometheus_text", "chrome_trace_json",
     "write_env_exports",
@@ -336,7 +333,7 @@ def type_str(tokens):
 
 
 # ---------------------------------------------------------------------------
-# Semantic model (shared by both frontends)
+# Semantic model
 # ---------------------------------------------------------------------------
 
 class Loop:
@@ -427,7 +424,6 @@ class Model:
         self.bare_members = {}    # field -> set of type spellings
         self.waivers = {}         # file -> {line: [(key, reason)]}
         self.files = []
-        self.frontend = "internal"
 
     def canon(self, spelling, _depth=0):
         """Resolves typedef/alias chains to a canonical type spelling."""
@@ -446,7 +442,7 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# Internal frontend: single-pass structural parser
+# Frontend: single-pass structural parser
 # ---------------------------------------------------------------------------
 
 class FileParser:
@@ -1506,12 +1502,11 @@ CHECK_FNS = {"A1": check_a1, "A2": check_a2, "A3": check_a3,
 
 
 # ---------------------------------------------------------------------------
-# Frontends
+# Model construction
 # ---------------------------------------------------------------------------
 
-def build_model_internal(root, files):
+def build_model(root, files):
     model = Model()
-    model.frontend = "internal"
     for path in files:
         rel = path.relative_to(root).as_posix()
         try:
@@ -1527,144 +1522,15 @@ def build_model_internal(root, files):
     return model
 
 
-def build_model_libclang(root, files, tus):
-    """libclang frontend: walks real clang ASTs and populates the same model.
-
-    Declarations, access levels, field/alias canonical types come from
-    cursors; body-level facts (loops, calls, compound adds, contract tokens)
-    are extracted by replaying the shared body analyzer over the definition's
-    token extent, so the checks behave identically across frontends.
-    """
-    from clang import cindex  # noqa: import gated by the caller
-
-    index = cindex.Index.create()
-    model = Model()
-    model.frontend = "libclang"
-    want = {p.resolve() for p in files}
-
-    def rel_of(cursor):
-        loc = cursor.location
-        if not loc.file:
-            return None
-        p = Path(loc.file.name).resolve()
-        if p not in want:
-            return None
-        return p.relative_to(root).as_posix()
-
-    def tok_list(cursor):
-        out = []
-        for t in cursor.get_tokens():
-            kind = {"IDENTIFIER": "id", "LITERAL": "num",
-                    "PUNCTUATION": "p", "KEYWORD": "id"}.get(t.kind.name, "p")
-            if t.kind.name == "COMMENT":
-                continue
-            out.append(Tok(kind, t.spelling, t.location.line))
-        return out
-
-    seen_defs = set()
-    K = cindex.CursorKind
-    for path, args in tus:
-        if path.resolve() not in want:
-            continue
-        try:
-            tu = index.parse(str(path), args=args)
-        except cindex.TranslationUnitLoadError:
-            continue
-        for cur in tu.cursor.walk_preorder():
-            rel = rel_of(cur)
-            if rel is None:
-                continue
-            if cur.kind in (K.TYPEDEF_DECL, K.TYPE_ALIAS_DECL):
-                under = cur.underlying_typedef_type
-                model.aliases.setdefault(
-                    cur.spelling,
-                    (under.get_canonical().spelling.replace(" ", ""),
-                     rel, cur.location.line, "alias"))
-            elif cur.kind == K.NAMESPACE_ALIAS:
-                ref = next((c for c in cur.get_children()), None)
-                if ref is not None:
-                    model.aliases.setdefault(
-                        cur.spelling,
-                        (ref.spelling, rel, cur.location.line, "ns-alias"))
-            elif cur.kind == K.FIELD_DECL:
-                cls = cur.semantic_parent.spelling
-                tspell = cur.type.spelling.replace(" ", "")
-                model.members[f"{cls}::{cur.spelling}"] = tspell
-                model.member_decls.append(
-                    (cls, cur.spelling, tspell, rel, cur.location.line))
-                model.bare_members.setdefault(cur.spelling, set()).add(tspell)
-            elif cur.kind in (K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
-                              K.FUNCTION_TEMPLATE):
-                ns = []
-                sp = cur.semantic_parent
-                cls = ""
-                while sp is not None and sp.kind != K.TRANSLATION_UNIT:
-                    if sp.kind == K.NAMESPACE:
-                        ns.insert(0, sp.spelling)
-                    elif sp.kind in (K.CLASS_DECL, K.STRUCT_DECL,
-                                     K.CLASS_TEMPLATE):
-                        cls = sp.spelling
-                    sp = sp.semantic_parent
-                func = Func(cur.spelling, cls, tuple(ns), rel,
-                            cur.location.line)
-                func.is_public = cur.access_specifier.name in ("PUBLIC",
-                                                               "INVALID")
-                func.ret_type = cur.result_type.spelling.replace(" ", "")
-                func.params = [
-                    (a.type.spelling.replace(" ", ""), a.spelling or None)
-                    for a in cur.get_arguments()]
-                func.is_defaulted = cur.is_default_method()
-                func.is_pure = cur.is_pure_virtual_method()
-                if cur.is_definition():
-                    dkey = (rel, cur.location.line, func.qname())
-                    if dkey in seen_defs:
-                        continue
-                    seen_defs.add(dkey)
-                    func.is_def = True
-                    toks = tok_list(cur)
-                    body_at = next((k for k, t in enumerate(toks)
-                                    if t.val == "{"), None)
-                    if body_at is not None:
-                        fp = FileParser(rel, toks, model)
-                        close = match_brace(toks, body_at)
-                        fp._analyze_body(func, body_at + 1, close - 1)
-                        for ptype, pname in func.params:
-                            if pname:
-                                func.locals.setdefault(pname, ptype)
-                    model.funcs.append(func)
-                    if Path(rel).suffix in HDR_EXTS:
-                        model.decls.append(func)
-                else:
-                    model.decls.append(func)
-        model.files.append(path.relative_to(root).as_posix())
-    # Waivers still come from the raw text (clang drops comments by default).
-    for path in files:
-        rel = path.relative_to(root).as_posix()
-        _, waivers, _ = tokenize(path.read_text(encoding="utf-8",
-                                                errors="replace"))
-        if waivers:
-            model.waivers[rel] = waivers
-    return model
-
-
-def libclang_available():
-    try:
-        from clang import cindex
-        cindex.Index.create()
-        return True
-    except Exception:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
 def load_compdb(compdb_path, root):
-    import shlex
+    """Translation units under `root` named by compile_commands.json."""
     with open(compdb_path, encoding="utf-8") as fh:
         entries = json.load(fh)
-    tus = []
+    tus = set()
     for e in entries:
         f = Path(e["file"])
         if not f.is_absolute():
@@ -1674,20 +1540,13 @@ def load_compdb(compdb_path, root):
             f.relative_to(root)
         except (OSError, ValueError):
             continue
-        if f.suffix not in CPP_EXTS or not f.is_file():
-            continue
-        if "arguments" in e:
-            args = list(e["arguments"])
-        else:
-            args = shlex.split(e.get("command", ""))
-        keep = [a for a in args
-                if a.startswith(("-I", "-D", "-std", "-isystem"))]
-        tus.append((f, keep))
+        if f.suffix in CPP_EXTS and f.is_file():
+            tus.add(f)
     return tus
 
 
 def collect_files(root, tus):
-    files = {p for p, _ in tus}
+    files = set(tus)
     for d in ("src", "tests", "bench", "examples"):
         base = root / d
         if not base.is_dir():
@@ -1753,8 +1612,6 @@ def main():
     ap.add_argument("--compdb", default=None,
                     help="path to compile_commands.json (default: "
                          "<root>/build/compile_commands.json)")
-    ap.add_argument("--frontend", choices=("auto", "libclang", "internal"),
-                    default="auto")
     ap.add_argument("--only", default=None,
                     help="comma-separated subset of checks, e.g. A1,A3")
     ap.add_argument("--list-checks", action="store_true")
@@ -1772,7 +1629,7 @@ def main():
             if (root / cand).is_file():
                 compdb = str(root / cand)
                 break
-    tus = []
+    tus = set()
     if compdb and Path(compdb).is_file():
         tus = load_compdb(compdb, root)
     else:
@@ -1782,18 +1639,7 @@ def main():
 
     files = collect_files(root, tus)
 
-    frontend = args.frontend
-    if frontend == "auto":
-        frontend = "libclang" if libclang_available() else "internal"
-    if frontend == "libclang":
-        try:
-            model = build_model_libclang(root, files, tus)
-        except Exception as exc:  # gate: never let a missing lib break the run
-            print(f"milback_analyze: libclang frontend failed ({exc});"
-                  " falling back to the internal frontend", file=sys.stderr)
-            model = build_model_internal(root, files)
-    else:
-        model = build_model_internal(root, files)
+    model = build_model(root, files)
 
     enabled = list(CHECK_FNS)
     if args.only:
@@ -1813,7 +1659,7 @@ def main():
         print(f)
     print(f"milback_analyze: {len(model.files)} file(s),"
           f" {len(model.funcs)} function(s) analyzed,"
-          f" {len(uniq)} finding(s) [frontend={model.frontend}]")
+          f" {len(uniq)} finding(s)")
     return 1 if uniq else 0
 
 

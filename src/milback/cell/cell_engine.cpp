@@ -23,6 +23,46 @@ constexpr obs::HistogramSpec kRateSpec{1e3, 1.5, 40};         // 1 kbps .. ~10 G
 constexpr obs::HistogramSpec kSnrSpec{0.25, 1.15, 50};        // 0.25 .. ~270 dB
 constexpr obs::HistogramSpec kPopulationSpec{1.0, 1.3, 40};   // 1 .. ~36k nodes
 
+// One waveform-level SDM round over every registered node; `serve` is
+// serve_uplink_node or serve_downlink_node. One draw from the caller's
+// generator seeds every per-service stream pair (round_seed, k, 0 = data |
+// 1 = noise), so the fan-out may run in any order on any number of threads;
+// results are reduced in slot-major service order on the calling thread.
+template <typename Round, typename Serve>
+Round run_sdm_round(const core::MilBackLink& link, const NodeSoA& nodes,
+                    const std::vector<std::vector<std::size_t>>& slots,
+                    std::size_t bits_per_node, milback::Rng& rng, Serve serve) {
+  using NodeResult = typename decltype(Round::nodes)::value_type;
+  Round round;
+  round.sdm_slots = slots.size();
+  const auto services = flatten_services(slots);
+  std::vector<std::string> ids;
+  ids.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    ids.emplace_back(nodes.id[i].view());
+  }
+
+  const std::uint64_t round_seed = rng.engine()();
+  const sim::TrialRunner runner;
+  auto results = runner.map<NodeResult>(services.size(), [&](std::size_t k) {
+    auto data_rng = Rng::stream(round_seed, k, std::uint64_t{0});
+    auto noise_rng = Rng::stream(round_seed, k, std::uint64_t{1});
+    return serve(link, nodes.pose, ids, services[k], slots[services[k].slot],
+                 bits_per_node, data_rng, noise_rng);
+  });
+
+  const double slot_share = slots.empty() ? 1.0 : double(slots.size());
+  for (auto& nr : results) {
+    nr.goodput_bps /= slot_share;
+    // milback-analyze: no-reduction(round results aggregated in fixed node-index order on the calling thread)
+    round.aggregate_goodput_bps += nr.goodput_bps;
+    round.nodes.push_back(std::move(nr));
+  }
+  MILBACK_ENSURE(round.nodes.size() == services.size(),
+                 "SDM round: one result per service");
+  return round;
+}
+
 }  // namespace
 
 // Cell-wide metric handles, interned once per label. A standalone engine
@@ -111,6 +151,9 @@ void CellEngine::set_mesh(mesh::MeshConfig config) {
 std::size_t CellEngine::add_node(std::string id, const core::TrafficSpec& spec,
                                  double join_time_s) {
   MILBACK_REQUIRE(!ran_, "CellEngine::add_node: engine already ran");
+  require_positive(spec.pose.distance_m, "pose.distance_m");
+  require_finite(spec.pose.azimuth_deg, "pose.azimuth_deg");
+  require_finite(spec.pose.orientation_deg, "pose.orientation_deg");
   require_finite(join_time_s, "join_time_s");
   const NodeId nid = IdTable::global().intern(id);
   const std::size_t index =
@@ -293,6 +336,27 @@ void CellEngine::dispatch_arrival(const Event& e) {
       std::max(nodes_.peak_queue_bits[e.node], nodes_.queued_bits[e.node]);
 }
 
+double CellEngine::slot_period_s(
+    const std::vector<std::vector<std::size_t>>& slots,
+    const std::vector<std::size_t>& alive) const {
+  double period_s = 0.0;
+  for (const auto& slot : slots) {
+    double slot_time_s = 0.0;
+    for (const auto k : slot) {
+      const double rate_bps = nodes_.rate_bps[alive[k]];
+      if (rate_bps <= 0.0) continue;
+      const auto timing = core::compute_timing(
+          core::PacketConfig{.preamble = {},
+                             .payload_symbols = config_.payload_symbols},
+          core::LinkDirection::kUplink, rate_bps / 2.0);
+      slot_time_s = std::max(slot_time_s, timing.total_s);
+    }
+    // milback-analyze: no-reduction(serial event-handler loop in deterministic slot-major order; single thread by construction)
+    period_s += slot_time_s;
+  }
+  return period_s;
+}
+
 void CellEngine::dispatch_service(const Event& e) {
   service_scheduled_ = false;
   const auto alive = alive_indices();
@@ -349,23 +413,9 @@ void CellEngine::dispatch_service(const Event& e) {
   for (const auto i : alive) poses.push_back(nodes_.pose[i]);
   const auto slots =
       sdm_partition(poses, config_.network.sdm_min_separation_deg);
-  double derived_period_s = 0.0;
-  for (const auto& slot : slots) {
-    double slot_time_s = 0.0;
-    for (const auto k : slot) {
-      const double rate_bps = nodes_.rate_bps[alive[k]];
-      if (rate_bps <= 0.0) continue;
-      const auto timing = core::compute_timing(
-          core::PacketConfig{.preamble = {},
-                             .payload_symbols = config_.payload_symbols},
-          core::LinkDirection::kUplink, rate_bps / 2.0);
-      slot_time_s = std::max(slot_time_s, timing.total_s);
-    }
-    // milback-analyze: no-reduction(serial event-handler loop in deterministic slot-major order; single thread by construction)
-    derived_period_s += slot_time_s;
-  }
-  const double period_s =
-      config_.service_period_s > 0.0 ? config_.service_period_s : derived_period_s;
+  const double period_s = config_.service_period_s > 0.0
+                              ? config_.service_period_s
+                              : slot_period_s(slots, alive);
   if (period_s <= 0.0) return;  // nobody servable; churn re-wakes the sweep
 
   const std::size_t round = report_.service_rounds;
@@ -560,22 +610,8 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
           probe_service_rate_bps(link_.channel(), nodes_.pose[i], config_.rate);
       poses.push_back(nodes_.pose[i]);
     }
-    const auto slots =
-        sdm_partition(poses, config_.network.sdm_min_separation_deg);
-    for (const auto& slot : slots) {
-      double slot_time_s = 0.0;
-      for (const auto k : slot) {
-        const double rate_bps = nodes_.rate_bps[alive[k]];
-        if (rate_bps <= 0.0) continue;
-        const auto timing = core::compute_timing(
-            core::PacketConfig{.preamble = {},
-                               .payload_symbols = config_.payload_symbols},
-            core::LinkDirection::kUplink, rate_bps / 2.0);
-        slot_time_s = std::max(slot_time_s, timing.total_s);
-      }
-  // milback-analyze: no-reduction(serial event-handler loop in deterministic slot-major order; single thread by construction)
-      hint_s += slot_time_s;
-    }
+    hint_s = slot_period_s(
+        sdm_partition(poses, config_.network.sdm_min_separation_deg), alive);
   }
   if (hint_s > 0.0) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -682,8 +718,8 @@ CellReport CellEngine::finish() {
     r.final_queue_bits = nodes_.queued_bits[i];
     r.service_rate_bps = nodes_.rate_bps[i];
     r.rounds_served = nodes_.rounds_served[i];
-    // Unstable if a served node's final backlog exceeds a couple of rounds
-    // of arrivals (the MacSimulator heuristic, kept verbatim).
+    // Unstable if a served node's final backlog exceeds four periods of
+    // arrivals plus two payloads.
     if (nodes_.alive[i] && nodes_.rate_bps[i] > 0.0 && last_period_s_ > 0.0 &&
         nodes_.queued_bits[i] > 4.0 * nodes_.arrival_rate_bps[i] * last_period_s_ +
                                     2.0 * payload_bits_) {
@@ -745,75 +781,14 @@ std::size_t CellEngine::attach_node(const CarriedNode& carried, double time_s) {
 
 core::RoundResult CellEngine::run_uplink_round(std::size_t bits_per_node,
                                                milback::Rng& rng) const {
-  core::RoundResult round;
-  const auto slots = sdm_slots();
-  round.sdm_slots = slots.size();
-  const auto services = flatten_services(slots);
-  std::vector<std::string> ids;
-  ids.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ids.emplace_back(nodes_.id[i].view());
-  }
-
-  // One draw from the caller's generator seeds every per-node stream; the
-  // streams themselves are pure functions of (round_seed, service index), so
-  // the engine may run them in any order on any number of threads.
-  const std::uint64_t round_seed = rng.engine()();
-  const sim::TrialRunner runner;
-  auto results =
-      runner.map<core::NodeRoundResult>(services.size(), [&](std::size_t k) {
-        auto data_rng = Rng::stream(round_seed, k, std::uint64_t{0});
-        auto noise_rng = Rng::stream(round_seed, k, std::uint64_t{1});
-        return serve_uplink_node(link_, nodes_.pose, ids, services[k],
-                                 slots[services[k].slot], bits_per_node,
-                                 data_rng, noise_rng);
-      });
-
-  const double slot_share = slots.empty() ? 1.0 : double(slots.size());
-  for (auto& nr : results) {
-    nr.goodput_bps /= slot_share;
-    // milback-analyze: no-reduction(round results aggregated in fixed node-index order on the calling thread)
-    round.aggregate_goodput_bps += nr.goodput_bps;
-    round.nodes.push_back(std::move(nr));
-  }
-  MILBACK_ENSURE(round.nodes.size() == services.size(),
-                 "run_uplink_round: one result per service");
-  return round;
+  return run_sdm_round<core::RoundResult>(link_, nodes_, sdm_slots(),
+                                          bits_per_node, rng, serve_uplink_node);
 }
 
 core::DownlinkRoundResult CellEngine::run_downlink_round(
     std::size_t bits_per_node, milback::Rng& rng) const {
-  core::DownlinkRoundResult round;
-  const auto slots = sdm_slots();
-  round.sdm_slots = slots.size();
-  const auto services = flatten_services(slots);
-  std::vector<std::string> ids;
-  ids.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    ids.emplace_back(nodes_.id[i].view());
-  }
-
-  const std::uint64_t round_seed = rng.engine()();
-  const sim::TrialRunner runner;
-  auto results =
-      runner.map<core::NodeDownlinkResult>(services.size(), [&](std::size_t k) {
-        auto data_rng = Rng::stream(round_seed, k, std::uint64_t{0});
-        auto noise_rng = Rng::stream(round_seed, k, std::uint64_t{1});
-        return serve_downlink_node(link_, nodes_.pose, ids, services[k],
-                                   slots[services[k].slot], bits_per_node,
-                                   data_rng, noise_rng);
-      });
-
-  const double slot_share = slots.empty() ? 1.0 : double(slots.size());
-  for (auto& nr : results) {
-    nr.goodput_bps /= slot_share;
-    // milback-analyze: no-reduction(round results aggregated in fixed node-index order on the calling thread)
-    round.aggregate_goodput_bps += nr.goodput_bps;
-    round.nodes.push_back(std::move(nr));
-  }
-  MILBACK_ENSURE(round.nodes.size() == services.size(),
-                 "run_downlink_round: one result per service");
-  return round;
+  return run_sdm_round<core::DownlinkRoundResult>(
+      link_, nodes_, sdm_slots(), bits_per_node, rng, serve_downlink_node);
 }
 
 std::vector<std::vector<std::size_t>> CellEngine::sdm_slots() const {

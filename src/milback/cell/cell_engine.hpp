@@ -1,13 +1,12 @@
 // Discrete-event cell engine: one AP serving a *dynamic* population of
 // backscatter nodes.
 //
-// The pre-existing layers each simulated one slice of cell time — a
-// waveform-level SDM round (MilBackNetwork), a queueing round loop
-// (MacSimulator), one node's adaptive life cycle (AdaptiveSession) — and
-// each had its own private clock. The engine unifies them on a single
-// event queue: node churn (join/leave/move), traffic arrivals, blockage
-// episodes and SDM service sweeps are all events ordered by
-// (time, priority, seq); see event_queue.hpp for the ordering contract.
+// The engine is the one multi-node API. Node churn (join/leave/move),
+// traffic arrivals, blockage episodes and SDM service sweeps are all events
+// on a single queue ordered by (time, priority, seq); see event_queue.hpp
+// for the ordering contract. A static population can also be served one
+// waveform-level SDM round at a time (run_uplink_round/run_downlink_round),
+// and each node can run a full AdaptiveSession (CellConfig::run_sessions).
 //
 // Determinism: run(duration, seed) is a pure function of the scenario and
 // the seed. Every random draw comes from Rng::stream(seed, node, event.seq)
@@ -24,10 +23,8 @@
 // zero event allocations and per-node state fits a fixed byte budget
 // (BM_MultiCell_MemoryPerNode prints the measured number).
 //
-// MilBackNetwork and MacSimulator are thin adapters over this class
-// (field-exact and statistically-equivalent respectively; see
-// tests/integration/test_cell_equivalence.cpp for which guarantee applies
-// where).
+// tests/integration/test_cell_equivalence.cpp pins the engine against
+// reference loops of the original per-round and per-MAC-run service.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +61,7 @@ struct CellConfig {
   core::RateAdaptConfig rate{};       ///< Shared rate-adaptation thresholds.
   std::size_t payload_symbols = 512;  ///< Symbols per service packet.
   double service_period_s = 0.0;      ///< > 0 pins the sweep period; 0 derives
-                                      ///< it per sweep from the SDM slot times
-                                      ///< (the MacSimulator convention).
+                                      ///< it per sweep from the SDM slot times.
   bool run_sessions = false;          ///< Drive a full AdaptiveSession per node
                                       ///< (acquire/track/lost) instead of the
                                       ///< budget probe. Requires a pinned
@@ -154,9 +150,10 @@ class CellEngine {
   CellEngine& operator=(CellEngine&&) noexcept;
   ~CellEngine();
 
-  /// Registers a node. Nodes with `join_time_s` <= 0 are present from the
-  /// start; later joins enter the cell as kJoin events. Returns the node's
-  /// index (stable for the engine's lifetime).
+  /// Registers a node. The pose needs a positive distance and finite
+  /// bearing and orientation. Nodes with `join_time_s` <= 0 are present from
+  /// the start; later joins enter the cell as kJoin events. Returns the
+  /// node's index (stable for the engine's lifetime).
   std::size_t add_node(std::string id, const core::TrafficSpec& spec,
                        double join_time_s = 0.0);
 
@@ -231,14 +228,19 @@ class CellEngine {
   /// MultiCellEngine recomputes this at every epoch barrier.
   void set_external_interference_db(double loss_db);
 
-  /// --- Static-population one-shots (the MilBackNetwork adapter path) ------
+  /// --- Static-population one-shots ---------------------------------------
 
-  /// One waveform-level uplink SDM round over all registered nodes.
-  /// Field-exact with the pre-engine MilBackNetwork::run_uplink_round.
+  /// One waveform-level uplink SDM round over all registered nodes: every
+  /// node sends `bits_per_node` random bits, and nodes in the same slot
+  /// transmit concurrently and interfere. Draws exactly one value from
+  /// `rng`; the per-node work runs on sim::TrialRunner and the result is
+  /// bit-identical at any MILBACK_SIM_THREADS.
   core::RoundResult run_uplink_round(std::size_t bits_per_node,
                                      milback::Rng& rng) const;
 
-  /// One waveform-level downlink SDM round over all registered nodes.
+  /// One waveform-level downlink SDM round over all registered nodes:
+  /// concurrent beams within a slot leak into each other through the horn
+  /// pattern. Same RNG and thread-count contract as run_uplink_round.
   core::DownlinkRoundResult run_downlink_round(std::size_t bits_per_node,
                                                milback::Rng& rng) const;
 
@@ -281,6 +283,11 @@ class CellEngine {
   std::vector<std::size_t> alive_indices() const;
   void ensure_session(std::size_t i);
   void apply_channel_loss();
+  /// Service period of an SDM schedule over the `alive` rows: each slot
+  /// lasts as long as its slowest member's packet at the current rates,
+  /// summed slot-major.
+  double slot_period_s(const std::vector<std::vector<std::size_t>>& slots,
+                       const std::vector<std::size_t>& alive) const;
   /// Schedules a service sweep at `time_s` unless one is already pending.
   void wake_service(double time_s);
   /// Per-event randomness: (seed, node, seq), widened with the cell index

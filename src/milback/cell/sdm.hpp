@@ -1,16 +1,14 @@
-// SDM scheduling and per-node service primitives shared by the cell engine
-// and its adapters (MilBackNetwork, MacSimulator).
+// SDM scheduling and per-node service primitives of the cell engine.
 //
-// These are the Section-7 mechanics factored out of MilBackNetwork so a
-// dynamic population can use them: greedy bearing-separation slotting, the
-// horn-pattern isolation between concurrent beams, one node's waveform-level
-// uplink/downlink service within a slot, and the budget-based service-rate
-// probe the scheduler uses to decide whether a node is worth a slot.
+// These are the Section-7 mechanics: greedy first-fit bearing-separation
+// slotting, the horn-pattern isolation between concurrent beams, one node's
+// waveform-level uplink/downlink service within a slot, and the
+// budget-based service-rate probe the scheduler uses to decide whether a
+// node is worth a slot.
 //
-// The serve_* functions are exact moves of the pre-cell-engine
-// MilBackNetwork internals — arithmetic and RNG consumption are unchanged,
-// which is what keeps the adapter round results bit-identical to the
-// pre-refactor ones (see tests/integration/test_cell_equivalence.cpp).
+// tests/integration/test_cell_equivalence.cpp pins every one of them,
+// field for field, against reference loops of the original per-round
+// service (the same arithmetic and the same RNG consumption).
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,12 @@
 // Shared rate-adaptation policy — the single source of truth for the
 // Fig 15 operating-point thresholds.
 //
-// The session layer, the MAC simulator and the cell engine all pick between
-// the paper's 10 and 40 Mbps uplink operating points from a budget SNR.
-// Before this header existed each layer carried its own copy of the
-// thresholds (and they drifted: SessionConfig said 10 Mbps needs 12 dB while
-// MacConfig said 10 dB). Every consumer now embeds one RateAdaptConfig, so a
-// re-calibration lands everywhere at once.
+// The session layer and the cell engine's scheduler both pick between the
+// paper's 10 and 40 Mbps uplink operating points from a budget SNR. Before
+// this header existed each layer carried its own copy of the thresholds
+// (and they drifted: the session said 10 Mbps needs 12 dB while the
+// scheduler said 10 dB). Every consumer now embeds one RateAdaptConfig, so
+// a re-calibration lands everywhere at once.
 //
 // Two decision flavours exist because the layers ask different questions:
 //   service_rate_bps()  -- the scheduler's question: "is this node worth a
@@ -18,7 +18,7 @@
 
 namespace milback::core {
 
-/// Rate-adaptation thresholds shared by Session, MacSimulator and CellEngine.
+/// Rate-adaptation thresholds shared by AdaptiveSession and CellEngine.
 struct RateAdaptConfig {
   double snr_for_40mbps_db = 16.0;  ///< Budget SNR to run 40 Mbps raw
                                     ///< (~6 dB over 10 Mbps: 4x noise

@@ -1,11 +1,9 @@
-// Shared value types for multi-node service: node registration, SDM round
-// outcomes and traffic descriptions.
+// Plain value types of multi-node service: network configuration, traffic
+// descriptions and SDM round outcomes.
 //
-// These used to live inside network.hpp / mac.hpp, but the cell engine
-// (src/milback/cell/) produces and consumes the same shapes, and both
-// MilBackNetwork and MacSimulator are now adapters over it — so the plain
-// data moved below the class layer to break the include cycle. network.hpp
-// and mac.hpp re-export the old names, so existing call sites are untouched.
+// The cell engine (src/milback/cell/) produces and consumes them; they live
+// in core, below the engine, so the per-node service primitives in
+// cell/sdm.hpp can name them without including the engine.
 #pragma once
 
 #include <string>
@@ -14,12 +12,6 @@
 #include "milback/core/link.hpp"
 
 namespace milback::core {
-
-/// A registered node.
-struct NetworkNode {
-  std::string id;            ///< Caller-chosen identifier.
-  channel::NodePose pose{};  ///< Ground-truth pose (the simulation's truth).
-};
 
 /// Network-level configuration.
 struct NetworkConfig {

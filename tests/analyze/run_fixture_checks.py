@@ -72,7 +72,7 @@ def main():
         root = Path(td)
         expected = stage_tree(root)
         proc = subprocess.run(
-            [sys.executable, str(ANALYZER), str(root), "--frontend", "internal"],
+            [sys.executable, str(ANALYZER), str(root)],
             capture_output=True, text=True)
         got = set()
         for line in proc.stdout.splitlines():

@@ -2,6 +2,8 @@
 // determinism and the engine's contracts.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "milback/cell/cell_engine.hpp"
 #include "milback/core/contract.hpp"
 
@@ -187,6 +189,21 @@ TEST(CellEngine, ScheduleValidatesNodeIndex) {
                milback::ContractViolation);
   EXPECT_THROW(engine.schedule_blockage(0.2, 0.1, 20.0),
                milback::ContractViolation);
+}
+
+TEST(CellEngine, AddNodeRejectsDegeneratePoses) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto engine = make_engine();
+  EXPECT_THROW(engine.add_node("at-ap", spec(0.0, 10.0)),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.add_node("behind", spec(-1.0, 10.0)),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.add_node("no-bearing", spec(2.0, nan)),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.add_node("no-facing", {.pose = {2.0, 10.0, nan}}),
+               milback::ContractViolation);
+  EXPECT_EQ(engine.node_count(), 0u);
+  EXPECT_EQ(engine.add_node("ok", spec(2.0, 10.0)), 0u);
 }
 
 }  // namespace

@@ -1,19 +1,25 @@
-// MAC-level service simulation tests.
+// MAC-level service tests: queueing, latency and stability of a static
+// traffic population on the cell engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <type_traits>
 
-#include "milback/core/mac.hpp"
+#include "milback/cell/cell_engine.hpp"
 
-namespace milback::core {
+namespace milback::cell {
 namespace {
 
-MacSimulator make_sim(std::uint64_t env_seed = 1) {
+CellEngine make_sim(std::uint64_t env_seed = 1) {
   Rng rng(env_seed);
-  return MacSimulator(channel::BackscatterChannel::make_default(
-                          channel::Environment::indoor_office(rng)),
-                      MacConfig{});
+  return CellEngine(channel::BackscatterChannel::make_default(
+      channel::Environment::indoor_office(rng)));
+}
+
+/// Runs the cell for `duration_s`, seeded by one draw from Rng(rng_seed).
+CellReport run(CellEngine& sim, double duration_s, std::uint64_t rng_seed) {
+  Rng rng(rng_seed);
+  return sim.run(duration_s, rng.engine()());
 }
 
 TEST(Mac, ServiceRateFollowsDistance) {
@@ -27,8 +33,7 @@ TEST(Mac, ServiceRateFollowsDistance) {
 
 TEST(Mac, EmptyCellRunsClean) {
   auto sim = make_sim();
-  Rng rng(2);
-  const auto report = sim.run(1.0, rng);
+  const auto report = run(sim, 1.0, 2);
   EXPECT_TRUE(report.stable);
   EXPECT_TRUE(report.nodes.empty());
   EXPECT_DOUBLE_EQ(report.aggregate_goodput_bps, 0.0);
@@ -38,16 +43,15 @@ TEST(Mac, UnderloadedCellIsStableWithLowLatency) {
   auto sim = make_sim();
   sim.add_node("a", {.pose = {2.0, -20.0, 12.0}, .arrival_rate_bps = 100e3});
   sim.add_node("b", {.pose = {3.0, 15.0, 12.0}, .arrival_rate_bps = 100e3});
-  Rng rng(3);
-  const auto report = sim.run(0.5, rng);
+  const auto report = run(sim, 0.5, 3);
   EXPECT_TRUE(report.stable);
   ASSERT_EQ(report.nodes.size(), 2u);
   for (const auto& n : report.nodes) {
     // Nearly all offered traffic delivered...
-    EXPECT_GT(n.delivered_bits, 0.9 * n.offered_bits) << n.id;
+    EXPECT_GT(n.delivered_bits, 0.9 * n.offered_bits) << n.id.view();
     // ...with latency on the order of a few service rounds (sub-ms).
-    EXPECT_LT(n.mean_latency_s, 5e-3) << n.id;
-    EXPECT_GE(n.p95_latency_s, n.mean_latency_s) << n.id;
+    EXPECT_LT(n.mean_latency_s, 5e-3) << n.id.view();
+    EXPECT_GE(n.p95_latency_s, n.mean_latency_s) << n.id.view();
   }
   EXPECT_NEAR(report.aggregate_goodput_bps, 200e3, 30e3);
 }
@@ -57,8 +61,7 @@ TEST(Mac, OverloadedNodeFlaggedUnstable) {
   // One slot visit per round delivers ~1024 bits; offering far more than the
   // cell capacity must blow the queue up.
   sim.add_node("hog", {.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 50e6});
-  Rng rng(4);
-  const auto report = sim.run(0.2, rng);
+  const auto report = run(sim, 0.2, 4);
   EXPECT_FALSE(report.stable);
   ASSERT_EQ(report.nodes.size(), 1u);
   EXPECT_GT(report.nodes[0].final_queue_bits, 0.0);
@@ -73,9 +76,8 @@ TEST(Mac, LatencyGrowsWithLoad) {
   // individual rounds overflow, so queueing delay appears even though the
   // average load is sustainable.
   heavy.add_node("a", {.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 3.9e6});
-  Rng r1(5), r2(5);
-  const auto rl = light.run(0.5, r1);
-  const auto rh = heavy.run(0.5, r2);
+  const auto rl = run(light, 0.5, 5);
+  const auto rh = run(heavy, 0.5, 5);
   ASSERT_TRUE(rl.stable);
   EXPECT_GT(rh.nodes[0].mean_latency_s, rl.nodes[0].mean_latency_s);
 }
@@ -84,8 +86,7 @@ TEST(Mac, UnreachableNodeDeliversNothing) {
   auto sim = make_sim();
   sim.add_node("ghost", {.pose = {18.0, 0.0, 12.0}, .arrival_rate_bps = 10e3});
   sim.add_node("ok", {.pose = {2.0, 20.0, 12.0}, .arrival_rate_bps = 10e3});
-  Rng rng(6);
-  const auto report = sim.run(0.3, rng);
+  const auto report = run(sim, 0.3, 6);
   ASSERT_EQ(report.nodes.size(), 2u);
   EXPECT_DOUBLE_EQ(report.nodes[0].delivered_bits, 0.0);
   EXPECT_GT(report.nodes[1].delivered_bits, 0.0);
@@ -100,9 +101,8 @@ TEST(Mac, SdmSharingSplitsCapacity) {
   auto crowded = make_sim();
   crowded.add_node("a", {.pose = {2.0, -5.0, 12.0}, .arrival_rate_bps = 30e6});
   crowded.add_node("b", {.pose = {2.0, 5.0, 12.0}, .arrival_rate_bps = 30e6});
-  Rng r1(7), r2(7);
-  const auto rs = separable.run(0.2, r1);
-  const auto rc = crowded.run(0.2, r2);
+  const auto rs = run(separable, 0.2, 7);
+  const auto rc = run(crowded, 0.2, 7);
   // Saturated in both cases; the separable cell drains more.
   EXPECT_GT(rs.aggregate_goodput_bps, 1.5 * rc.aggregate_goodput_bps);
   EXPECT_NEAR(rs.cell_capacity_bps, 2.0 * rc.cell_capacity_bps, 0.2 * rs.cell_capacity_bps);
@@ -111,8 +111,7 @@ TEST(Mac, SdmSharingSplitsCapacity) {
 TEST(Mac, CapacityEstimateMatchesSaturatedGoodput) {
   auto sim = make_sim();
   sim.add_node("a", {.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 50e6});
-  Rng rng(8);
-  const auto report = sim.run(0.3, rng);
+  const auto report = run(sim, 0.3, 8);
   EXPECT_NEAR(report.aggregate_goodput_bps, report.cell_capacity_bps,
               0.1 * report.cell_capacity_bps);
 }
@@ -124,8 +123,7 @@ TEST(Mac, StabilityDetectionSeparatesSaturatedFromUnderloaded) {
   auto sim = make_sim();
   sim.add_node("hog", {.pose = {2.0, -25.0, 12.0}, .arrival_rate_bps = 30e6});
   sim.add_node("calm", {.pose = {2.0, 25.0, 12.0}, .arrival_rate_bps = 50e3});
-  Rng rng(10);
-  const auto report = sim.run(0.3, rng);
+  const auto report = run(sim, 0.3, 10);
   EXPECT_FALSE(report.stable);
   ASSERT_EQ(report.nodes.size(), 2u);
   // The saturated node's backlog grows without bound; the calm one drains.
@@ -135,8 +133,7 @@ TEST(Mac, StabilityDetectionSeparatesSaturatedFromUnderloaded) {
 
   auto calm_only = make_sim();
   calm_only.add_node("calm", {.pose = {2.0, 25.0, 12.0}, .arrival_rate_bps = 50e3});
-  Rng r2(10);
-  EXPECT_TRUE(calm_only.run(0.3, r2).stable);
+  EXPECT_TRUE(run(calm_only, 0.3, 10).stable);
 }
 
 TEST(Mac, P95LatencyTracksSaturation) {
@@ -146,10 +143,9 @@ TEST(Mac, P95LatencyTracksSaturation) {
   light.add_node("a", {.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 100e3});
   auto saturated = make_sim();
   saturated.add_node("a", {.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 30e6});
-  Rng r1(11), r2(11);
-  const auto rl = light.run(0.5, r1);
-  const auto rs = saturated.run(0.5, r2);
-  const double period_s = rl.duration_s / double(rl.rounds);
+  const auto rl = run(light, 0.5, 11);
+  const auto rs = run(saturated, 0.5, 11);
+  const double period_s = rl.duration_s / double(rl.service_rounds);
   EXPECT_LT(rl.nodes[0].p95_latency_s, 3.0 * period_s);
   EXPECT_GT(rs.nodes[0].p95_latency_s, 10.0 * rl.nodes[0].p95_latency_s);
   EXPECT_GE(rs.nodes[0].p95_latency_s, rs.nodes[0].mean_latency_s);
@@ -161,8 +157,7 @@ TEST(Mac, ZeroTrafficNodeReportsCleanZeros) {
   auto sim = make_sim();
   sim.add_node("idle", {.pose = {2.0, -20.0, 12.0}, .arrival_rate_bps = 0.0});
   sim.add_node("busy", {.pose = {2.0, 20.0, 12.0}, .arrival_rate_bps = 100e3});
-  Rng rng(12);
-  const auto report = sim.run(0.3, rng);
+  const auto report = run(sim, 0.3, 12);
   EXPECT_TRUE(report.stable);
   ASSERT_EQ(report.nodes.size(), 2u);
   EXPECT_DOUBLE_EQ(report.nodes[0].offered_bits, 0.0);
@@ -175,29 +170,27 @@ TEST(Mac, ZeroTrafficNodeReportsCleanZeros) {
 }
 
 TEST(Mac, RoundsCountIsExactInteger) {
-  // MacReport::rounds is a count, not a double: it must equal
+  // CellReport::service_rounds is a count, not a double: it must equal
   // ceil(duration / period) exactly for a static cell.
   auto sim = make_sim();
   sim.add_node("a", {.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 100e3});
-  Rng rng(13);
-  const auto report = sim.run(0.25, rng);
-  static_assert(std::is_same_v<decltype(MacReport{}.rounds), std::size_t>);
-  EXPECT_GT(report.rounds, 0u);
-  const double period_s = report.duration_s / double(report.rounds);
+  const auto report = run(sim, 0.25, 13);
+  static_assert(std::is_same_v<decltype(CellReport{}.service_rounds), std::size_t>);
+  EXPECT_GT(report.service_rounds, 0u);
+  const double period_s = report.duration_s / double(report.service_rounds);
   // Period implied by the count stays consistent with the count itself.
-  EXPECT_EQ(report.rounds, std::size_t(std::ceil(0.25 / period_s - 1e-9)));
+  EXPECT_EQ(report.service_rounds, std::size_t(std::ceil(0.25 / period_s - 1e-9)));
 }
 
 TEST(Mac, DeterministicGivenSeed) {
   auto s1 = make_sim(), s2 = make_sim();
   s1.add_node("a", {.pose = {3.0, 10.0, 12.0}, .arrival_rate_bps = 500e3});
   s2.add_node("a", {.pose = {3.0, 10.0, 12.0}, .arrival_rate_bps = 500e3});
-  Rng r1(9), r2(9);
-  const auto a = s1.run(0.3, r1);
-  const auto b = s2.run(0.3, r2);
+  const auto a = run(s1, 0.3, 9);
+  const auto b = run(s2, 0.3, 9);
   EXPECT_DOUBLE_EQ(a.nodes[0].delivered_bits, b.nodes[0].delivered_bits);
   EXPECT_DOUBLE_EQ(a.nodes[0].mean_latency_s, b.nodes[0].mean_latency_s);
 }
 
 }  // namespace
-}  // namespace milback::core
+}  // namespace milback::cell

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "milback/cell/cell_engine.hpp"
-#include "milback/core/mac.hpp"
 #include "milback/core/rate_adapt.hpp"
 #include "milback/core/session.hpp"
 
@@ -48,18 +47,17 @@ TEST(RateAdapt, AdaptRateNeverGivesUp) {
 
 TEST(RateAdapt, SingleSourceOfTruthAcrossLayers) {
   // Regression for the threshold drift this config fixed: SessionConfig used
-  // to carry 12 dB for 10 Mbps while MacConfig carried 10 dB. Every layer
-  // now embeds RateAdaptConfig, so the defaults must be byte-for-byte the
-  // same object everywhere.
+  // to carry 12 dB for 10 Mbps while the MAC scheduler carried 10 dB. Every
+  // layer now embeds RateAdaptConfig, so the defaults must be byte-for-byte
+  // the same object everywhere.
   const RateAdaptConfig truth;
   EXPECT_DOUBLE_EQ(truth.snr_for_10mbps_db, 10.0);
   EXPECT_DOUBLE_EQ(truth.snr_for_40mbps_db, 16.0);
   EXPECT_DOUBLE_EQ(truth.fec_margin_db, 3.0);
 
   const SessionConfig session;
-  const MacConfig mac;
   const cell::CellConfig engine;
-  for (const auto& layer : {session.rate, mac.rate, engine.rate}) {
+  for (const auto& layer : {session.rate, engine.rate}) {
     EXPECT_DOUBLE_EQ(layer.snr_for_10mbps_db, truth.snr_for_10mbps_db);
     EXPECT_DOUBLE_EQ(layer.snr_for_40mbps_db, truth.snr_for_40mbps_db);
     EXPECT_DOUBLE_EQ(layer.fec_margin_db, truth.fec_margin_db);
@@ -67,19 +65,19 @@ TEST(RateAdapt, SingleSourceOfTruthAcrossLayers) {
 }
 
 TEST(RateAdapt, RecalibrationPropagatesThroughMac) {
-  // Tightening the shared threshold must change the MAC's scheduling
-  // decision — proof the MAC consults the shared config, not a private copy.
+  // Tightening the shared threshold must change the cell scheduler's
+  // decision — proof it consults the shared config, not a private copy.
   Rng env(1);
   auto channel = channel::BackscatterChannel::make_default(
       channel::Environment::indoor_office(env));
   const channel::NodePose pose{9.0, 0.0, 15.0};  // ~10.9 dB budget SNR
 
-  MacSimulator loose(channel, MacConfig{});
+  const cell::CellEngine loose(channel, cell::CellConfig{});
   EXPECT_DOUBLE_EQ(loose.service_rate_bps(pose), 10e6);
 
-  MacConfig strict_cfg;
+  cell::CellConfig strict_cfg;
   strict_cfg.rate.snr_for_10mbps_db = 12.0;  // the old SessionConfig value
-  MacSimulator strict(channel, strict_cfg);
+  const cell::CellEngine strict(channel, strict_cfg);
   EXPECT_DOUBLE_EQ(strict.service_rate_bps(pose), 0.0);
 }
 

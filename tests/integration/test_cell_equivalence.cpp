@@ -1,22 +1,27 @@
-// Adapter equivalence against pre-refactor behavior (tier-1).
+// Cell engine against reference loops of the original multi-node service
+// (tier-1).
 //
-// MilBackNetwork and MacSimulator were rewritten as adapters over the
-// discrete-event cell engine. This suite pins the adapter outputs against
-// reference implementations copied verbatim from the pre-refactor code, and
-// documents which guarantee applies where:
+// The SDM round and the MAC queueing loop used to be standalone
+// implementations; both now run on cell::CellEngine. This suite keeps
+// reference copies of the original loops as the spec the engine is compared
+// against, and documents which guarantee applies where:
 //
-//   * MilBackNetwork::run_uplink_round / run_downlink_round are FIELD-EXACT:
-//     the per-node service arithmetic moved to cell/sdm.cpp unchanged and the
-//     RNG consumption order is preserved (one engine() draw per round, one
-//     (round_seed, k, 0|1) stream pair per service), so every field of every
-//     node result is bit-identical.
+//   * CellEngine::run_uplink_round / run_downlink_round, sdm_slots and
+//     inter_node_isolation_db are FIELD-EXACT: the per-node service
+//     arithmetic lives in cell/sdm.cpp unchanged and the RNG consumption
+//     order is preserved (one engine() draw per round, one (round_seed, k,
+//     0|1) stream pair per service), so every field of every node result is
+//     bit-identical. The SDM slotting is also checked slot for slot against
+//     the greedy reference on randomized pose sets and edge cases.
 //
-//   * MacSimulator::run is STATISTICALLY MATCHED: deterministic quantities
-//     (SDM schedule, round period, round count, per-node service rates, cell
-//     capacity, stability classification) are exact, but arrival jitter now
-//     draws from stateless per-event streams instead of the caller's shared
-//     generator, so traffic-dependent quantities (offered/delivered bits,
-//     latencies) agree in distribution, not bit-for-bit.
+//   * CellEngine::run is STATISTICALLY MATCHED against the reference MAC
+//     loop at the same payload_symbols and rate thresholds: deterministic
+//     quantities (SDM schedule, round period, round count, per-node service
+//     rates, cell capacity, stability classification) are exact, but
+//     arrival jitter draws from stateless per-event streams instead of the
+//     caller's shared generator, so traffic-dependent quantities
+//     (offered/delivered bits, latencies) agree in distribution, not
+//     bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,11 +30,11 @@
 #include <string>
 #include <vector>
 
+#include "milback/cell/cell_engine.hpp"
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
+#include "milback/core/packet.hpp"
 #include "milback/rf/envelope_detector.hpp"
-#include "milback/core/mac.hpp"
-#include "milback/core/network.hpp"
 #include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
 
@@ -42,7 +47,13 @@ channel::BackscatterChannel make_channel(std::uint64_t env_seed = 1) {
       channel::Environment::indoor_office(env));
 }
 
-// --- Reference: pre-refactor MilBackNetwork round loop (verbatim copy) -----
+// --- Reference: original network round loop (verbatim copy) ----------------
+
+/// A registered node of the reference network.
+struct NetworkNode {
+  std::string id;            ///< Caller-chosen identifier.
+  channel::NodePose pose{};  ///< Ground-truth pose (the simulation's truth).
+};
 
 struct LegacyNetwork {
   NetworkConfig config;
@@ -203,8 +214,8 @@ struct LegacyNetwork {
   }
 };
 
-// --- Reference: pre-refactor MacSimulator::run (verbatim copy, old 16/10 dB
-// thresholds inlined) --------------------------------------------------------
+// --- Reference: original MAC round loop (verbatim copy, 16/10 dB thresholds
+// inlined; reports in the engine's CellReport shape) -------------------------
 
 struct LegacyMac {
   struct Chunk {
@@ -223,11 +234,11 @@ struct LegacyMac {
     double rate_bps = 0.0;
   };
 
-  MacConfig config;
+  cell::CellConfig config;
   channel::BackscatterChannel channel;
   std::vector<NodeState> nodes;
 
-  LegacyMac(channel::BackscatterChannel chan, MacConfig cfg)
+  LegacyMac(channel::BackscatterChannel chan, cell::CellConfig cfg)
       : config(cfg), channel(std::move(chan)) {}
 
   void add_node(std::string id, const TrafficSpec& spec) {
@@ -248,8 +259,8 @@ struct LegacyMac {
     return 0.0;
   }
 
-  MacReport run(double duration_s, Rng& rng) {
-    MacReport report;
+  cell::CellReport run(double duration_s, Rng& rng) {
+    cell::CellReport report;
     report.duration_s = duration_s;
     std::vector<std::vector<std::size_t>> slots;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -328,11 +339,11 @@ struct LegacyMac {
         }
       }
       now += round_period_s;
-      report.rounds += 1;
+      report.service_rounds += 1;
     }
     for (auto& n : nodes) {
-      MacNodeReport r;
-      r.id = n.id;
+      cell::CellNodeReport r;
+      r.id = cell::IdTable::global().intern(n.id);
       r.offered_bits = n.offered_bits;
       r.delivered_bits = n.delivered_bits;
       r.mean_latency_s = mean(n.latencies_s);
@@ -352,24 +363,32 @@ struct LegacyMac {
   }
 };
 
-// --- Field-exact: network adapter vs pre-refactor round loop ---------------
+// --- Field-exact: engine rounds vs the reference round loop -----------------
 
-TEST(CellEquivalence, UplinkRoundIsFieldExact) {
-  MilBackNetwork adapter(make_channel(), NetworkConfig{});
-  LegacyNetwork legacy(make_channel(), NetworkConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> fleet = {
-      {"a", {2.0, -25.0, 12.0}},
-      {"b", {2.5, 0.0, -12.0}},
-      {"c", {3.0, 5.0, 8.0}},  // shares a slot with "b"
-      {"d", {3.5, 30.0, -4.0}},
-  };
+/// The four-node fleet both round tests serve ("c" shares a slot with "b").
+const std::vector<std::pair<std::string, channel::NodePose>> kRoundFleet = {
+    {"a", {2.0, -25.0, 12.0}},
+    {"b", {2.5, 0.0, -12.0}},
+    {"c", {3.0, 5.0, 8.0}},
+    {"d", {3.5, 30.0, -4.0}},
+};
+
+/// Registers `fleet` on both the engine and the reference network.
+void add_fleet(cell::CellEngine& engine, LegacyNetwork& legacy,
+               const std::vector<std::pair<std::string, channel::NodePose>>& fleet) {
   for (const auto& [id, pose] : fleet) {
-    adapter.add_node(id, pose);
+    engine.add_node(id, TrafficSpec{.pose = pose});
     legacy.nodes.push_back(NetworkNode{id, pose});
   }
+}
+
+TEST(CellEquivalence, UplinkRoundIsFieldExact) {
+  cell::CellEngine engine(make_channel());
+  LegacyNetwork legacy(make_channel(), NetworkConfig{});
+  add_fleet(engine, legacy, kRoundFleet);
 
   Rng r1(99), r2(99);
-  const auto got = adapter.run_uplink_round(200, r1);
+  const auto got = engine.run_uplink_round(200, r1);
   const auto want = legacy.run_uplink_round(200, r2);
 
   EXPECT_EQ(got.sdm_slots, want.sdm_slots);
@@ -394,21 +413,12 @@ TEST(CellEquivalence, UplinkRoundIsFieldExact) {
 }
 
 TEST(CellEquivalence, DownlinkRoundIsFieldExact) {
-  MilBackNetwork adapter(make_channel(), NetworkConfig{});
+  cell::CellEngine engine(make_channel());
   LegacyNetwork legacy(make_channel(), NetworkConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> fleet = {
-      {"a", {2.0, -25.0, 12.0}},
-      {"b", {2.5, 0.0, -12.0}},
-      {"c", {3.0, 5.0, 8.0}},
-      {"d", {3.5, 30.0, -4.0}},
-  };
-  for (const auto& [id, pose] : fleet) {
-    adapter.add_node(id, pose);
-    legacy.nodes.push_back(NetworkNode{id, pose});
-  }
+  add_fleet(engine, legacy, kRoundFleet);
 
   Rng r1(123), r2(123);
-  const auto got = adapter.run_downlink_round(200, r1);
+  const auto got = engine.run_downlink_round(200, r1);
   const auto want = legacy.run_downlink_round(200, r2);
 
   EXPECT_EQ(got.sdm_slots, want.sdm_slots);
@@ -430,34 +440,74 @@ TEST(CellEquivalence, DownlinkRoundIsFieldExact) {
 }
 
 TEST(CellEquivalence, SdmScheduleAndIsolationAreFieldExact) {
-  MilBackNetwork adapter(make_channel(), NetworkConfig{});
+  cell::CellEngine engine(make_channel());
   LegacyNetwork legacy(make_channel(), NetworkConfig{});
-  const std::vector<std::pair<std::string, channel::NodePose>> fleet = {
-      {"a", {2.0, -25.0, 12.0}}, {"b", {2.5, 0.0, -12.0}},
-      {"c", {3.0, 5.0, 8.0}},    {"d", {3.5, 30.0, -4.0}},
-      {"e", {4.0, -22.0, 6.0}},
-  };
-  for (const auto& [id, pose] : fleet) {
-    adapter.add_node(id, pose);
-    legacy.nodes.push_back(NetworkNode{id, pose});
-  }
-  EXPECT_EQ(adapter.sdm_slots(), legacy.sdm_slots());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    for (std::size_t j = 0; j < fleet.size(); ++j) {
+  add_fleet(engine, legacy,
+            {{"a", {2.0, -25.0, 12.0}}, {"b", {2.5, 0.0, -12.0}},
+             {"c", {3.0, 5.0, 8.0}},    {"d", {3.5, 30.0, -4.0}},
+             {"e", {4.0, -22.0, 6.0}}});
+  EXPECT_EQ(engine.sdm_slots(), legacy.sdm_slots());
+  for (std::size_t i = 0; i < legacy.nodes.size(); ++i) {
+    for (std::size_t j = 0; j < legacy.nodes.size(); ++j) {
       if (i == j) continue;
-      EXPECT_DOUBLE_EQ(adapter.inter_node_isolation_db(i, j),
+      EXPECT_DOUBLE_EQ(engine.inter_node_isolation_db(i, j),
                        legacy.isolation_db(i, j));
     }
   }
+
+  // Property: cell::sdm_partition reproduces the greedy reference slot for
+  // slot on any bearing set and separation.
+  const auto expect_same_slots = [&](const std::vector<double>& bearings,
+                                     double sep_deg) {
+    std::vector<channel::NodePose> poses;
+    legacy.nodes.clear();
+    legacy.config.sdm_min_separation_deg = sep_deg;
+    for (const double b : bearings) {
+      poses.push_back({2.0, b, 0.0});
+      legacy.nodes.push_back(NetworkNode{"", poses.back()});
+    }
+    EXPECT_EQ(cell::sdm_partition(poses, sep_deg), legacy.sdm_slots())
+        << bearings.size() << " bearings, sep " << sep_deg << " deg";
+  };
+
+  // Seeded random pose sets, n <= 400: continuous bearings, and a coarse
+  // 10-degree grid so bearings repeat and pairwise offsets hit the
+  // separation exactly. Separation 0, a multiple of the grid step, or
+  // continuous in (0, 60].
+  constexpr std::uint64_t kPropertySeed = 0x5d3;
+  for (std::uint64_t t = 0; t < 1200; ++t) {
+    auto rng = Rng::stream(kPropertySeed, t);
+    const auto n = std::size_t(rng.uniform_int(1, 400));
+    const bool grid = t % 2 == 1;
+    std::vector<double> bearings(n);
+    for (auto& b : bearings) {
+      b = grid ? 10.0 * double(rng.uniform_int(-18, 18))
+               : rng.uniform(-180.0, 180.0);
+    }
+    const double sep_deg = t % 5 == 0   ? 0.0
+                           : t % 5 == 1 ? 10.0 * double(rng.uniform_int(1, 6))
+                                        : 60.0 - rng.uniform(0.0, 60.0);
+    expect_same_slots(bearings, sep_deg);
+  }
+
+  // Edge cases.
+  expect_same_slots({}, 20.0);                               // empty
+  expect_same_slots(std::vector<double>(50, 12.5), 20.0);    // n slots
+  expect_same_slots(std::vector<double>(50, 12.5), 0.0);     // one slot
+  expect_same_slots({0.0, -0.0, 0.0, -0.0, 20.0, -20.0}, 20.0);
+  expect_same_slots({0.0, -0.0, 0.0, -0.0}, 0.0);
+  expect_same_slots({-180.0, 180.0, -180.0, 180.0, 0.0, 179.0, -179.0}, 20.0);
+  expect_same_slots({-180.0, 180.0, -180.0, 180.0}, 60.0);
 }
 
-// --- Statistically matched: MAC adapter vs pre-refactor round loop ---------
+// --- Statistically matched: engine run vs the reference MAC loop ------------
 
 TEST(CellEquivalence, MacDeterministicQuantitiesAreExact) {
-  MacSimulator adapter(make_channel(), MacConfig{});
-  LegacyMac legacy(make_channel(), MacConfig{});
+  const cell::CellConfig config;
+  cell::CellEngine engine(make_channel(), config);
+  LegacyMac legacy(make_channel(), config);
   const auto add = [&](const std::string& id, const TrafficSpec& spec) {
-    adapter.add_node(id, spec);
+    engine.add_node(id, spec);
     legacy.add_node(id, spec);
   };
   add("near", {.pose = {2.0, -25.0, 12.0}, .arrival_rate_bps = 200e3});
@@ -467,11 +517,11 @@ TEST(CellEquivalence, MacDeterministicQuantitiesAreExact) {
   add("ghost", {.pose = {18.0, -30.0, 12.0}, .arrival_rate_bps = 50e3});
 
   Rng r1(4242), r2(4242);
-  const auto got = adapter.run(0.5, r1);
+  const auto got = engine.run(0.5, r1.engine()());
   const auto want = legacy.run(0.5, r2);
 
   // Exact: schedule-derived quantities (no randomness involved).
-  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.service_rounds, want.service_rounds);
   EXPECT_DOUBLE_EQ(got.cell_capacity_bps, want.cell_capacity_bps);
   EXPECT_EQ(got.stable, want.stable);
   ASSERT_EQ(got.nodes.size(), want.nodes.size());
@@ -481,24 +531,25 @@ TEST(CellEquivalence, MacDeterministicQuantitiesAreExact) {
   }
   // Per-pose scheduling decisions are the same function.
   for (const auto& n : legacy.nodes) {
-    EXPECT_DOUBLE_EQ(adapter.service_rate_bps(n.spec.pose),
+    EXPECT_DOUBLE_EQ(engine.service_rate_bps(n.spec.pose),
                      legacy.service_rate_bps(n.spec.pose));
   }
 }
 
 TEST(CellEquivalence, MacTrafficQuantitiesAreStatisticallyMatched) {
-  // Arrival jitter moved from the caller's shared generator to stateless
-  // per-event streams, so traffic totals agree in distribution only. With
-  // ~300 rounds the relative standard error of the mean jitter is ~3%, so a
-  // 10% tolerance is a > 3-sigma bound.
-  MacSimulator adapter(make_channel(), MacConfig{});
-  LegacyMac legacy(make_channel(), MacConfig{});
+  // Arrival jitter draws from stateless per-event streams rather than the
+  // caller's shared generator, so traffic totals agree in distribution
+  // only. With ~300 rounds the relative standard error of the mean jitter is
+  // ~3%, so a 10% tolerance is a > 3-sigma bound.
+  const cell::CellConfig config;
+  cell::CellEngine engine(make_channel(), config);
+  LegacyMac legacy(make_channel(), config);
   const TrafficSpec spec{.pose = {2.0, 0.0, 12.0}, .arrival_rate_bps = 400e3};
-  adapter.add_node("a", spec);
+  engine.add_node("a", spec);
   legacy.add_node("a", spec);
 
   Rng r1(7), r2(7);
-  const auto got = adapter.run(0.5, r1);
+  const auto got = engine.run(0.5, r1.engine()());
   const auto want = legacy.run(0.5, r2);
 
   ASSERT_EQ(got.nodes.size(), 1u);
@@ -510,19 +561,6 @@ TEST(CellEquivalence, MacTrafficQuantitiesAreStatisticallyMatched) {
               0.15 * want.nodes[0].mean_latency_s);
   EXPECT_NEAR(got.aggregate_goodput_bps, want.aggregate_goodput_bps,
               0.10 * want.aggregate_goodput_bps);
-}
-
-TEST(CellEquivalence, MacUnservableCellReportsLegacyEmptyShape) {
-  // Pre-refactor contract: when no node is servable the report comes back
-  // clean and empty rather than as a list of all-zero nodes.
-  MacSimulator adapter(make_channel(), MacConfig{});
-  adapter.add_node("ghost", {.pose = {18.0, 0.0, 12.0}, .arrival_rate_bps = 10e3});
-  Rng rng(3);
-  const auto report = adapter.run(0.2, rng);
-  EXPECT_TRUE(report.stable);
-  EXPECT_TRUE(report.nodes.empty());
-  EXPECT_EQ(report.rounds, 0u);
-  EXPECT_DOUBLE_EQ(report.cell_capacity_bps, 0.0);
 }
 
 }  // namespace

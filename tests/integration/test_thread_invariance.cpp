@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "milback/cell/cell_engine.hpp"
 #include "milback/core/link.hpp"
-#include "milback/core/network.hpp"
 #include "milback/dsp/fft.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/window.hpp"
@@ -55,16 +55,14 @@ core::MilBackLink make_link(std::uint64_t env_seed) {
                            core::LinkConfig{});
 }
 
-core::MilBackNetwork make_network(std::uint64_t env_seed) {
+cell::CellEngine make_network(std::uint64_t env_seed) {
   Rng env(env_seed);
-  auto net = core::MilBackNetwork(
-      channel::BackscatterChannel::make_default(
-          channel::Environment::indoor_office(env)),
-      core::NetworkConfig{});
-  net.add_node("a", {2.0, -25.0, 12.0});
-  net.add_node("b", {2.5, 0.0, -12.0});
-  net.add_node("c", {3.0, 5.0, 8.0});  // shares a slot with "b"
-  net.add_node("d", {3.5, 30.0, -4.0});
+  cell::CellEngine net(channel::BackscatterChannel::make_default(
+      channel::Environment::indoor_office(env)));
+  net.add_node("a", {.pose = {2.0, -25.0, 12.0}});
+  net.add_node("b", {.pose = {2.5, 0.0, -12.0}});
+  net.add_node("c", {.pose = {3.0, 5.0, 8.0}});  // shares a slot with "b"
+  net.add_node("d", {.pose = {3.5, 30.0, -4.0}});
   return net;
 }
 
