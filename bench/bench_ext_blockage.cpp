@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     // Radar detectable: post-processing SNR > 12 dB.
     const double radar_range = max_range([&](double d) {
       const channel::NodePose pose{d, 0.0, 15.0};
-      const auto b = channel::compute_radar_budget(chan, pose, sw, 18e-6, 3e9, 50e6);
+      const auto b = channel::compute_radar_budget(chan, pose, sw, 18e-6, 50e6);
       return b.snr_db > 12.0;
     });
 

@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
                                                         pair->first, pose)) *
         through;
     const double p_int =
-        dbm2watt(link.channel().cross_port_power_dbm(antenna::FsaPort::kB,
-                                                     pair->second, pose)) *
+        dbm2watt(link.channel().incident_port_power_dbm(
+            antenna::other_port(antenna::FsaPort::kB), pair->second, pose)) *
         through;
     const double sigma_p =
         det.input_power_for_voltage(std::sqrt(det.noise_power_v2(enbw)));

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
             << Table::num(ul40.snr_db, 1) << " dB\n\n";
 
   // --- Localization ---
-  const auto radar = channel::compute_radar_budget(chan, pose, sw, 18e-6, 3e9, 50e6);
+  const auto radar = channel::compute_radar_budget(chan, pose, sw, 18e-6, 50e6);
   std::cout << "Localization: post-processing SNR " << Table::num(radar.snr_db, 1)
             << " dB (" << (radar.snr_db > 15.0 ? "detectable" : "MARGINAL") << ")\n\n";
 

@@ -29,7 +29,7 @@ double BeamScanner::steered_snr_db(const channel::BackscatterChannel& channel,
   rf::RfSwitch sw{config_.localizer.node_switch};
   const auto budget = channel::compute_radar_budget(
       channel, pose, sw, config_.localizer.chirp.duration_s,
-      config_.localizer.chirp.bandwidth_hz, config_.localizer.beat_sample_rate_hz);
+      config_.localizer.beat_sample_rate_hz);
   // compute_radar_budget assumes boresight pointing; subtract the TX and RX
   // horn rolloff at the actual steering offset.
   const double offset = pose.azimuth_deg - steering_deg;

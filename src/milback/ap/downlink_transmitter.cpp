@@ -11,11 +11,20 @@ namespace {
 
 using antenna::FsaPort;
 
-// Incident power [W] of a tone at `f` on `port`, through the node's own
-// port pattern (signal when the tone targets this port, leakage otherwise).
-double port_power_w(const channel::BackscatterChannel& channel,
-                    const channel::NodePose& pose, FsaPort port, double f_hz) {
-  return dbm2watt(channel.incident_port_power_dbm(port, f_hz, pose));
+// Port-power matrix [W]: each port receives both tones through its own
+// pattern (one as signal, one as sidelobe leakage) over one traced path set.
+struct PortPowers {
+  double a_from_a, a_from_b, b_from_a, b_from_b;
+};
+
+PortPowers port_powers(const channel::BackscatterChannel& channel,
+                       const channel::NodePose& pose, const CarrierSelection& selection) {
+  const auto paths = channel.node_path_set(pose);
+  const auto power_w = [&](FsaPort port, double f_hz) {
+    return dbm2watt(channel.incident_port_power_dbm(port, f_hz, pose, paths));
+  };
+  return {power_w(FsaPort::kA, selection.f_a_hz), power_w(FsaPort::kA, selection.f_b_hz),
+          power_w(FsaPort::kB, selection.f_a_hz), power_w(FsaPort::kB, selection.f_b_hz)};
 }
 
 }  // namespace
@@ -58,18 +67,13 @@ DownlinkWaveforms DownlinkTransmitter::synthesize(
   w.power_a_w.assign(n, 0.0);
   w.power_b_w.assign(n, 0.0);
 
-  // Port-power matrix: each port receives both tones (one as signal, one as
-  // sidelobe leakage); powers add because the detector's video filter
-  // averages out the inter-tone beat.
-  const double a_from_a = port_power_w(channel, pose, FsaPort::kA, selection.f_a_hz);
-  const double a_from_b = port_power_w(channel, pose, FsaPort::kA, selection.f_b_hz);
-  const double b_from_a = port_power_w(channel, pose, FsaPort::kB, selection.f_a_hz);
-  const double b_from_b = port_power_w(channel, pose, FsaPort::kB, selection.f_b_hz);
-
+  // Powers add because the detector's video filter averages out the
+  // inter-tone beat.
+  const PortPowers p = port_powers(channel, pose, selection);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     const auto tones = core::downlink_tones(symbols[s]);
-    const double pa = (tones.tone_a ? a_from_a : 0.0) + (tones.tone_b ? a_from_b : 0.0);
-    const double pb = (tones.tone_a ? b_from_a : 0.0) + (tones.tone_b ? b_from_b : 0.0);
+    const double pa = (tones.tone_a ? p.a_from_a : 0.0) + (tones.tone_b ? p.a_from_b : 0.0);
+    const double pb = (tones.tone_a ? p.b_from_a : 0.0) + (tones.tone_b ? p.b_from_b : 0.0);
     for (std::size_t i = 0; i < config_.oversample; ++i) {
       w.power_a_w[s * config_.oversample + i] = pa;
       w.power_b_w[s * config_.oversample + i] = pb;
@@ -89,14 +93,12 @@ DownlinkWaveforms DownlinkTransmitter::synthesize_ook(
   w.power_a_w.assign(n, 0.0);
   w.power_b_w.assign(n, 0.0);
 
-  const double pa = port_power_w(channel, pose, FsaPort::kA, selection.f_a_hz);
-  const double pb = port_power_w(channel, pose, FsaPort::kB, selection.f_b_hz);
-
+  const PortPowers p = port_powers(channel, pose, selection);
   for (std::size_t s = 0; s < bits.size(); ++s) {
     if (!bits[s]) continue;
     for (std::size_t i = 0; i < config_.oversample; ++i) {
-      w.power_a_w[s * config_.oversample + i] = pa;
-      w.power_b_w[s * config_.oversample + i] = pb;
+      w.power_a_w[s * config_.oversample + i] = p.a_from_a;
+      w.power_b_w[s * config_.oversample + i] = p.b_from_b;
     }
   }
   return w;
@@ -114,17 +116,13 @@ DownlinkWaveforms DownlinkTransmitter::synthesize_dense(
   w.power_a_w.assign(n, 0.0);
   w.power_b_w.assign(n, 0.0);
 
-  const double a_from_a = port_power_w(channel, pose, FsaPort::kA, selection.f_a_hz);
-  const double a_from_b = port_power_w(channel, pose, FsaPort::kA, selection.f_b_hz);
-  const double b_from_a = port_power_w(channel, pose, FsaPort::kB, selection.f_a_hz);
-  const double b_from_b = port_power_w(channel, pose, FsaPort::kB, selection.f_b_hz);
-
+  const PortPowers p = port_powers(channel, pose, selection);
   for (std::size_t s = 0; s < symbols.size(); ++s) {
     // Power levels are uniform in the detector's (power-linear) domain.
     const double fa = core::level_power_fraction(symbols[s].level_a, levels);
     const double fb = core::level_power_fraction(symbols[s].level_b, levels);
-    const double pa = fa * a_from_a + fb * a_from_b;
-    const double pb = fa * b_from_a + fb * b_from_b;
+    const double pa = fa * p.a_from_a + fb * p.a_from_b;
+    const double pb = fa * p.b_from_a + fb * p.b_from_b;
     for (std::size_t i = 0; i < config_.oversample; ++i) {
       w.power_a_w[s * config_.oversample + i] = pa;
       w.power_b_w[s * config_.oversample + i] = pb;

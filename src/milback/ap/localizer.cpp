@@ -121,12 +121,11 @@ Localizer::BurstPair Localizer::synthesize_burst(
   // The mirror reflection rides the same geometric corridor as the direct
   // return, so blockage (and any blocker crossing the direct ray) attenuates
   // it identically — otherwise its modulation leakage would keep the node
-  // "detectable" straight through a severed path.
-  double direct_extra_loss_db = 2.0 * channel.config().blockage_loss_db;
-  if (!channel.multipath().los_only()) {
-    direct_extra_loss_db +=
-        2.0 * channel.node_path_set(pose).direct().blocker_loss_db;
-  }
+  // "detectable" straight through a severed path. One path set per burst
+  // serves the mirror and the modulated returns.
+  const auto paths = channel.node_path_set(pose);
+  double direct_extra_loss_db = 2.0 * channel.config().blockage_loss_db +
+                                2.0 * paths.direct().blocker_loss_db;
   if (steer_amplitudes) {
     // A burst genuinely steered off the node bearing: the mirror sits on the
     // node's corridor and pays the two-way off-steer pattern penalty.
@@ -151,16 +150,11 @@ Localizer::BurstPair Localizer::synthesize_burst(
   // out of the per-chirp loop. `modulated_returns` is the unified PathSet
   // query: entry 0 is the direct return (blocker-severed when a blocker
   // crosses it), the rest are clutter-bounce ghosts and wall echoes.
-  const auto returns =
-      steer_amplitudes
-          ? channel.modulated_returns_steered(FsaPort::kA, f_node, pose, 1.0,
-                                              steered_azimuth_deg)
-          : channel.modulated_returns(FsaPort::kA, f_node, pose, 1.0);
+  const auto returns = channel.modulated_returns(
+      FsaPort::kA, f_node, pose, paths, 1.0,
+      steer_amplitudes ? std::optional<double>(steered_azimuth_deg) : std::nullopt);
   const double p_node_unit_w = returns.front().power_w;
-  const auto ghosts =
-      config_.include_multipath_ghosts
-          ? std::vector<channel::ReturnPath>(returns.begin() + 1, returns.end())
-          : std::vector<channel::ReturnPath>{};
+  const std::vector<channel::ReturnPath> ghosts(returns.begin() + 1, returns.end());
 
   std::vector<radar::PathContribution> paths0, paths1;
   paths0.reserve(2 + ghosts.size() + clutter.size());
@@ -345,7 +339,7 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
   // burst at the wall bearing. The detected peak there IS the double-bounce
   // echo — its range is the one-way indirect path length and its AoA points
   // at the wall, so unfolding the specular image recovers the node position.
-  if (config_.reflector_aware && !channel.multipath().los_only()) {
+  if (config_.reflector_aware) {
     const auto aligned =
         channel.fsa().beam_frequency_hz(FsaPort::kA, pose.orientation_deg);
     const double f_node = aligned.value_or(config_.chirp.center_frequency_hz());

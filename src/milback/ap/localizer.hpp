@@ -36,10 +36,6 @@ struct LocalizerConfig {
   channel::MirrorReflection mirror{};  ///< Node ground-plane reflection model.
   rf::RfSwitchConfig node_switch{};    ///< Node switch (sets reflect/absorb
                                        ///< contrast of the modulated return).
-  bool include_multipath_ghosts = true;  ///< Synthesize single-bounce ghosts
-                                         ///< of the node's modulated return
-                                         ///< (they survive subtraction and
-                                         ///< appear at longer range).
   bool reflector_aware = false;  ///< NLoS fallback (N2LoS): when the direct
                                  ///< path is severed and a wall echo
                                  ///< dominates, range on the strongest

@@ -32,7 +32,8 @@ struct ToneDemod {
 };
 
 ToneDemod demodulate_tone(const channel::BackscatterChannel& channel,
-                          const channel::NodePose& pose, FsaPort port, double f_hz,
+                          const channel::NodePose& pose, const channel::PathSet& paths,
+                          FsaPort port, double f_hz,
                           const std::vector<rf::SwitchState>& states,
                           const rf::RfSwitch& sw, const UplinkRxConfig& config,
                           milback::Rng& rng) {
@@ -45,7 +46,8 @@ ToneDemod demodulate_tone(const channel::BackscatterChannel& channel,
 
   // Backscatter power is linear in the reflection coefficient: compute the
   // unit-reflection power once, then scale by gamma(t).
-  const double p_unit_w = dbm2watt(channel.backscatter_power_dbm(port, f_hz, pose, 1.0));
+  const double p_unit_w =
+      dbm2watt(channel.backscatter_power_dbm(port, f_hz, pose, paths, 1.0));
 
   // Static clutter reflecting the same tone arrives as a DC phasor.
   double clutter_w = 0.0;
@@ -163,9 +165,10 @@ UplinkReception UplinkReceiver::receive(const channel::BackscatterChannel& chann
   UplinkReception r;
   rf::RfSwitch sw(node_switch);
 
-  const auto tone_a = demodulate_tone(channel, pose, FsaPort::kA, selection.f_a_hz,
+  const auto paths = channel.node_path_set(pose);
+  const auto tone_a = demodulate_tone(channel, pose, paths, FsaPort::kA, selection.f_a_hz,
                                       schedule.port_a, sw, config_, rng);
-  const auto tone_b = demodulate_tone(channel, pose, FsaPort::kB, selection.f_b_hz,
+  const auto tone_b = demodulate_tone(channel, pose, paths, FsaPort::kB, selection.f_b_hz,
                                       schedule.port_b, sw, config_, rng);
 
   auto slice = [](const ToneDemod& t) {

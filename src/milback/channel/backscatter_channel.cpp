@@ -34,8 +34,168 @@ const ChannelObs& channel_obs() {
 // orderings add as a +3 dB pair, same convention as the clutter ghosts.
 constexpr double kHybridPairGainDb = 3.0;
 // Echoes more than this far below the strongest modulated return are
-// dropped (same floor the legacy ghost query uses).
+// dropped.
 constexpr double kEchoFloorDb = 40.0;
+// Specular loss of one clutter-reflector bounce (~10 dB at 28 GHz).
+constexpr double kGhostBounceLossDb = 10.0;
+
+// Single-ray budgets of the direct path: the base every path-set query
+// adjusts by its best path's delta. The AP horn is steered at the node
+// (zero offset on the AP side); the node's FSA sees the AP at
+// `orientation_deg` off its broadside.
+double direct_incident_dbm(const BackscatterChannel& ch, antenna::FsaPort port,
+                           double f_hz, const NodePose& pose) {
+  const auto& cfg = ch.config();
+  const double node_gain = ch.fsa().gain_dbi(port, f_hz, pose.orientation_deg);
+  return friis_dbm(cfg.tx_power_dbm, ch.ap_tx_antenna().config().boresight_gain_dbi,
+                   node_gain, pose.distance_m, f_hz) -
+         cfg.implementation_loss_one_way_db - cfg.blockage_loss_db - cfg.ambient_loss_db;
+}
+
+double direct_backscatter_dbm(const BackscatterChannel& ch, antenna::FsaPort port,
+                              double f_hz, const NodePose& pose,
+                              double reflect_power_coeff) {
+  const auto& cfg = ch.config();
+  const double node_gain = ch.fsa().gain_dbi(port, f_hz, pose.orientation_deg);
+  return backscatter_dbm(cfg.tx_power_dbm, ch.ap_tx_antenna().config().boresight_gain_dbi,
+                         ch.ap_rx_antenna().config().boresight_gain_dbi, node_gain,
+                         node_gain, reflect_power_coeff, pose.distance_m, f_hz) -
+         cfg.implementation_loss_two_way_db - 2.0 * cfg.blockage_loss_db -
+         2.0 * cfg.ambient_loss_db;
+}
+
+// One-way gain/loss of an indirect path relative to the ideal unblocked
+// direct leg (FSPL spread, horn and FSA pattern deltas, bounce and blocker
+// losses). `gain_port` selects which FSA port's pattern applies.
+// `swept_fsa` credits the FMCW sweep with illuminating the bounce angle at
+// its own aligned frequency; `horn_steer_deg` is the bearing the AP horns
+// point at (the node for an ordinary burst, `path.aoa_deg` when the AP
+// re-steers at the wall).
+double one_way_path_delta_db(const BackscatterChannel& ch, antenna::FsaPort gain_port,
+                             double f_hz, const NodePose& pose, const PropPath& path,
+                             bool swept_fsa, double horn_steer_deg) {
+  require_positive(f_hz, "f_hz");
+  require_finite(horn_steer_deg, "horn_steer_deg");
+  MILBACK_REQUIRE(path.bounces > 0, "one_way_path_delta_db: indirect path expected");
+  const auto& horn = ch.ap_tx_antenna();
+  const auto& fsa = ch.fsa();
+  const double spread_db = fspl_db(path.length_m, f_hz) - fspl_db(pose.distance_m, f_hz);
+  // Horn pattern penalty on the bounce bearing relative to wherever the AP
+  // horns point: a burst steered at the node pays the off-steer loss on the
+  // wall bearing; a reflector-aware AP re-steering at the wall
+  // (`horn_steer_deg == path.aoa_deg`) recovers full gain there.
+  const double horn_delta_db =
+      horn.gain_dbi(path.aoa_deg - horn_steer_deg) - horn.config().boresight_gain_dbi;
+  // FSA pattern at the bounce arrival angle relative to the node boresight
+  // (same construction the clutter ghosts use).
+  const double nx = pose.distance_m * std::cos(deg2rad(pose.azimuth_deg));
+  const double ny = pose.distance_m * std::sin(deg2rad(pose.azimuth_deg));
+  const double boresight = std::atan2(-ny, -nx) + deg2rad(pose.orientation_deg);
+  const double node_angle_deg =
+      rad2deg(wrap_radians(deg2rad(path.aod_deg) - boresight));
+  // Swept (FMCW) queries: the chirp crosses the bounce angle's own aligned
+  // frequency, so the frequency-scanned FSA illuminates the indirect path
+  // at close to full gain at some point in the sweep. Fixed-tone (comms)
+  // queries see the pattern at the tone frequency only.
+  double bounce_gain_dbi;
+  if (swept_fsa) {
+    const auto f_own = fsa.beam_frequency_hz(gain_port, node_angle_deg);
+    bounce_gain_dbi = f_own ? fsa.gain_dbi(gain_port, *f_own, node_angle_deg)
+                            : fsa.gain_dbi(gain_port, f_hz, node_angle_deg);
+  } else {
+    bounce_gain_dbi = fsa.gain_dbi(gain_port, f_hz, node_angle_deg);
+  }
+  const double fsa_delta_db =
+      bounce_gain_dbi - fsa.gain_dbi(gain_port, f_hz, pose.orientation_deg);
+  return -spread_db + horn_delta_db + fsa_delta_db - path.bounce_loss_db -
+         path.blocker_loss_db;
+}
+
+// Best one-way adjustment [dB] of the direct-ray budget over the surviving
+// paths (exactly -0.0 for a lone unblocked direct ray).
+double best_one_way_delta_db(const BackscatterChannel& ch, antenna::FsaPort gain_port,
+                             double f_hz, const NodePose& pose, const PathSet& paths) {
+  const double blockage_db = ch.config().blockage_loss_db;
+  double best = -paths.direct().blocker_loss_db;
+  for (const auto& p : paths.paths) {
+    if (p.bounces == 0) continue;
+    // Indirect paths skip the direct-path blockage term baked into the
+    // direct-ray budget, hence the +blockage compensation.
+    best = std::max(best, blockage_db + one_way_path_delta_db(ch, gain_port, f_hz, pose, p,
+                                                              /*swept_fsa=*/false,
+                                                              /*horn_steer_deg=*/p.aoa_deg));
+  }
+  return best;
+}
+
+// Best round-trip adjustment [dB] over surviving path pairs.
+double best_two_way_delta_db(const BackscatterChannel& ch, antenna::FsaPort port,
+                             double f_hz, const NodePose& pose, const PathSet& paths) {
+  const double blockage_db = ch.config().blockage_loss_db;
+  const double direct_blocker_db = paths.direct().blocker_loss_db;
+  double best = -2.0 * direct_blocker_db;
+  for (const auto& p : paths.paths) {
+    if (p.bounces == 0) continue;
+    const double delta_db = one_way_path_delta_db(ch, port, f_hz, pose, p,
+                                                  /*swept_fsa=*/false,
+                                                  /*horn_steer_deg=*/p.aoa_deg);
+    // Hybrid pair: one leg direct (keeps blockage and blockers), one bounced.
+    best = std::max(best, blockage_db - direct_blocker_db + delta_db + kHybridPairGainDb);
+    // Double bounce: both legs route around the blockage entirely.
+    best = std::max(best, 2.0 * (blockage_db + delta_db));
+  }
+  return best;
+}
+
+// Ghosts of the node's return off the clutter reflectors: one direct leg
+// plus one leg bounced AP -> reflector -> node (the two orderings coincide
+// in delay; +3 dB for the pair). The FSA sees the bounce at the tone
+// frequency. Ghosts more than 40 dB below `direct_dbm` are dropped.
+void append_clutter_ghosts(const BackscatterChannel& ch, antenna::FsaPort port, double f_hz,
+                           const NodePose& pose, double direct_dbm,
+                           std::vector<ReturnPath>& out) {
+  const auto& horn = ch.ap_tx_antenna();
+  const auto& fsa = ch.fsa();
+  // Cartesian geometry: AP at origin, node and reflectors in the plane.
+  const double nx = pose.distance_m * std::cos(deg2rad(pose.azimuth_deg));
+  const double ny = pose.distance_m * std::sin(deg2rad(pose.azimuth_deg));
+  // Node boresight direction: toward the AP rotated by the orientation.
+  const double to_ap = std::atan2(-ny, -nx);
+  const double boresight = to_ap + deg2rad(pose.orientation_deg);
+
+  for (const auto& c : ch.environment().clutter()) {
+    const double wx = c.range_m * std::cos(deg2rad(c.azimuth_deg));
+    const double wy = c.range_m * std::sin(deg2rad(c.azimuth_deg));
+    const double d_aw = std::hypot(wx, wy);
+    const double d_wn = std::hypot(nx - wx, ny - wy);
+    if (d_wn < 0.05) continue;  // reflector colocated with the node
+
+    // Bounced leg: arrival angle at the node relative to its boresight sets
+    // the FSA gain for that leg.
+    const double arrival = std::atan2(wy - ny, wx - nx);
+    const double node_angle_deg = rad2deg(wrap_radians(arrival - boresight));
+    const double g_node_ghost = fsa.gain_dbi(port, f_hz, node_angle_deg);
+    const double g_node_direct = fsa.gain_dbi(port, f_hz, pose.orientation_deg);
+
+    // AP-side pattern toward the reflector (horns steered at the node).
+    const double g_horn_ghost = horn.gain_dbi(c.azimuth_deg - pose.azimuth_deg);
+    const double g_horn_direct = horn.config().boresight_gain_dbi;
+
+    const double extra_spread_db =
+        20.0 * std::log10(std::max((d_aw + d_wn) / pose.distance_m, 1.0));
+    const double ghost_dbm = direct_dbm - kGhostBounceLossDb - extra_spread_db +
+                             (g_node_ghost - g_node_direct) +
+                             (g_horn_ghost - g_horn_direct) + kHybridPairGainDb;
+    if (ghost_dbm < direct_dbm - kEchoFloorDb) continue;
+
+    ReturnPath r;
+    r.delay_s = (pose.distance_m + d_aw + d_wn) / kSpeedOfLight;
+    r.power_w = dbm2watt(ghost_dbm);
+    r.azimuth_deg = 0.5 * (pose.azimuth_deg + c.azimuth_deg);  // smeared AoA
+    r.modulated = true;
+    out.push_back(r);
+  }
+}
 
 }  // namespace
 
@@ -68,49 +228,31 @@ BackscatterChannel BackscatterChannel::make_default(Environment environment,
 }
 
 double BackscatterChannel::incident_port_power_dbm(antenna::FsaPort port, double f_hz,
-                                                   const NodePose& pose) const noexcept {
-  // AP horn is steered at the node -> zero offset on the AP side. The node's
-  // FSA sees the AP at angle `orientation_deg` off its broadside.
-  const double node_gain = fsa_.gain_dbi(port, f_hz, pose.orientation_deg);
-  return friis_dbm(config_.tx_power_dbm, ap_tx_.config().boresight_gain_dbi, node_gain,
-                   pose.distance_m, f_hz) -
-         config_.implementation_loss_one_way_db - config_.blockage_loss_db -
-         config_.ambient_loss_db;
+                                                   const NodePose& pose) const {
+  return incident_port_power_dbm(port, f_hz, pose, node_path_set(pose));
 }
 
-double BackscatterChannel::cross_port_power_dbm(antenna::FsaPort intended_port, double f_hz,
-                                                const NodePose& pose) const noexcept {
+double BackscatterChannel::incident_port_power_dbm(antenna::FsaPort port, double f_hz,
+                                                   const NodePose& pose,
+                                                   const PathSet& paths) const {
   require_positive(f_hz, "f_hz");
-  const auto other = antenna::other_port(intended_port);
-  const double node_gain = fsa_.gain_dbi(other, f_hz, pose.orientation_deg);
-  return friis_dbm(config_.tx_power_dbm, ap_tx_.config().boresight_gain_dbi, node_gain,
-                   pose.distance_m, f_hz) -
-         config_.implementation_loss_one_way_db - config_.blockage_loss_db -
-         config_.ambient_loss_db;
+  return direct_incident_dbm(*this, port, f_hz, pose) +
+         best_one_way_delta_db(*this, port, f_hz, pose, paths);
 }
 
 double BackscatterChannel::backscatter_power_dbm(antenna::FsaPort port, double f_hz,
                                                  const NodePose& pose,
-                                                 double reflect_power_coeff) const noexcept {
-  const double node_gain = fsa_.gain_dbi(port, f_hz, pose.orientation_deg);
-  return backscatter_dbm(config_.tx_power_dbm, ap_tx_.config().boresight_gain_dbi,
-                         ap_rx_.config().boresight_gain_dbi, node_gain, node_gain,
-                         reflect_power_coeff, pose.distance_m, f_hz) -
-         config_.implementation_loss_two_way_db - 2.0 * config_.blockage_loss_db -
-         2.0 * config_.ambient_loss_db;
+                                                 double reflect_power_coeff) const {
+  return backscatter_power_dbm(port, f_hz, pose, node_path_set(pose), reflect_power_coeff);
 }
 
-ReturnPath BackscatterChannel::node_return(antenna::FsaPort port, double f_hz,
-                                           const NodePose& pose,
-                                           double reflect_power_coeff) const noexcept {
+double BackscatterChannel::backscatter_power_dbm(antenna::FsaPort port, double f_hz,
+                                                 const NodePose& pose, const PathSet& paths,
+                                                 double reflect_power_coeff) const {
   require_positive(f_hz, "f_hz");
   require_non_negative(reflect_power_coeff, "reflect_power_coeff");
-  ReturnPath r;
-  r.delay_s = round_trip_delay_s(pose.distance_m);
-  r.power_w = dbm2watt(backscatter_power_dbm(port, f_hz, pose, reflect_power_coeff));
-  r.azimuth_deg = pose.azimuth_deg;
-  r.modulated = true;
-  return r;
+  return direct_backscatter_dbm(*this, port, f_hz, pose, reflect_power_coeff) +
+         best_two_way_delta_db(*this, port, f_hz, pose, paths);
 }
 
 std::vector<ReturnPath> BackscatterChannel::clutter_returns(double f_hz,
@@ -129,60 +271,6 @@ std::vector<ReturnPath> BackscatterChannel::clutter_returns(double f_hz,
                          config_.implementation_loss_two_way_db);
     r.azimuth_deg = c.azimuth_deg;
     r.modulated = false;
-    out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<ReturnPath> BackscatterChannel::node_ghost_returns(
-    antenna::FsaPort port, double f_hz, const NodePose& pose,
-    double reflect_power_coeff, double ghost_bounce_loss_db) const {
-  require_positive(f_hz, "f_hz");
-  require_finite(ghost_bounce_loss_db, "ghost_bounce_loss_db");
-  std::vector<ReturnPath> out;
-  const double direct_dbm = backscatter_power_dbm(port, f_hz, pose, reflect_power_coeff);
-
-  // Cartesian geometry: AP at origin, node and reflectors in the plane.
-  const double nx = pose.distance_m * std::cos(deg2rad(pose.azimuth_deg));
-  const double ny = pose.distance_m * std::sin(deg2rad(pose.azimuth_deg));
-  // Node boresight direction (unit vector): toward the AP rotated by the
-  // orientation angle.
-  const double to_ap = std::atan2(-ny, -nx);
-  const double boresight = to_ap + deg2rad(pose.orientation_deg);
-
-  for (const auto& c : environment_.clutter()) {
-    const double wx = c.range_m * std::cos(deg2rad(c.azimuth_deg));
-    const double wy = c.range_m * std::sin(deg2rad(c.azimuth_deg));
-    const double d_aw = std::hypot(wx, wy);
-    const double d_wn = std::hypot(nx - wx, ny - wy);
-    if (d_wn < 0.05) continue;  // reflector colocated with the node
-
-    // Bounced leg: AP -> wall -> node. Arrival angle at the node relative to
-    // its boresight sets the FSA gain for that leg.
-    const double arrival = std::atan2(wy - ny, wx - nx);
-    const double node_angle_deg = rad2deg(wrap_radians(arrival - boresight));
-    const double g_node_ghost = fsa_.gain_dbi(port, f_hz, node_angle_deg);
-    const double g_node_direct = fsa_.gain_dbi(port, f_hz, pose.orientation_deg);
-
-    // AP-side pattern toward the wall (horns steered at the node).
-    const double horn_off = c.azimuth_deg - pose.azimuth_deg;
-    const double g_horn_ghost = ap_tx_.gain_dbi(horn_off);
-    const double g_horn_direct = ap_tx_.config().boresight_gain_dbi;
-
-    // Ghost = one direct leg + one bounced leg (out-via-wall/back-direct and
-    // out-direct/back-via-wall coincide in delay; +3 dB for the pair).
-    const double extra_spread_db =
-        20.0 * std::log10(std::max((d_aw + d_wn) / pose.distance_m, 1.0));
-    const double ghost_dbm = direct_dbm - ghost_bounce_loss_db - extra_spread_db +
-                             (g_node_ghost - g_node_direct) +
-                             (g_horn_ghost - g_horn_direct) + 3.0;
-    if (ghost_dbm < direct_dbm - 40.0) continue;
-
-    ReturnPath r;
-    r.delay_s = (pose.distance_m + d_aw + d_wn) / kSpeedOfLight;
-    r.power_w = dbm2watt(ghost_dbm);
-    r.azimuth_deg = 0.5 * (pose.azimuth_deg + c.azimuth_deg);  // smeared AoA
-    r.modulated = true;
     out.push_back(r);
   }
   return out;
@@ -225,108 +313,6 @@ PathSet BackscatterChannel::node_path_set(const NodePose& pose) const {
   return set;
 }
 
-double BackscatterChannel::one_way_path_delta_db(antenna::FsaPort gain_port, double f_hz,
-                                                 const NodePose& pose,
-                                                 const PropPath& path, bool swept_fsa,
-                                                 double horn_steer_deg) const {
-  require_positive(f_hz, "f_hz");
-  require_finite(horn_steer_deg, "horn_steer_deg");
-  MILBACK_REQUIRE(path.bounces > 0, "one_way_path_delta_db: indirect path expected");
-  const double spread_db = fspl_db(path.length_m, f_hz) - fspl_db(pose.distance_m, f_hz);
-  // Horn pattern penalty on the bounce bearing relative to wherever the AP
-  // horns point: a burst steered at the node pays the off-steer loss on the
-  // wall bearing; a reflector-aware AP re-steering at the wall
-  // (`horn_steer_deg == path.aoa_deg`) recovers full gain there.
-  const double horn_delta_db = ap_tx_.gain_dbi(path.aoa_deg - horn_steer_deg) -
-                               ap_tx_.config().boresight_gain_dbi;
-  // FSA pattern at the bounce arrival angle relative to the node boresight
-  // (same construction the clutter-ghost query uses).
-  const double nx = pose.distance_m * std::cos(deg2rad(pose.azimuth_deg));
-  const double ny = pose.distance_m * std::sin(deg2rad(pose.azimuth_deg));
-  const double boresight = std::atan2(-ny, -nx) + deg2rad(pose.orientation_deg);
-  const double node_angle_deg =
-      rad2deg(wrap_radians(deg2rad(path.aod_deg) - boresight));
-  // Swept (FMCW) queries: the chirp crosses the bounce angle's own aligned
-  // frequency, so the frequency-scanned FSA illuminates the indirect path
-  // at close to full gain at some point in the sweep. Fixed-tone (comms)
-  // queries see the pattern at the tone frequency only.
-  double bounce_gain_dbi;
-  if (swept_fsa) {
-    const auto f_own = fsa_.beam_frequency_hz(gain_port, node_angle_deg);
-    bounce_gain_dbi = f_own ? fsa_.gain_dbi(gain_port, *f_own, node_angle_deg)
-                            : fsa_.gain_dbi(gain_port, f_hz, node_angle_deg);
-  } else {
-    bounce_gain_dbi = fsa_.gain_dbi(gain_port, f_hz, node_angle_deg);
-  }
-  const double fsa_delta_db =
-      bounce_gain_dbi - fsa_.gain_dbi(gain_port, f_hz, pose.orientation_deg);
-  return -spread_db + horn_delta_db + fsa_delta_db - path.bounce_loss_db -
-         path.blocker_loss_db;
-}
-
-double BackscatterChannel::best_one_way_delta_db(antenna::FsaPort gain_port, double f_hz,
-                                                 const NodePose& pose) const {
-  const PathSet set = node_path_set(pose);
-  double best = -set.direct().blocker_loss_db;
-  for (const auto& p : set.paths) {
-    if (p.bounces == 0) continue;
-    // Indirect paths skip the direct-path blockage term baked into the
-    // legacy budget, hence the +blockage compensation.
-    best = std::max(best, config_.blockage_loss_db +
-                              one_way_path_delta_db(gain_port, f_hz, pose, p,
-                                                    /*swept_fsa=*/false,
-                                                    /*horn_steer_deg=*/p.aoa_deg));
-  }
-  return best;
-}
-
-double BackscatterChannel::best_two_way_delta_db(antenna::FsaPort port, double f_hz,
-                                                 const NodePose& pose) const {
-  const PathSet set = node_path_set(pose);
-  const double direct_blocker_db = set.direct().blocker_loss_db;
-  double best = -2.0 * direct_blocker_db;
-  for (const auto& p : set.paths) {
-    if (p.bounces == 0) continue;
-    const double delta_db = one_way_path_delta_db(port, f_hz, pose, p,
-                                                  /*swept_fsa=*/false,
-                                                  /*horn_steer_deg=*/p.aoa_deg);
-    // Hybrid pair: one leg direct (keeps blockage and blockers), one bounced.
-    best = std::max(best, config_.blockage_loss_db - direct_blocker_db + delta_db +
-                              kHybridPairGainDb);
-    // Double bounce: both legs route around the blockage entirely.
-    best = std::max(best, 2.0 * (config_.blockage_loss_db + delta_db));
-  }
-  return best;
-}
-
-double BackscatterChannel::best_path_incident_power_dbm(antenna::FsaPort port, double f_hz,
-                                                        const NodePose& pose) const {
-  require_positive(f_hz, "f_hz");
-  const double base_dbm = incident_port_power_dbm(port, f_hz, pose);
-  if (multipath_.los_only()) return base_dbm;
-  return base_dbm + best_one_way_delta_db(port, f_hz, pose);
-}
-
-double BackscatterChannel::best_path_cross_port_power_dbm(antenna::FsaPort intended_port,
-                                                          double f_hz,
-                                                          const NodePose& pose) const {
-  require_positive(f_hz, "f_hz");
-  const double base_dbm = cross_port_power_dbm(intended_port, f_hz, pose);
-  if (multipath_.los_only()) return base_dbm;
-  return base_dbm +
-         best_one_way_delta_db(antenna::other_port(intended_port), f_hz, pose);
-}
-
-double BackscatterChannel::best_path_backscatter_power_dbm(
-    antenna::FsaPort port, double f_hz, const NodePose& pose,
-    double reflect_power_coeff) const {
-  require_positive(f_hz, "f_hz");
-  require_non_negative(reflect_power_coeff, "reflect_power_coeff");
-  const double base_dbm = backscatter_power_dbm(port, f_hz, pose, reflect_power_coeff);
-  if (multipath_.los_only()) return base_dbm;
-  return base_dbm + best_two_way_delta_db(port, f_hz, pose);
-}
-
 double BackscatterChannel::indirect_return_advantage_db(
     antenna::FsaPort port, double f_hz, const NodePose& pose,
     const PropPath& indirect, double direct_blocker_loss_db,
@@ -337,65 +323,55 @@ double BackscatterChannel::indirect_return_advantage_db(
   // Swept FSA; the horn term inside delta reflects wherever the AP points
   // the burst (the wall bearing for a reflector-aware second pass).
   return 2.0 * (config_.blockage_loss_db +
-                one_way_path_delta_db(port, f_hz, pose, indirect,
+                one_way_path_delta_db(*this, port, f_hz, pose, indirect,
                                       /*swept_fsa=*/true, horn_steer_azimuth_deg) +
                 direct_blocker_loss_db);
 }
 
 std::vector<ReturnPath> BackscatterChannel::modulated_returns(
-    antenna::FsaPort port, double f_hz, const NodePose& pose,
-    double reflect_power_coeff) const {
+    antenna::FsaPort port, double f_hz, const NodePose& pose, double reflect_power_coeff,
+    std::optional<double> steer_azimuth_deg) const {
+  return modulated_returns(port, f_hz, pose, node_path_set(pose), reflect_power_coeff,
+                           steer_azimuth_deg);
+}
+
+std::vector<ReturnPath> BackscatterChannel::modulated_returns(
+    antenna::FsaPort port, double f_hz, const NodePose& pose, const PathSet& paths,
+    double reflect_power_coeff, std::optional<double> steer_azimuth_deg) const {
   require_positive(f_hz, "f_hz");
-  return modulated_returns_impl(port, f_hz, pose, reflect_power_coeff,
-                                pose.azimuth_deg);
-}
-
-std::vector<ReturnPath> BackscatterChannel::modulated_returns_steered(
-    antenna::FsaPort port, double f_hz, const NodePose& pose,
-    double reflect_power_coeff, double steer_azimuth_deg) const {
-  require_finite(steer_azimuth_deg, "steer_azimuth_deg");
-  return modulated_returns_impl(port, f_hz, pose, reflect_power_coeff,
-                                steer_azimuth_deg);
-}
-
-std::vector<ReturnPath> BackscatterChannel::modulated_returns_impl(
-    antenna::FsaPort port, double f_hz, const NodePose& pose,
-    double reflect_power_coeff, double steer_azimuth_deg) const {
-  ReturnPath direct = node_return(port, f_hz, pose, reflect_power_coeff);
-  std::vector<ReturnPath> out;
-  out.push_back(direct);
-  auto ghosts = node_ghost_returns(port, f_hz, pose, reflect_power_coeff);
-  out.insert(out.end(), ghosts.begin(), ghosts.end());
-  if (multipath_.los_only()) return out;  // bit-exact legacy decomposition
+  require_non_negative(reflect_power_coeff, "reflect_power_coeff");
+  const double steer_deg = steer_azimuth_deg.value_or(pose.azimuth_deg);
+  require_finite(steer_deg, "steer_azimuth_deg");
+  const double base_dbm = direct_backscatter_dbm(*this, port, f_hz, pose, reflect_power_coeff);
+  // Entry 0: the node's own reflection on the direct ray.
+  std::vector<ReturnPath> out{{round_trip_delay_s(pose.distance_m), dbm2watt(base_dbm),
+                               pose.azimuth_deg, /*modulated=*/true}};
+  append_clutter_ghosts(*this, port, f_hz, pose, base_dbm, out);
 
   // Off-steer penalty of the node bearing itself: exactly 0.0 when the burst
-  // is steered at the node (gain(0) is the boresight value), so the ordinary
-  // `modulated_returns` path stays bit-identical.
+  // is steered at the node (gain(0) is the boresight value).
   const double boresight_dbi = ap_tx_.config().boresight_gain_dbi;
-  const double node_off_steer_db =
-      boresight_dbi - ap_tx_.gain_dbi(pose.azimuth_deg - steer_azimuth_deg);
+  const double node_off_steer_db = boresight_dbi - ap_tx_.gain_dbi(pose.azimuth_deg - steer_deg);
 
-  const PathSet set = node_path_set(pose);
-  const double direct_blocker_db = set.direct().blocker_loss_db;
+  const double direct_blocker_db = paths.direct().blocker_loss_db;
   const double direct_extra_db = 2.0 * (direct_blocker_db + node_off_steer_db);
   if (direct_extra_db != 0.0) {
     out.front().power_w *= db2lin(-direct_extra_db);
   }
   if (node_off_steer_db != 0.0) {
-    // Legacy clutter ghosts have one leg toward the node: a steered burst
-    // pays the node off-steer penalty on that leg (the other leg keeps its
-    // own pattern offset, a conservative approximation).
+    // Clutter ghosts have one leg toward the node: a steered burst pays the
+    // node off-steer penalty on that leg (the other leg keeps its own
+    // pattern offset, a conservative approximation).
     for (std::size_t i = 1; i < out.size(); ++i) {
       out[i].power_w *= db2lin(-node_off_steer_db);
     }
   }
 
-  const double base_dbm = backscatter_power_dbm(port, f_hz, pose, reflect_power_coeff);
-  for (const auto& p : set.paths) {
+  for (const auto& p : paths.paths) {
     if (p.bounces == 0) continue;
-    const double delta_db = one_way_path_delta_db(port, f_hz, pose, p,
+    const double delta_db = one_way_path_delta_db(*this, port, f_hz, pose, p,
                                                   /*swept_fsa=*/true,
-                                                  /*horn_steer_deg=*/steer_azimuth_deg);
+                                                  /*horn_steer_deg=*/steer_deg);
 
     ReturnPath hybrid;
     hybrid.delay_s = (pose.distance_m + p.length_m) / kSpeedOfLight;

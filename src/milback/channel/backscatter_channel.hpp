@@ -1,6 +1,8 @@
 // End-to-end backscatter channel: AP <-> node geometry, antenna gains,
 // path loss, clutter and noise — the single source of truth every higher
-// layer (radar pipeline, downlink, uplink) queries for received powers.
+// layer (radar pipeline, downlink, uplink, budgets) queries for received
+// powers. Every power is answered over the node's traced `PathSet`, one
+// query per quantity, so all layers see the same best surviving path.
 //
 // Geometry convention: the AP sits at the origin with its horns mechanically
 // steered toward the node (as in the paper's prototype). The node pose is
@@ -9,6 +11,9 @@
 // quantity MilBack's orientation sensing estimates, and the knob that picks
 // the OAQFM carrier pair.
 #pragma once
+
+#include <optional>
+#include <vector>
 
 #include "milback/antenna/fsa.hpp"
 #include "milback/channel/environment.hpp"
@@ -88,55 +93,70 @@ class BackscatterChannel {
   static BackscatterChannel make_default(Environment environment,
                                          ChannelConfig config = {});
 
-  /// --- Downlink (one-way) -------------------------------------------------
+  /// --- Propagation queries -----------------------------------------------
+  ///
+  /// One query per quantity. Each traces the node's `PathSet` (the direct
+  /// ray plus one first-order path per surveyed wall, with moving blockers
+  /// evaluated at `path_time_s()`) and answers over it, so budgets and
+  /// waveform layers see the same path. With no walls or blockers the set
+  /// is the bare direct ray and each query is the single-ray formula. The
+  /// overloads taking a `PathSet` reuse one traced for `pose` by
+  /// `node_path_set`: trace once per pose, then evaluate per frequency.
 
   /// RF power [dBm] arriving at the given FSA port feed for a tone at
-  /// `f_hz`, including the port's frequency-dependent beam gain toward the
-  /// AP and the one-way implementation loss. Switch insertion loss is NOT
-  /// included (the node model owns its switch).
+  /// `f_hz` over the best surviving path, including the port's
+  /// frequency-dependent beam gain and the one-way implementation loss.
+  /// Switch insertion loss is NOT included (the node model owns its
+  /// switch). A tone aimed at the other port leaks in through this port's
+  /// pattern: query this port at that tone's frequency.
   double incident_port_power_dbm(antenna::FsaPort port, double f_hz,
-                                 const NodePose& pose) const noexcept;
-
-  /// Cross-port interference power [dBm]: power a tone at `f_hz` intended
-  /// for `port` couples into the node via the *other* port's pattern.
-  double cross_port_power_dbm(antenna::FsaPort intended_port, double f_hz,
-                              const NodePose& pose) const noexcept;
-
-  /// --- Uplink / radar (two-way) --------------------------------------------
+                                 const NodePose& pose) const;
+  double incident_port_power_dbm(antenna::FsaPort port, double f_hz,
+                                 const NodePose& pose, const PathSet& paths) const;
 
   /// Backscattered power [dBm] at one AP RX antenna when `port` reflects
-  /// with power coefficient `reflect_power_coeff` at frequency `f_hz`.
+  /// with power coefficient `reflect_power_coeff` at frequency `f_hz`, over
+  /// the best surviving round-trip path pair.
   double backscatter_power_dbm(antenna::FsaPort port, double f_hz, const NodePose& pose,
-                               double reflect_power_coeff) const noexcept;
-
-  /// Return path (delay/power/bearing) of the node's reflection for the
-  /// FMCW pipeline. Power uses the reflect-state switch coefficient.
-  ReturnPath node_return(antenna::FsaPort port, double f_hz, const NodePose& pose,
-                         double reflect_power_coeff) const noexcept;
+                               double reflect_power_coeff) const;
+  double backscatter_power_dbm(antenna::FsaPort port, double f_hz, const NodePose& pose,
+                               const PathSet& paths, double reflect_power_coeff) const;
 
   /// Return paths of every clutter reflector (AP horns steered at the node,
   /// so clutter off the node bearing is attenuated by the horn pattern).
   std::vector<ReturnPath> clutter_returns(double f_hz, const NodePose& pose) const;
 
-  /// Multipath ghosts of the node's modulated return: single-bounce paths
-  /// AP -> reflector -> node -> AP (and the reciprocal), which carry the
-  /// node's switching modulation and therefore SURVIVE background
-  /// subtraction, appearing as weaker modulated targets at longer apparent
-  /// range. One path per environment reflector; paths below -40 dB of the
-  /// direct return are dropped. `ghost_bounce_loss_db` is the specular
-  /// reflection loss per wall bounce (~10 dB at 28 GHz).
-  std::vector<ReturnPath> node_ghost_returns(antenna::FsaPort port, double f_hz,
-                                             const NodePose& pose,
-                                             double reflect_power_coeff,
-                                             double ghost_bounce_loss_db = 10.0) const;
+  /// Every modulated return the FMCW receiver sees. Entry 0 is the direct
+  /// node return (blocker severing applied), then the clutter-bounce
+  /// ghosts (AP -> reflector -> node -> AP and the reciprocal; they carry
+  /// the node's switching and so survive background subtraction), then per
+  /// wall the hybrid direct+bounce pair and the double-bounce echo. Entries
+  /// more than 40 dB below the strongest are dropped; entry 0 never is.
+  /// `steer_azimuth_deg` is where the horns point (default: the node); a
+  /// reflector-aware localizer re-steers at a wall bearing, so the direct
+  /// return and the clutter ghosts pay the off-steer pattern penalty while
+  /// wall echoes near the steer bearing get full horn gain.
+  std::vector<ReturnPath> modulated_returns(
+      antenna::FsaPort port, double f_hz, const NodePose& pose, double reflect_power_coeff,
+      std::optional<double> steer_azimuth_deg = std::nullopt) const;
+  std::vector<ReturnPath> modulated_returns(
+      antenna::FsaPort port, double f_hz, const NodePose& pose, const PathSet& paths,
+      double reflect_power_coeff,
+      std::optional<double> steer_azimuth_deg = std::nullopt) const;
 
-  /// --- Multipath (PathSet queries) -----------------------------------------
-  ///
-  /// With a non-trivial `MultipathConfig` installed, the channel stops being
-  /// a single ray: every budget query below maximizes over the surviving
-  /// paths, and `modulated_returns` superposes per-path echoes. With the
-  /// default LoS-only config each query returns the legacy single-ray value
-  /// bit-for-bit (enforced by the NLoS regression suite).
+  /// How much stronger [dB] the double-bounce echo on `indirect` is than the
+  /// node-steered (blocked) direct return when the AP re-steers its horns at
+  /// `horn_steer_azimuth_deg`; positive means the echo dominates and a
+  /// reflector-aware localizer should fire a steered burst and range on it.
+  double indirect_return_advantage_db(antenna::FsaPort port, double f_hz,
+                                      const NodePose& pose, const PropPath& indirect,
+                                      double direct_blocker_loss_db,
+                                      double horn_steer_azimuth_deg) const;
+
+  /// Traces the current path set to the node (records path-census obs).
+  PathSet node_path_set(const NodePose& pose) const;
+
+  /// --- Scene ---------------------------------------------------------------
 
   /// Installs the scene geometry (walls + moving blockers).
   void set_multipath(MultipathConfig multipath);
@@ -147,53 +167,6 @@ class BackscatterChannel {
   /// sweep out to workers) so traced path sets stay thread-invariant.
   void set_path_time_s(double time_s);
   double path_time_s() const noexcept { return path_time_s_; }
-
-  /// Traces the current path set to the node (records path-census obs).
-  PathSet node_path_set(const NodePose& pose) const;
-
-  /// Downlink power [dBm] over the best surviving path (legacy
-  /// `incident_port_power_dbm` in the LoS-only case).
-  double best_path_incident_power_dbm(antenna::FsaPort port, double f_hz,
-                                      const NodePose& pose) const;
-
-  /// Cross-port interference [dBm] over the best surviving path.
-  double best_path_cross_port_power_dbm(antenna::FsaPort intended_port, double f_hz,
-                                        const NodePose& pose) const;
-
-  /// Backscattered power [dBm] over the best surviving round-trip path pair
-  /// (legacy `backscatter_power_dbm` in the LoS-only case).
-  double best_path_backscatter_power_dbm(antenna::FsaPort port, double f_hz,
-                                         const NodePose& pose,
-                                         double reflect_power_coeff) const;
-
-  /// Every modulated return the FMCW receiver sees: entry 0 is the direct
-  /// node return (with blocker severing applied), followed by the legacy
-  /// clutter-bounce ghosts and, when walls are configured, the wall echoes
-  /// (hybrid direct+bounce pairs and double-bounce paths). Entries more than
-  /// 40 dB below the strongest are dropped. Reduces exactly to
-  /// `node_return` + `node_ghost_returns` in the LoS-only case.
-  std::vector<ReturnPath> modulated_returns(antenna::FsaPort port, double f_hz,
-                                            const NodePose& pose,
-                                            double reflect_power_coeff) const;
-
-  /// `modulated_returns` for a burst whose horns are mechanically steered at
-  /// `steer_azimuth_deg` instead of the node — the second pass a
-  /// reflector-aware localizer fires at a wall bearing. The direct return
-  /// (and each legacy clutter ghost) pays the off-steer pattern penalty while
-  /// wall echoes near the steer bearing are received at full horn gain.
-  std::vector<ReturnPath> modulated_returns_steered(antenna::FsaPort port, double f_hz,
-                                                    const NodePose& pose,
-                                                    double reflect_power_coeff,
-                                                    double steer_azimuth_deg) const;
-
-  /// How much stronger [dB] the double-bounce echo on `indirect` is than the
-  /// node-steered (blocked) direct return when the AP re-steers its horns at
-  /// `horn_steer_azimuth_deg`; positive means the echo dominates and a
-  /// reflector-aware localizer should fire a steered burst and range on it.
-  double indirect_return_advantage_db(antenna::FsaPort port, double f_hz,
-                                      const NodePose& pose, const PropPath& indirect,
-                                      double direct_blocker_loss_db,
-                                      double horn_steer_azimuth_deg) const;
 
   /// --- Noise ---------------------------------------------------------------
 
@@ -216,29 +189,6 @@ class BackscatterChannel {
   Environment& environment() noexcept { return environment_; }
 
  private:
-  /// One-way gain/loss of an indirect path relative to the ideal unblocked
-  /// direct leg (FSPL spread, horn and FSA pattern deltas, bounce and
-  /// blocker losses). `gain_port` selects which FSA port's pattern applies.
-  /// `swept_fsa` credits the FMCW sweep with illuminating the bounce angle
-  /// at its own aligned frequency; `horn_steer_deg` is the bearing the AP
-  /// horns point at (the node for an ordinary burst, `path.aoa_deg` when the
-  /// AP re-steers at the wall).
-  double one_way_path_delta_db(antenna::FsaPort gain_port, double f_hz,
-                               const NodePose& pose, const PropPath& path,
-                               bool swept_fsa, double horn_steer_deg) const;
-  /// Shared body of `modulated_returns` / `modulated_returns_steered`.
-  std::vector<ReturnPath> modulated_returns_impl(antenna::FsaPort port, double f_hz,
-                                                 const NodePose& pose,
-                                                 double reflect_power_coeff,
-                                                 double steer_azimuth_deg) const;
-  /// Best one-way adjustment [dB] over the surviving paths (<= 0 only when
-  /// every path is worse than the unblocked direct ray).
-  double best_one_way_delta_db(antenna::FsaPort gain_port, double f_hz,
-                               const NodePose& pose) const;
-  /// Best round-trip adjustment [dB] over surviving path pairs.
-  double best_two_way_delta_db(antenna::FsaPort port, double f_hz,
-                               const NodePose& pose) const;
-
   ChannelConfig config_;
   rf::HornAntenna ap_tx_;
   rf::HornAntenna ap_rx_;

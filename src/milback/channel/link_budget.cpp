@@ -41,15 +41,13 @@ DownlinkBudget compute_downlink_budget(const BackscatterChannel& channel,
   require_positive(measurement_bw_hz, "measurement_bw_hz");
   DownlinkBudget b;
   const double through_db = lin2db(sw.through_power(rf::SwitchState::kAbsorb));
-  // Best surviving propagation path (identical to the direct-ray query in
-  // the LoS-only degenerate case).
-  b.signal_dbm = channel.best_path_incident_power_dbm(port, f_signal_hz, pose) + through_db;
+  const auto paths = channel.node_path_set(pose);
+  b.signal_dbm = channel.incident_port_power_dbm(port, f_signal_hz, pose, paths) + through_db;
   // The other OAQFM tone couples into this port through the port's own
   // pattern at that tone's frequency (a sidelobe, since that frequency's
   // beam for this port points elsewhere).
-  const auto other = antenna::other_port(port);
   b.interference_dbm =
-      channel.best_path_cross_port_power_dbm(other, f_other_hz, pose) + through_db;
+      channel.incident_port_power_dbm(port, f_other_hz, pose, paths) + through_db;
 
   // Ratios are reported in the RF-power domain (the paper measures the SINR
   // of the signal at the micro-controller input, i.e. of the RF power the
@@ -86,7 +84,7 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
   require_positive(bit_rate_bps, "bit_rate_bps");
   UplinkBudget b;
   const double mod_coeff = modulation_power_coeff(sw);
-  b.rx_signal_dbm = channel.best_path_backscatter_power_dbm(port, f_hz, pose, mod_coeff);
+  b.rx_signal_dbm = channel.backscatter_power_dbm(port, f_hz, pose, mod_coeff);
   b.noise_bandwidth_hz = bit_rate_bps;
   const double rx_w = dbm2watt(b.rx_signal_dbm);
   const double noise_w = channel.effective_uplink_noise_w(rx_w, b.noise_bandwidth_hz);
@@ -111,10 +109,9 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
 
 RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePose& pose,
                                  const rf::RfSwitch& sw, double chirp_duration_s,
-                                 double sweep_bandwidth_hz, double beat_sample_rate_hz) {
+                                 double beat_sample_rate_hz) {
   require_valid_pose(pose);
   require_positive(chirp_duration_s, "chirp_duration_s");
-  require_positive(sweep_bandwidth_hz, "sweep_bandwidth_hz");
   require_positive(beat_sample_rate_hz, "beat_sample_rate_hz");
   RadarBudget b;
   const double f_c = channel.fsa().config().center_frequency_hz;
@@ -126,8 +123,8 @@ RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePo
   const auto f_aligned = channel.fsa().beam_frequency_hz(antenna::FsaPort::kA,
                                                          pose.orientation_deg);
   const double f_use = f_aligned.value_or(f_c);
-  b.rx_signal_dbm = channel.best_path_backscatter_power_dbm(antenna::FsaPort::kA, f_use,
-                                                            pose, mod_coeff);
+  b.rx_signal_dbm =
+      channel.backscatter_power_dbm(antenna::FsaPort::kA, f_use, pose, mod_coeff);
   double clutter_w = 0.0;
   for (const auto& c : channel.clutter_returns(f_c, pose)) clutter_w += c.power_w;
   b.clutter_dbm = clutter_w > 0.0 ? watt2dbm(clutter_w) : -300.0;
@@ -136,7 +133,6 @@ RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePo
   b.noise_dbm = watt2dbm(channel.ap_noise_floor_w(beat_sample_rate_hz / 2.0));
   b.processing_gain_db = lin2db(std::max(chirp_duration_s * beat_sample_rate_hz / 2.0, 1.0));
   b.snr_db = b.rx_signal_dbm - b.noise_dbm + b.processing_gain_db;
-  (void)sweep_bandwidth_hz;
   return b;
 }
 

@@ -70,11 +70,11 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
                                    antenna::FsaPort port, double f_hz,
                                    const rf::RfSwitch& sw, double bit_rate_bps);
 
-/// Computes the radar budget for a chirp of `chirp_duration_s` sweeping
-/// `sweep_bandwidth_hz`, with the beat signal sampled at `beat_sample_rate_hz`.
+/// Computes the radar budget for a chirp of `chirp_duration_s` with the beat
+/// signal sampled at `beat_sample_rate_hz`.
 RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePose& pose,
                                  const rf::RfSwitch& sw, double chirp_duration_s,
-                                 double sweep_bandwidth_hz, double beat_sample_rate_hz);
+                                 double beat_sample_rate_hz);
 
 /// Renders budget terms as "label: value dB" lines.
 std::string format_terms(const std::vector<BudgetTerm>& terms);

@@ -48,16 +48,13 @@ struct MovingBlocker {
   double penetration_loss_db = 30.0;  ///< One-way loss per blocked leg.
 };
 
-/// Scene description for the ray layer. The default (no walls, no blockers)
-/// is the LoS-only degenerate case: `trace_paths` returns exactly one
-/// direct unblocked path and every channel query reduces to the legacy
-/// line-of-sight formula bit-for-bit.
+/// Scene description for the ray layer. With no walls and no blockers (the
+/// default) `trace_paths` returns the lone unblocked direct ray, and every
+/// channel query over it is the line-of-sight formula: no query branches on
+/// the scene being empty.
 struct MultipathConfig {
   std::vector<WallSegment> walls;
   std::vector<MovingBlocker> blockers;
-
-  /// True when the scene adds nothing beyond the direct ray.
-  bool los_only() const noexcept { return walls.empty() && blockers.empty(); }
 
   /// Deterministic randomized office scene: `n_walls` perimeter reflectors
   /// placed 4-10 m out with jittered orientation and per-wall reflection

@@ -52,6 +52,7 @@ std::vector<double> MilBackLink::field1_port_power(const channel::NodePose& pose
   const auto n = std::size_t(total_s * fs);
 
   const double through = node_.rf_switch(port).through_power(rf::SwitchState::kAbsorb);
+  const auto paths = channel_.node_path_set(pose);
   std::vector<double> power(n, 0.0);
   for (const double start : starts) {
     const auto i0 = std::size_t(start * fs);
@@ -60,7 +61,7 @@ std::vector<double> MilBackLink::field1_port_power(const channel::NodePose& pose
       const double t = double(i) / fs - start;
       const double f = pre.field1.frequency_at(t);
       power[i] =
-          dbm2watt(channel_.incident_port_power_dbm(port, f, pose)) * through;
+          dbm2watt(channel_.incident_port_power_dbm(port, f, pose, paths)) * through;
     }
   }
   return power;
@@ -89,12 +90,13 @@ std::optional<node::NodeOrientationEstimate> MilBackLink::sense_orientation_at_n
   const double fs = config_.node_sim_rate_hz;
   const auto n = std::size_t(chirp.duration_s * fs);
 
+  const auto paths = channel_.node_path_set(pose);
   auto port_trace = [&](FsaPort port) {
     const double through = node_.rf_switch(port).through_power(rf::SwitchState::kAbsorb);
     std::vector<double> power(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const double f = chirp.frequency_at(double(i) / fs);
-      power[i] = dbm2watt(channel_.incident_port_power_dbm(port, f, pose)) * through;
+      power[i] = dbm2watt(channel_.incident_port_power_dbm(port, f, pose, paths)) * through;
     }
     const auto volts = node_.detector(port).detect(power, fs, rng);
     return node_.mcu().sample(volts, fs);

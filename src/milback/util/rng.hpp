@@ -5,11 +5,14 @@
 // around std::mt19937_64 with the draw helpers the signal chain needs.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <random>
 #include <type_traits>
 #include <vector>
+
+#include "milback/core/contract.hpp"
 
 namespace milback {
 
@@ -30,9 +33,13 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean and standard deviation.
+  /// Gaussian with the given mean and standard deviation. `sigma` must be
+  /// finite and >= 0; a zero sigma returns `mean` and still consumes the
+  /// draw, so the stream position never depends on the noise level.
   double gaussian(double mean = 0.0, double sigma = 1.0) {
-    return std::normal_distribution<double>(mean, sigma)(engine_);
+    MILBACK_REQUIRE(std::isfinite(sigma) && sigma >= 0.0,
+                    "Rng::gaussian: sigma must be finite and >= 0");
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * sigma + mean;
   }
 
   /// Circularly-symmetric complex Gaussian with total variance

@@ -42,7 +42,8 @@ TEST(BackscatterChannel, CrossPortIsSidelobeLevel) {
   ASSERT_TRUE(pair.has_value());
   const double sig = chan.incident_port_power_dbm(antenna::FsaPort::kA, pair->first, pose);
   // Tone B (intended for port B) leaking into port A.
-  const double leak = chan.cross_port_power_dbm(antenna::FsaPort::kB, pair->second, pose);
+  const double leak = chan.incident_port_power_dbm(
+      antenna::other_port(antenna::FsaPort::kB), pair->second, pose);
   EXPECT_GT(sig - leak, 15.0);
 }
 
@@ -58,7 +59,7 @@ TEST(BackscatterChannel, BackscatterFortyDbPerDecade) {
 TEST(BackscatterChannel, NodeReturnFields) {
   const auto chan = make_channel();
   NodePose pose{4.0, 7.0, 10.0};
-  const auto ret = chan.node_return(antenna::FsaPort::kA, 28.5e9, pose, 0.5);
+  const auto ret = chan.modulated_returns(antenna::FsaPort::kA, 28.5e9, pose, 0.5).front();
   EXPECT_TRUE(ret.modulated);
   EXPECT_DOUBLE_EQ(ret.azimuth_deg, 7.0);
   EXPECT_NEAR(ret.delay_s, round_trip_delay_s(4.0), 1e-15);
@@ -84,7 +85,7 @@ TEST(BackscatterChannel, ClutterStrongerThanNodeReturn) {
   auto env = Environment::indoor_office(rng);
   const auto chan = BackscatterChannel::make_default(env);
   NodePose pose{5.0, 0.0, 10.0};
-  const auto node = chan.node_return(antenna::FsaPort::kA, 28.5e9, pose, 0.05);
+  const auto node = chan.modulated_returns(antenna::FsaPort::kA, 28.5e9, pose, 0.05).front();
   double clutter_total = 0.0;
   for (const auto& c : chan.clutter_returns(28e9, pose)) clutter_total += c.power_w;
   EXPECT_GT(clutter_total, node.power_w);

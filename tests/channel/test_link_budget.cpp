@@ -147,7 +147,7 @@ TEST(UplinkBudget, TermsArePopulated) {
 TEST(RadarBudget, DetectableAcrossPaperRange) {
   const auto chan = make_channel();
   for (double d : {1.0, 4.0, 8.0}) {
-    const auto b = compute_radar_budget(chan, pose_at(d), make_switch(), 18e-6, 3e9, 50e6);
+    const auto b = compute_radar_budget(chan, pose_at(d), make_switch(), 18e-6, 50e6);
     EXPECT_GT(b.snr_db, 10.0) << "node undetectable at " << d << " m";
   }
 }
@@ -155,7 +155,7 @@ TEST(RadarBudget, DetectableAcrossPaperRange) {
 TEST(RadarBudget, ClutterAboveNodeReturn) {
   Rng rng(5);
   const auto chan = BackscatterChannel::make_default(Environment::indoor_office(rng));
-  const auto b = compute_radar_budget(chan, pose_at(5.0), make_switch(), 18e-6, 3e9, 50e6);
+  const auto b = compute_radar_budget(chan, pose_at(5.0), make_switch(), 18e-6, 50e6);
   EXPECT_GT(b.clutter_dbm, b.rx_signal_dbm);
 }
 

@@ -22,10 +22,16 @@ double aligned_f(const BackscatterChannel& chan, double orientation) {
   return chan.fsa().beam_frequency_hz(antenna::FsaPort::kA, orientation).value_or(28e9);
 }
 
+// With no walls, `modulated_returns` is the direct return (entry 0)
+// followed by the clutter ghosts.
+std::vector<ReturnPath> returns(const BackscatterChannel& chan, double f,
+                                const NodePose& pose) {
+  return chan.modulated_returns(antenna::FsaPort::kA, f, pose, 1.0);
+}
+
 TEST(MultipathGhosts, EmptyEnvironmentNoGhosts) {
   const auto chan = BackscatterChannel::make_default(Environment::anechoic());
-  const NodePose pose{3.0, 0.0, 10.0};
-  EXPECT_TRUE(chan.node_ghost_returns(antenna::FsaPort::kA, 28.5e9, pose, 1.0).empty());
+  EXPECT_EQ(returns(chan, 28.5e9, {3.0, 0.0, 10.0}).size(), 1u);
 }
 
 TEST(MultipathGhosts, NearLosReflectorProducesGhost) {
@@ -33,14 +39,11 @@ TEST(MultipathGhosts, NearLosReflectorProducesGhost) {
   Environment env;
   env.add({1.5, 4.0, 0.5});
   const auto chan = BackscatterChannel::make_default(env);
-  const NodePose pose{3.0, 0.0, 0.0};
-  const double f = aligned_f(chan, 0.0);
-  const auto ghosts = chan.node_ghost_returns(antenna::FsaPort::kA, f, pose, 1.0);
-  ASSERT_FALSE(ghosts.empty());
-  const auto direct = chan.node_return(antenna::FsaPort::kA, f, pose, 1.0);
-  EXPECT_TRUE(ghosts.front().modulated);
-  EXPECT_GT(ghosts.front().delay_s, direct.delay_s);
-  EXPECT_LT(ghosts.front().power_w, direct.power_w);
+  const auto r = returns(chan, aligned_f(chan, 0.0), {3.0, 0.0, 0.0});
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_TRUE(r[1].modulated);
+  EXPECT_GT(r[1].delay_s, r[0].delay_s);
+  EXPECT_LT(r[1].power_w, r[0].power_w);
 }
 
 TEST(MultipathGhosts, OffBeamReflectorSuppressed) {
@@ -49,45 +52,27 @@ TEST(MultipathGhosts, OffBeamReflectorSuppressed) {
   Environment env;
   env.add({1.5, 35.0, 0.5});
   const auto chan = BackscatterChannel::make_default(env);
-  const NodePose pose{3.0, 0.0, 0.0};
-  const double f = aligned_f(chan, 0.0);
-  EXPECT_TRUE(chan.node_ghost_returns(antenna::FsaPort::kA, f, pose, 1.0).empty());
+  EXPECT_EQ(returns(chan, aligned_f(chan, 0.0), {3.0, 0.0, 0.0}).size(), 1u);
 }
 
 TEST(MultipathGhosts, WeakFarReflectorDropped) {
   Environment env;
   env.add({9.0, -38.0, 0.05});
   const auto chan = BackscatterChannel::make_default(env);
-  const NodePose pose{2.0, 0.0, 10.0};
-  EXPECT_TRUE(chan.node_ghost_returns(antenna::FsaPort::kA, 28.5e9, pose, 1.0).empty());
+  EXPECT_EQ(returns(chan, 28.5e9, {2.0, 0.0, 10.0}).size(), 1u);
 }
 
 TEST(MultipathGhosts, DelayMatchesGeometry) {
   Environment env;
   env.add({1.5, 4.0, 0.5});
   const auto chan = BackscatterChannel::make_default(env);
-  const NodePose pose{3.0, 0.0, 0.0};
-  const double f = aligned_f(chan, 0.0);
-  const auto ghosts = chan.node_ghost_returns(antenna::FsaPort::kA, f, pose, 1.0);
-  ASSERT_FALSE(ghosts.empty());
+  const auto r = returns(chan, aligned_f(chan, 0.0), {3.0, 0.0, 0.0});
+  ASSERT_EQ(r.size(), 2u);
   const double wx = 1.5 * std::cos(deg2rad(4.0));
   const double wy = 1.5 * std::sin(deg2rad(4.0));
   const double d_wn = std::hypot(3.0 - wx, 0.0 - wy);
   const double expected = (3.0 + 1.5 + d_wn) / kSpeedOfLight;
-  EXPECT_NEAR(ghosts.front().delay_s, expected, 1e-12);
-}
-
-TEST(MultipathGhosts, BounceLossKnobWorks) {
-  Environment env;
-  env.add({1.5, 4.0, 0.5});
-  const auto chan = BackscatterChannel::make_default(env);
-  const NodePose pose{3.0, 0.0, 0.0};
-  const double f = aligned_f(chan, 0.0);
-  const auto soft = chan.node_ghost_returns(antenna::FsaPort::kA, f, pose, 1.0, 6.0);
-  const auto hard = chan.node_ghost_returns(antenna::FsaPort::kA, f, pose, 1.0, 12.0);
-  ASSERT_FALSE(soft.empty());
-  ASSERT_FALSE(hard.empty());
-  EXPECT_GT(soft.front().power_w, hard.front().power_w);
+  EXPECT_NEAR(r[1].delay_s, expected, 1e-12);
 }
 
 TEST(MultipathGhosts, GhostDelaySmearIsSmallForNearLosBounce) {
@@ -98,12 +83,9 @@ TEST(MultipathGhosts, GhostDelaySmearIsSmallForNearLosBounce) {
   Environment env;
   env.add({1.5, 4.0, 0.5});
   const auto chan = BackscatterChannel::make_default(env);
-  const NodePose pose{3.0, 0.0, 0.0};
-  const double f = aligned_f(chan, 0.0);
-  const auto ghosts = chan.node_ghost_returns(antenna::FsaPort::kA, f, pose, 1.0);
-  ASSERT_FALSE(ghosts.empty());
-  const auto direct = chan.node_return(antenna::FsaPort::kA, f, pose, 1.0);
-  const double extra_m = (ghosts.front().delay_s - direct.delay_s) * kSpeedOfLight / 2.0;
+  const auto r = returns(chan, aligned_f(chan, 0.0), {3.0, 0.0, 0.0});
+  ASSERT_EQ(r.size(), 2u);
+  const double extra_m = (r[1].delay_s - r[0].delay_s) * kSpeedOfLight / 2.0;
   EXPECT_LT(extra_m, 0.25);  // within ~5 range bins
 }
 
@@ -120,19 +102,6 @@ TEST(MultipathGhosts, LocalizerStillPicksDirectPath) {
   EXPECT_NEAR(r.range_m, 3.0, 0.25);
 }
 
-TEST(MultipathGhosts, GhostsOffByConfigMatchLegacyPipeline) {
-  Environment env;
-  env.add({1.5, 4.0, 0.2});
-  const auto chan = BackscatterChannel::make_default(env);
-  ap::LocalizerConfig cfg;
-  cfg.include_multipath_ghosts = false;
-  ap::Localizer loc{cfg};
-  Rng rng(4);
-  const auto r = loc.localize(chan, {3.0, 0.0, 0.0}, rng);
-  ASSERT_TRUE(r.detected);
-  EXPECT_NEAR(r.range_m, 3.0, 0.2);
-}
-
 // --- PathSet / image-method ray layer ---------------------------------------
 //
 // The deterministic first-order specular tracer behind every non-LoS channel
@@ -143,7 +112,6 @@ TEST(MultipathGhosts, GhostsOffByConfigMatchLegacyPipeline) {
 
 TEST(MultipathPathSet, LosOnlyConfigIsSingleDirectPath) {
   const MultipathConfig mp;
-  EXPECT_TRUE(mp.los_only());
   const PathSet set = trace_paths(mp, 3.0, 0.0, 0.0);
   ASSERT_EQ(set.paths.size(), 1u);
   EXPECT_EQ(set.paths[0].bounces, 0);

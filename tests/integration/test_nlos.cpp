@@ -1,15 +1,16 @@
-// NLoS end-to-end suite: the PathSet propagation refactor's three promises.
+// NLoS end-to-end suite: the PathSet propagation layer's promises.
 //
-//  1. Degeneracy — a LoS-only MultipathConfig (or none at all) reproduces
-//     the legacy single-ray outputs BIT-identically: localizer fixes,
-//     modulated-return decompositions and whole CellReports. This is the
-//     regression lock that let the refactor rewire every consumer of the
-//     channel without perturbing nine PRs of committed baselines.
-//  2. Recovery — with a corridor reflector surveyed, the reflector-aware
+//  1. Degeneracy — an explicitly installed empty MultipathConfig changes
+//     nothing: localizer fixes and whole CellReports match a channel that
+//     never had one, bit for bit.
+//  2. One path per layer — in a scene with walls and blockers, the
+//     waveform layers see the same best surviving path the budgets see
+//     (a blocker on the direct ray lowers both by the same amount).
+//  3. Recovery — with a corridor reflector surveyed, the reflector-aware
 //     localizer keeps ranging through direct-path blockage that makes the
-//     LoS-only localizer lose the node entirely (the paper's motivating
+//     plain localizer lose the node entirely (the paper's motivating
 //     N2LoS scenario).
-//  3. Invariance — NLoS churn (walls + a blockage episode severing
+//  4. Invariance — NLoS churn (walls + a blockage episode severing
 //     individual paths over sim time) stays bit-identical across worker
 //     thread counts, like every other engine scenario.
 #include <gtest/gtest.h>
@@ -18,9 +19,11 @@
 #include <cstdlib>
 #include <string>
 
+#include "milback/ap/downlink_transmitter.hpp"
 #include "milback/ap/localizer.hpp"
 #include "milback/cell/cell_engine.hpp"
 #include "milback/channel/backscatter_channel.hpp"
+#include "milback/channel/link_budget.hpp"
 #include "milback/channel/multipath.hpp"
 #include "milback/util/units.hpp"
 
@@ -86,7 +89,7 @@ void expect_reports_identical(const CellReport& a, const CellReport& b) {
   }
 }
 
-// --- 1. LoS degeneracy: bit-identical to the legacy single-ray model --------
+// --- 1. Degeneracy: an empty scene changes nothing ---------------------------
 
 TEST(NlosDegeneracy, LosOnlyConfigLocalizesBitIdentically) {
   Rng env_rng(5);
@@ -118,25 +121,6 @@ TEST(NlosDegeneracy, LosOnlyConfigLocalizesBitIdentically) {
   }
 }
 
-TEST(NlosDegeneracy, ModulatedReturnsReduceToLegacyDecomposition) {
-  Rng env_rng(5);
-  const auto chan =
-      BackscatterChannel::make_default(channel::Environment::indoor_office(env_rng));
-  const NodePose pose{3.0, 4.0, 0.0};
-  const double f = 28.4e9;
-  const auto combined = chan.modulated_returns(FsaPort::kA, f, pose, 0.8);
-  const auto direct = chan.node_return(FsaPort::kA, f, pose, 0.8);
-  const auto ghosts = chan.node_ghost_returns(FsaPort::kA, f, pose, 0.8);
-  ASSERT_EQ(combined.size(), 1 + ghosts.size());
-  EXPECT_EQ(combined[0].delay_s, direct.delay_s);
-  EXPECT_EQ(combined[0].power_w, direct.power_w);
-  EXPECT_EQ(combined[0].azimuth_deg, direct.azimuth_deg);
-  for (std::size_t i = 0; i < ghosts.size(); ++i) {
-    EXPECT_EQ(combined[1 + i].delay_s, ghosts[i].delay_s);
-    EXPECT_EQ(combined[1 + i].power_w, ghosts[i].power_w);
-  }
-}
-
 TEST(NlosDegeneracy, CellReportUnchangedByEmptyMultipathConfig) {
   const auto build = [](bool install_empty_scene) {
     Rng env_rng(5);
@@ -160,7 +144,41 @@ TEST(NlosDegeneracy, CellReportUnchangedByEmptyMultipathConfig) {
   expect_reports_identical(legacy, pathset);
 }
 
-// --- 2. Reflector-aware recovery under direct-path blockage -----------------
+// --- 2. One path per layer ----------------------------------------------------
+
+TEST(NlosOnePath, DirectRayBlockerLowersWaveformAndBudgetAlike) {
+  // The corridor wall plus a body parked on the direct ray: the downlink
+  // tone the transmitter synthesizes at port A must drop by exactly what the
+  // downlink budget's signal term drops.
+  const NodePose pose{3.0, 0.0, 15.0};
+  auto clear = BackscatterChannel::make_default(channel::Environment::anechoic());
+  clear.set_multipath(corridor_walls());
+  auto blocked = clear;
+  MultipathConfig scene = corridor_walls();
+  scene.blockers.push_back({1.5, 0.0, 0.0, 0.0, 0.3, 30.0});
+  blocked.set_multipath(scene);
+  ASSERT_TRUE(blocked.node_path_set(pose).direct().severed());
+
+  const ap::DownlinkTransmitter tx;
+  const auto sel = ap::select_carriers(clear.fsa(), pose.orientation_deg,
+                                       tx.config().min_tone_separation_hz);
+  ASSERT_TRUE(sel.has_value());
+  const std::vector<core::OaqfmSymbol> tone_a_only{core::OaqfmSymbol::k10};
+  const double tone_drop_db = lin2db(tx.synthesize(clear, pose, *sel, tone_a_only).power_a_w[0] /
+                                   tx.synthesize(blocked, pose, *sel, tone_a_only).power_a_w[0]);
+
+  const rf::EnvelopeDetector det{rf::EnvelopeDetectorConfig{}};
+  const rf::RfSwitch sw{rf::RfSwitchConfig{}};
+  const auto budget = [&](const BackscatterChannel& chan) {
+    return channel::compute_downlink_budget(chan, pose, FsaPort::kA, sel->f_a_hz,
+                                            sel->f_b_hz, det, sw, 1e9);
+  };
+  const double budget_drop_db = budget(clear).signal_dbm - budget(blocked).signal_dbm;
+  EXPECT_GT(budget_drop_db, 3.0);
+  EXPECT_NEAR(tone_drop_db, budget_drop_db, 1e-9);
+}
+
+// --- 3. Reflector-aware recovery under direct-path blockage -----------------
 
 TEST(NlosRecovery, ReflectorAwareModeRangesThroughBlockage) {
   auto chan = BackscatterChannel::make_default(channel::Environment::anechoic());
@@ -215,7 +233,7 @@ TEST(NlosRecovery, FallbackStaysQuietWhenDirectPathIsHealthy) {
   }
 }
 
-// --- 3. Thread invariance under NLoS churn ----------------------------------
+// --- 4. Thread invariance under NLoS churn ----------------------------------
 
 CellEngine make_nlos_engine() {
   Rng env_rng(5);

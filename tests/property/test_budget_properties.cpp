@@ -95,7 +95,7 @@ TEST_P(BudgetGrid, RadarSnrExceedsUplinkSnr) {
   // the per-bit communication SNR at the same pose.
   const auto [fa, fb] = carriers();
   const auto ul = compute_uplink_budget(chan_, pose(), antenna::FsaPort::kA, fa, sw_, 10e6);
-  const auto radar = compute_radar_budget(chan_, pose(), sw_, 18e-6, 3e9, 50e6);
+  const auto radar = compute_radar_budget(chan_, pose(), sw_, 18e-6, 50e6);
   EXPECT_GT(radar.snr_db, ul.snr_db);
 }
 

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <random>
 #include <set>
 #include <utility>
 
+#include "milback/core/contract.hpp"
 #include "milback/util/rng.hpp"
 #include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
@@ -57,6 +60,32 @@ TEST(Rng, GaussianMoments) {
   for (auto& x : xs) x = rng.gaussian(1.5, 2.0);
   EXPECT_NEAR(mean(xs), 1.5, 0.06);
   EXPECT_NEAR(stddev(xs), 2.0, 0.06);
+}
+
+TEST(Rng, GaussianMatchesParameterizedDistribution) {
+  // Scaling a unit draw reproduces std::normal_distribution(mean, sigma)
+  // value for value and leaves the engine in the same state.
+  Rng a(21);
+  std::mt19937_64 b = a.engine();
+  for (int i = 0; i < 1000; ++i) {
+    const double sigma = 0.25 + 0.01 * double(i);
+    EXPECT_EQ(a.gaussian(-0.5, sigma), std::normal_distribution<double>(-0.5, sigma)(b));
+  }
+  EXPECT_EQ(a.engine()(), b());
+}
+
+TEST(Rng, ZeroSigmaGaussianReturnsMeanAndConsumesDraw) {
+  Rng a(22), b(22);
+  EXPECT_EQ(a.gaussian(1.25, 0.0), 1.25);
+  (void)b.gaussian(1.25, 1.0);
+  EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
+}
+
+TEST(Rng, GaussianRejectsNegativeOrNonFiniteSigma) {
+  Rng rng(23);
+  EXPECT_THROW(rng.gaussian(0.0, -1.0), ContractViolation);
+  EXPECT_THROW(rng.gaussian(0.0, std::nan("")), ContractViolation);
+  EXPECT_THROW(rng.gaussian(0.0, std::numeric_limits<double>::infinity()), ContractViolation);
 }
 
 TEST(Rng, ComplexGaussianVariance) {
