@@ -542,6 +542,16 @@ void BM_Kernel_Noise_Bulk(benchmark::State& state) {
 }
 BENCHMARK(BM_Kernel_Noise_Bulk);
 
+// The cell engine's arrival pattern: derive a fresh stream per event and
+// take one Gaussian from it (Noise_Bulk above is the long-stream pattern).
+void BM_Rng_StreamOneGaussian(benchmark::State& state) {
+  std::uint64_t event = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Rng::stream(99, event++).gaussian());
+  }
+}
+BENCHMARK(BM_Rng_StreamOneGaussian);
+
 void BM_Kernel_Window900_Recompute(benchmark::State& state) {
   for (auto _ : state) {
     auto w = dsp::make_window(dsp::WindowType::kHann, 900);

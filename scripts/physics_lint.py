@@ -4,7 +4,10 @@
 Rules:
   R1  randomness discipline: no rand()/srand()/std::random_device outside
       src/milback/util/rng.* -- all stochastic code must flow through
-      milback::Rng so simulations stay reproducible.
+      milback::Rng so simulations stay reproducible. In src/ and examples/
+      no raw std engine (std::mt19937(_64), std::minstd_rand*,
+      std::default_random_engine, std::ranlux*) either; tests/ and bench/
+      keep theirs as references and historical kernels.
   R2  no `using namespace` at namespace scope in headers.
   R3  unit naming: public-header `double` parameters / struct fields whose
       names look like physical quantities must carry a unit suffix
@@ -59,6 +62,11 @@ RNG_PATTERNS = [
     (re.compile(r"(?<![\w:])(?:std::)?s?rand\s*\("), "rand()/srand()"),
     (re.compile(r"std::random_device"), "std::random_device"),
 ]
+# Raw std engines, flagged only where simulation code lives.
+RNG_ENGINE = re.compile(
+    r"\bstd::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|ranlux\w*)\b"
+)
+RNG_ENGINE_SCOPES = ("src/", "examples/")
 
 USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\b")
 
@@ -153,6 +161,12 @@ def lint_file(root: Path, path: Path, errors: list[str]) -> None:
                 if pat.search(line):
                     errors.append(
                         f"{rel}:{i}: [R1] {what} outside util/rng -- use milback::Rng"
+                    )
+            if rel.startswith(RNG_ENGINE_SCOPES):
+                for m in RNG_ENGINE.finditer(line):
+                    errors.append(
+                        f"{rel}:{i}: [R1] raw {m.group(0)} outside util/rng"
+                        " -- use milback::Rng"
                     )
 
         if is_header and USING_NAMESPACE.search(line):

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Fixture suite for scripts/physics_lint.py rules R10 and R11.
+"""Fixture suite for scripts/physics_lint.py rules R1, R10 and R11.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the flagged ones,
-src/milback/channel/ and src/milback/mesh/ for the allowed-scope negative
-controls), runs physics_lint on the staged tree, and asserts the reported
+tests/util/, src/milback/channel/ and src/milback/mesh/ for the
+allowed-scope negative controls), runs physics_lint on the staged tree, and asserts the reported
 findings match the `lint-expect: R<n>` markers exactly — same rule id, same
 staged file, same line — with nothing reported for the clean controls.
 
@@ -27,6 +27,9 @@ FINDING_RE = re.compile(r"^([^:]+):(\d+): \[(R\d+)\]")
 
 # fixture file -> path inside the staged tree.
 STAGE = {
+    "r1_engine.cpp": "src/milback/fix/r1_engine.cpp",
+    "r1_clean.cpp": "src/milback/fix/r1_clean.cpp",
+    "r1_tests_ok.cpp": "tests/util/r1_tests_ok.cpp",
     "r10_fspl.cpp": "src/milback/fix/r10_fspl.cpp",
     "r10_clean.cpp": "src/milback/fix/r10_clean.cpp",
     "r10_channel_ok.cpp": "src/milback/channel/r10_channel_ok.cpp",

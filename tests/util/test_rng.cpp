@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "milback/core/contract.hpp"
 #include "milback/util/rng.hpp"
@@ -66,7 +68,7 @@ TEST(Rng, GaussianMatchesParameterizedDistribution) {
   // Scaling a unit draw reproduces std::normal_distribution(mean, sigma)
   // value for value and leaves the engine in the same state.
   Rng a(21);
-  std::mt19937_64 b = a.engine();
+  std::mt19937_64 b(21);
   for (int i = 0; i < 1000; ++i) {
     const double sigma = 0.25 + 0.01 * double(i);
     EXPECT_EQ(a.gaussian(-0.5, sigma), std::normal_distribution<double>(-0.5, sigma)(b));
@@ -86,6 +88,32 @@ TEST(Rng, GaussianRejectsNegativeOrNonFiniteSigma) {
   EXPECT_THROW(rng.gaussian(0.0, -1.0), ContractViolation);
   EXPECT_THROW(rng.gaussian(0.0, std::nan("")), ContractViolation);
   EXPECT_THROW(rng.gaussian(0.0, std::numeric_limits<double>::infinity()), ContractViolation);
+}
+
+TEST(Rng, UniformRejectsInvertedOrNonFiniteBounds) {
+  Rng rng(24);
+  EXPECT_EQ(rng.uniform(1.5, 1.5), 1.5);
+  EXPECT_THROW(rng.uniform(1.0, 0.0), ContractViolation);
+  EXPECT_THROW(rng.uniform(std::nan(""), 1.0), ContractViolation);
+  EXPECT_THROW(rng.uniform(0.0, std::numeric_limits<double>::infinity()), ContractViolation);
+  EXPECT_THROW(rng.uniform(-std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::max()),
+               ContractViolation);
+}
+
+TEST(Rng, UniformIntRejectsInvertedBounds) {
+  Rng rng(25);
+  EXPECT_EQ(rng.uniform_int(4, 4), 4);
+  EXPECT_THROW(rng.uniform_int(3, 2), ContractViolation);
+}
+
+TEST(Rng, BernoulliRejectsProbabilityOutsideUnitInterval) {
+  Rng rng(26);
+  EXPECT_FALSE(rng.bernoulli(0.0));
+  EXPECT_TRUE(rng.bernoulli(1.0));
+  EXPECT_THROW(rng.bernoulli(-0.1), ContractViolation);
+  EXPECT_THROW(rng.bernoulli(1.5), ContractViolation);
+  EXPECT_THROW(rng.bernoulli(std::nan("")), ContractViolation);
 }
 
 TEST(Rng, ComplexGaussianVariance) {
@@ -248,6 +276,74 @@ TEST(Rng, StreamsAcrossSweepGridArePairwiseDistinct) {
     }
   }
   EXPECT_EQ(seen.size(), points * trials);
+}
+
+// The stream key derivation of Rng::stream(seed, id), restated so the test
+// pins both the derivation and the engine behind it.
+std::uint64_t stream_key(std::uint64_t seed, std::uint64_t id) {
+  return Rng::mix64(Rng::mix64(seed ^ 0x6d696c2d73696dULL) ^ (id + 0x9e3779b97f4a7c15ULL));
+}
+
+// Number of the first `n` draws on which `e` and `ref` disagree.
+std::size_t mismatches(Rng::Engine& e, std::mt19937_64& ref, std::size_t n) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) bad += e() != ref();
+  return bad;
+}
+
+TEST(RngEngine, MatchesStdMt19937_64) {
+  // Every draw count around the lazy first block's chunk edges (4, 8, ...,
+  // 156) and the block edges (312, 624), for the classic seeds and 1000
+  // stream keys.
+  const std::size_t counts[] = {0,   1,   2,   3,   4,   5,   7,   8,   9,    155,
+                                156, 157, 311, 312, 313, 623, 624, 625, 10000};
+  std::vector<std::uint64_t> seeds = {0, 5489, 0x6d696c6261636bULL, ~0ULL};
+  for (std::uint64_t id = 0; id < 1000; ++id) seeds.push_back(stream_key(42, id));
+  for (const auto seed : seeds) {
+    for (const auto n : counts) {
+      Rng::Engine e(seed);
+      std::mt19937_64 ref(seed);
+      ASSERT_EQ(mismatches(e, ref, n), 0u) << "seed " << seed << " count " << n;
+    }
+  }
+  // The default-seeded Rng and a stream draw the same engine outputs.
+  Rng plain;
+  std::mt19937_64 plain_ref(0x6d696c6261636bULL);
+  EXPECT_EQ(mismatches(plain.engine(), plain_ref, 700), 0u);
+  Rng streamed = Rng::stream(42, 7);
+  std::mt19937_64 streamed_ref(stream_key(42, 7));
+  EXPECT_EQ(mismatches(streamed.engine(), streamed_ref, 700), 0u);
+}
+
+TEST(RngEngine, CopyTakenMidFirstBlockContinuesIdentically) {
+  for (const std::size_t drawn : {1u, 3u, 4u, 5u, 100u, 157u, 311u}) {
+    Rng::Engine e(1234);
+    std::mt19937_64 ref(1234);
+    ASSERT_EQ(mismatches(e, ref, drawn), 0u);
+    Rng::Engine copy = e;
+    std::mt19937_64 ref_copy = ref;
+    EXPECT_EQ(mismatches(e, ref, 700), 0u) << "original after " << drawn;
+    EXPECT_EQ(mismatches(copy, ref_copy, 700), 0u) << "copy after " << drawn;
+  }
+}
+
+TEST(RngEngine, InterleavedDistributionsMatchStdEngine) {
+  // The wrapped draws are the std distributions on the engine, so a fresh
+  // stream (still in its lazy first block) and std::mt19937_64 agree on
+  // every value of a mixed draw sequence.
+  for (std::uint64_t id = 0; id < 20; ++id) {
+    Rng a = Rng::stream(42, id);
+    std::mt19937_64 b(stream_key(42, id));
+    for (int i = 0; i < 400; ++i) {
+      const double sigma = 0.5 + 0.01 * double(i);
+      ASSERT_EQ(a.gaussian(1.0, sigma), std::normal_distribution<double>(1.0, sigma)(b));
+      ASSERT_EQ(a.uniform(-2.0, 3.0), std::uniform_real_distribution<double>(-2.0, 3.0)(b));
+      ASSERT_EQ(a.uniform_int(-5, 1000 + i),
+                std::uniform_int_distribution<std::int64_t>(-5, 1000 + i)(b));
+      ASSERT_EQ(a.bernoulli(0.3), std::bernoulli_distribution(0.3)(b));
+    }
+    EXPECT_EQ(a.engine()(), b());
+  }
 }
 
 TEST(Rng, Mix64IsDeterministicAndMixes) {
