@@ -36,6 +36,7 @@
 #include "milback/obs/span.hpp"
 #include "milback/radar/background_subtraction.hpp"
 #include "milback/radar/beat_synthesis.hpp"
+#include "milback/sim/trial_runner.hpp"
 
 using namespace milback;
 
@@ -551,6 +552,26 @@ void BM_Rng_StreamOneGaussian(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Rng_StreamOneGaussian);
+
+// TrialRunner region overhead at 1, 2 and 4 workers: one region of no-op
+// tasks (pure hand-off cost) and one of 64 ~1 us tasks (the cell sweep's
+// shape: a few dozen short budget probes per region).
+void BM_Sim_Region(benchmark::State& state) {
+  const sim::TrialRunner runner(int(state.range(0)));
+  const double step = 1.0 + 1e-9 * double(state.range(0));  // run-time input
+  std::vector<double> out(64);
+  for (auto _ : state) {
+    runner.for_each(out.size(), [](std::size_t) {});
+    runner.for_each(out.size(), [&](std::size_t i) {
+      double x = double(i);
+      for (int k = 0; k < 400; ++k) x = x * step + 1e-9;
+      out[i] = x;
+    });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Sim_Region)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMicrosecond);
 
 void BM_Kernel_Window900_Recompute(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "milback/cell/cell_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include "milback/core/contract.hpp"
 #include "milback/core/packet.hpp"
 #include "milback/mesh/mesh_runtime.hpp"
+#include "milback/obs/profile.hpp"
 #include "milback/sim/trial_runner.hpp"
 #include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
@@ -123,6 +125,33 @@ const CellObs& cell_obs(std::int64_t cell_index) {
     it = cache.emplace(cell_index, make_cell_obs(prefix)).first;
   }
   return it->second;
+}
+
+// Wall-clock spans of the event loop (kRuntime: out of the deterministic
+// exports). One name per process, not per cell label: sibling shards merge.
+constexpr std::size_t kEventKinds = std::size_t(EventKind::kBlockageEnd) + 1;
+
+struct CellProfile {
+  std::array<obs::Histogram, kEventKinds> dispatch_ns;  ///< Indexed by EventKind.
+  obs::Histogram mesh_sweep_ns;
+};
+
+const CellProfile& cell_profile() {
+  static const CellProfile instance = [] {
+    auto& r = obs::Registry::global();
+    const auto span = [&r](const std::string& name) {
+      return r.histogram(name, obs::profile_ns_spec(), obs::MetricClass::kRuntime);
+    };
+    CellProfile p;
+    // EventKind order.
+    constexpr std::array<const char*, kEventKinds> kKinds = {
+        "join", "leave", "move", "arrival", "service", "blockage_start", "blockage_end"};
+    for (std::size_t k = 0; k < kKinds.size(); ++k)
+      p.dispatch_ns[k] = span(std::string("cell.dispatch.") + kKinds[k] + "_ns");
+    p.mesh_sweep_ns = span("cell.mesh_sweep_ns");
+    return p;
+  }();
+  return instance;
 }
 
 }  // namespace
@@ -513,6 +542,7 @@ void CellEngine::mesh_sweep(const Event& e,
                             const std::vector<std::size_t>& alive,
                             double service_done_s) {
   MILBACK_REQUIRE(mesh_ != nullptr, "mesh_sweep: no mesh installed");
+  const obs::ProfileScope profile(cell_profile().mesh_sweep_ns);
   // Route discovery, only when churn/mobility/blockage dirtied the topology
   // since the last sweep. The relay link budgets see the same frozen path
   // clock (set_path_time_s above) as the AP links of this sweep.
@@ -628,6 +658,7 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
 }
 
 void CellEngine::dispatch(const Event& e) {
+  const obs::ProfileScope profile(cell_profile().dispatch_ns[std::size_t(e.kind)]);
   report_.events_dispatched += 1;
   switch (e.kind) {
     case EventKind::kJoin:

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "milback/core/contract.hpp"
+#include "milback/obs/profile.hpp"
 #include "milback/obs/registry.hpp"
 #include "milback/sim/trial_runner.hpp"
 #include "milback/util/units.hpp"
@@ -18,13 +19,21 @@ struct MultiObs {
   obs::Counter runs;      ///< multicell.runs
   obs::Counter epochs;    ///< multicell.epochs — barriers executed.
   obs::Counter handoffs;  ///< multicell.handoffs — boundary crossings.
+  // Wall-clock halves of the epoch barrier (kRuntime).
+  obs::Histogram handoff_ns;       ///< multicell.barrier.handoff_ns
+  obs::Histogram interference_ns;  ///< multicell.barrier.interference_ns
 };
 
 const MultiObs& multi_obs() {
   static const MultiObs instance = [] {
     auto& r = obs::Registry::global();
+    const auto span = [&r](const char* name) {
+      return r.histogram(name, obs::profile_ns_spec(), obs::MetricClass::kRuntime);
+    };
     return MultiObs{r.counter("multicell.runs"), r.counter("multicell.epochs"),
-                    r.counter("multicell.handoffs")};
+                    r.counter("multicell.handoffs"),
+                    span("multicell.barrier.handoff_ns"),
+                    span("multicell.barrier.interference_ns")};
   }();
   return instance;
 }
@@ -191,64 +200,70 @@ void MultiCellEngine::barrier(double time_s) {
   // Serial, driver-thread-only: handoffs in node-index order, then the
   // interference refresh in cell-index order. This fixed order is what
   // makes the cross-cell coupling thread-count invariant.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    auto& n = nodes_[i];
-    if (n.left) continue;
-    if (!engines_[n.cell]->node_alive(n.local)) {
-      // Either a scheduled leave fired this epoch, or the node has not
-      // joined yet; only the former is permanent. The cell's join-time
-      // column (exact, as scheduled) distinguishes the two.
-      if (engines_[n.cell]->node_join_time_s(n.local) < time_s) n.left = 1;
-      continue;
+  {
+    const obs::ProfileScope profile(multi_obs().handoff_ns);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      auto& n = nodes_[i];
+      if (n.left) continue;
+      if (!engines_[n.cell]->node_alive(n.local)) {
+        // Either a scheduled leave fired this epoch, or the node has not
+        // joined yet; only the former is permanent. The cell's join-time
+        // column (exact, as scheduled) distinguishes the two.
+        if (engines_[n.cell]->node_join_time_s(n.local) < time_s) n.left = 1;
+        continue;
+      }
+      const GlobalPose pose = node_pose(n);
+      const double dx = pose.x_m - config_.aps[n.cell].x_m;
+      const double dy = pose.y_m - config_.aps[n.cell].y_m;
+      if (std::hypot(dx, dy) <= config_.coverage_radius_m) continue;
+      const std::size_t target = nearest_cell(pose.x_m, pose.y_m);
+      if (target == n.cell) continue;  // out of range but no closer AP
+      CarriedNode carried = engines_[n.cell]->detach_node(n.local, time_s);
+      carried.spec.pose = local_pose(target, pose);
+      past_.push_back(PastInstance{static_cast<std::uint32_t>(i), n.cell, n.local});
+      n.local = static_cast<std::uint32_t>(engines_[target]->attach_node(carried, time_s));
+      n.cell = static_cast<std::uint32_t>(target);
+      n.handoffs += 1;
+      handoffs_ += 1;
+      multi_obs().handoffs.add();
     }
-    const GlobalPose pose = node_pose(n);
-    const double dx = pose.x_m - config_.aps[n.cell].x_m;
-    const double dy = pose.y_m - config_.aps[n.cell].y_m;
-    if (std::hypot(dx, dy) <= config_.coverage_radius_m) continue;
-    const std::size_t target = nearest_cell(pose.x_m, pose.y_m);
-    if (target == n.cell) continue;  // out of range but no closer AP
-    CarriedNode carried = engines_[n.cell]->detach_node(n.local, time_s);
-    carried.spec.pose = local_pose(target, pose);
-    past_.push_back(PastInstance{static_cast<std::uint32_t>(i), n.cell, n.local});
-    n.local = static_cast<std::uint32_t>(engines_[target]->attach_node(carried, time_s));
-    n.cell = static_cast<std::uint32_t>(target);
-    n.handoffs += 1;
-    handoffs_ += 1;
-    multi_obs().handoffs.add();
   }
 
   // Co-channel interference: each active sibling on the same frequency
   // channel raises the noise floor, folded as extra one-way path loss for
   // the next epoch. Free-space falloff from the AP spacing, scaled per
   // active node.
-  std::size_t total_population = 0;
-  std::vector<std::size_t> population(engines_.size());
-  for (std::size_t c = 0; c < engines_.size(); ++c) {
-    population[c] = engines_[c]->population();
-    total_population += population[c];
-  }
-  peak_population_ = std::max(peak_population_, total_population);
-  const double per_node_linear =
-      std::pow(10.0, config_.interference_node_db / 10.0);
-  for (std::size_t c = 0; c < engines_.size(); ++c) {
-    double linear = 0.0;
-    for (std::size_t d = 0; d < engines_.size(); ++d) {
-      if (d == c || population[d] == 0) continue;
-      if (d % config_.frequency_channels != c % config_.frequency_channels) {
-        continue;
-      }
-      const double dx = config_.aps[c].x_m - config_.aps[d].x_m;
-      const double dy = config_.aps[c].y_m - config_.aps[d].y_m;
-      const double dist_m = std::max(std::hypot(dx, dy), 1.0);
-      const double falloff = config_.interference_ref_distance_m / dist_m;
-      // milback-analyze: no-reduction(serial epoch-barrier loop in fixed cell-index order; single thread by construction)
-      linear += double(population[d]) * per_node_linear * falloff * falloff;
+  {
+    const obs::ProfileScope profile(multi_obs().interference_ns);
+    std::size_t total_population = 0;
+    std::vector<std::size_t> population(engines_.size());
+    for (std::size_t c = 0; c < engines_.size(); ++c) {
+      population[c] = engines_[c]->population();
+      total_population += population[c];
     }
-    const double ext_db = 10.0 * std::log10(1.0 + linear);
-    engines_[c]->set_external_interference_db(ext_db);
-    interference_gauges_[c].set(ext_db);
-    depth_gauges_[c].set(double(engines_[c]->pending_events()));
-    max_interference_db_ = std::max(max_interference_db_, ext_db);
+    peak_population_ = std::max(peak_population_, total_population);
+    const double per_node_linear =
+        std::pow(10.0, config_.interference_node_db / 10.0);
+    for (std::size_t c = 0; c < engines_.size(); ++c) {
+      double linear = 0.0;
+      for (std::size_t d = 0; d < engines_.size(); ++d) {
+        if (d == c || population[d] == 0) continue;
+        if (d % config_.frequency_channels != c % config_.frequency_channels) {
+          continue;
+        }
+        const double dx = config_.aps[c].x_m - config_.aps[d].x_m;
+        const double dy = config_.aps[c].y_m - config_.aps[d].y_m;
+        const double dist_m = std::max(std::hypot(dx, dy), 1.0);
+        const double falloff = config_.interference_ref_distance_m / dist_m;
+        // milback-analyze: no-reduction(serial epoch-barrier loop in fixed cell-index order; single thread by construction)
+        linear += double(population[d]) * per_node_linear * falloff * falloff;
+      }
+      const double ext_db = 10.0 * std::log10(1.0 + linear);
+      engines_[c]->set_external_interference_db(ext_db);
+      interference_gauges_[c].set(ext_db);
+      depth_gauges_[c].set(double(engines_[c]->pending_events()));
+      max_interference_db_ = std::max(max_interference_db_, ext_db);
+    }
   }
 }
 

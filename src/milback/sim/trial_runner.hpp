@@ -19,7 +19,10 @@ namespace milback::sim {
 /// hardware concurrency (at least 1).
 int resolve_thread_count(int requested = 0);
 
-/// A reusable worker pool entry point for embarrassingly-parallel trials.
+/// Entry point to the process-wide pool of parked helper threads for
+/// embarrassingly-parallel trials. A runner is a worker count: each
+/// for_each borrows idle helpers from the shared cache (starting a new one
+/// only when none is idle) and returns them when the region ends.
 ///
 /// Thread-count invariance contract for callables passed in: they must not
 /// touch shared mutable state, and any randomness must come from a stateless
@@ -33,10 +36,14 @@ class TrialRunner {
   /// Number of workers this runner uses.
   int threads() const noexcept { return threads_; }
 
-  /// Invokes fn(i) exactly once for every i in [0, n), possibly concurrently
-  /// and in unspecified order. Runs serially on the calling thread when the
-  /// runner has one worker (or n <= 1). The first exception thrown by any
-  /// trial is rethrown on the calling thread after all workers stop.
+  /// Invokes fn(i) exactly once for every i in [0, n), in unspecified order,
+  /// on min(threads(), n) threads that are live at the same time (the caller
+  /// is one of them), so a task may wait on another task of the same region;
+  /// that holds for nested regions too. Runs serially on the calling thread
+  /// when the runner has one worker (or n <= 1). Metrics recorded by any
+  /// task are merged into the registry when for_each returns. The first
+  /// exception thrown by any trial is rethrown on the calling thread after
+  /// all workers stop; the pool stays usable.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   /// Runs fn(i) -> T for every i in [0, n) and returns the results in index

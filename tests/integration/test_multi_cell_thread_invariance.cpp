@@ -160,6 +160,21 @@ TEST(MultiCellThreadInvariance, MetricExportsAreByteIdentical) {
   };
   const std::string serial = run_and_export("1");
   const std::string parallel = run_and_export("4");
+  // The barrier's wall-clock halves record every epoch but stay kRuntime,
+  // out of the deterministic export compared below.
+  int barrier_spans = 0;
+  for (const auto& m : obs::Registry::global().metric_snapshots()) {
+    if (m.name != "multicell.barrier.handoff_ns" &&
+        m.name != "multicell.barrier.interference_ns") {
+      continue;
+    }
+    SCOPED_TRACE(m.name);
+    ++barrier_spans;
+    EXPECT_EQ(m.cls, obs::MetricClass::kRuntime);
+    EXPECT_GT(m.hist.count, 0u);
+    EXPECT_EQ(parallel.find(m.name), std::string::npos);
+  }
+  EXPECT_EQ(barrier_spans, 2);
   obs::Registry::global().reset();
   obs::set_enabled(false, false);
   // Sanity: per-cell labels and the handoff counters are flowing.

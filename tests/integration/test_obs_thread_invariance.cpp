@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "milback/ap/localizer.hpp"
@@ -219,6 +220,22 @@ TEST_F(ObsThreadInvariance, MeshChurnExportsAreByteIdentical) {
   (void)run_mesh_cell_and_export("2");  // cache warm-up on this path
   const Exports serial = run_mesh_cell_and_export("1");
   const Exports parallel = run_mesh_cell_and_export("4");
+  // The engine's wall-clock spans record on every run but stay kRuntime,
+  // so they never reach the deterministic export compared below.
+  std::map<std::string, const obs::Registry::MetricSnapshot*> by_name;
+  const auto snapshots = obs::Registry::global().metric_snapshots();
+  for (const auto& m : snapshots) by_name[m.name] = &m;
+  for (const char* name :
+       {"cell.dispatch.join_ns", "cell.dispatch.leave_ns", "cell.dispatch.move_ns",
+        "cell.dispatch.arrival_ns", "cell.dispatch.service_ns",
+        "cell.dispatch.blockage_start_ns", "cell.dispatch.blockage_end_ns",
+        "cell.mesh_sweep_ns"}) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(by_name.count(name), 1u);
+    EXPECT_EQ(by_name[name]->cls, obs::MetricClass::kRuntime);
+    EXPECT_GT(by_name[name]->hist.count, 0u);
+    EXPECT_EQ(parallel.metrics.find(name), std::string::npos);
+  }
   EXPECT_NE(serial.metrics.find("mesh.route_discovery"), std::string::npos);
   EXPECT_NE(serial.metrics.find("mesh.relay_forward"), std::string::npos);
   EXPECT_NE(serial.metrics.find("mesh.reroute"), std::string::npos);
