@@ -7,7 +7,7 @@ MilBackAp::MilBackAp(const ApConfig& config)
       tx_(config.tx),
       rx_(config.rx),
       localizer_(config.localizer),
-      orientation_(config.orientation),
+      orientation_(config.localizer, config.orientation),
       downlink_(config.downlink),
       uplink_(config.uplink) {}
 

@@ -16,7 +16,7 @@ namespace milback::ap {
 struct ApConfig {
   TxChainConfig tx{};
   RxChainConfig rx{};
-  LocalizerConfig localizer{};
+  LocalizerConfig localizer{};            ///< Field 2, for both estimates.
   OrientationSensorConfig orientation{};
   DownlinkTxConfig downlink{};
   UplinkRxConfig uplink{};
@@ -32,7 +32,8 @@ class MilBackAp {
   LocalizationResult localize(const channel::BackscatterChannel& channel,
                               const channel::NodePose& pose, milback::Rng& rng) const;
 
-  /// Estimates the node's orientation from its reflection spectrum.
+  /// Estimates the node's orientation from its reflection spectrum in a
+  /// Field-2 burst of its own.
   ApOrientationResult sense_orientation(const channel::BackscatterChannel& channel,
                                         const channel::NodePose& pose,
                                         milback::Rng& rng) const;

@@ -1,6 +1,7 @@
 #include "milback/ap/localizer.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "milback/channel/propagation.hpp"
 #include "milback/core/contract.hpp"
@@ -243,7 +244,8 @@ Localizer::BurstPair Localizer::synthesize_burst(
 }
 
 LocalizationResult Localizer::localize(const BackscatterChannel& channel,
-                                       const NodePose& pose, milback::Rng& rng) const {
+                                       const NodePose& pose, milback::Rng& rng,
+                                       ChirpBeats* rx0_sink) const {
   require_positive(pose.distance_m, "pose.distance_m");
   require_finite(pose.azimuth_deg, "pose.azimuth_deg");
   require_finite(pose.orientation_deg, "pose.orientation_deg");
@@ -273,12 +275,13 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
     std::optional<double> aoa_offset_deg;
     double angle_deg = 0.0;
   };
-  const auto run_pass = [&](double steer_deg, bool steer_amplitudes) {
+  const auto run_pass = [&](double steer_deg, bool steer_amplitudes,
+                            ChirpBeats* beats_sink) {
     PassResult pass;
     obs::Span synth_span(loc_obs().synth_span, 0.0,
                          obs::trace_lane(obs::kLaneLocalizer, 0));
-    const auto burst = synthesize_burst(channel, pose, states, slope_scale,
-                                        steer_deg, rng, steer_amplitudes);
+    auto burst = synthesize_burst(channel, pose, states, slope_scale, steer_deg, rng,
+                                  steer_amplitudes);
     synth_span.end(burst_samples);
 
     obs::Span fft_span(loc_obs().fft_span, 0.0,
@@ -293,6 +296,7 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
                            config_.fft));
     }
     fft_span.end(burst_samples);
+    if (beats_sink != nullptr) *beats_sink = std::move(burst.rx0);
 
     obs::Span subtract_span(loc_obs().subtract_span, 0.0,
                             obs::trace_lane(obs::kLaneLocalizer, 2));
@@ -325,7 +329,7 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
   };
 
   const PassResult first = run_pass(result.steered_azimuth_deg,
-                                    /*steer_amplitudes=*/false);
+                                    /*steer_amplitudes=*/false, rx0_sink);
   if (first.detected) {
     result.detected = true;
     result.range_m = first.range_m;
@@ -361,7 +365,8 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
       const double steer2_deg =
           strongest->aoa_deg +
           rng.gaussian(0.0, channel.config().steering_error_sigma_deg);
-      const PassResult echo = run_pass(steer2_deg, /*steer_amplitudes=*/true);
+      const PassResult echo = run_pass(steer2_deg, /*steer_amplitudes=*/true,
+                                       /*beats_sink=*/nullptr);
       if (echo.detected) {
         // The detected range is the echo's one-way path length. Its bearing
         // is measured when it falls inside the interferometer's unambiguous

@@ -46,6 +46,9 @@ struct LocalizerConfig {
                                  ///< fallback.
 };
 
+/// Per-chirp dechirped beat signals of one RX antenna across a burst.
+using ChirpBeats = std::vector<std::vector<radar::cplx>>;
+
 /// One localization fix.
 struct LocalizationResult {
   bool detected = false;       ///< Whether a modulated return was found.
@@ -67,15 +70,19 @@ class Localizer {
   explicit Localizer(const LocalizerConfig& config = {});
 
   /// Runs one five-chirp localization of the node at `pose` through
-  /// `channel`. `rng` drives noise, clutter drift and steering error.
+  /// `channel`. `rng` drives noise, clutter drift and steering error. When
+  /// `rx0_sink` is set, the first (node-steered) pass's RX0 beats are moved
+  /// into it after their range FFTs, so the same Field-2 burst can also feed
+  /// ApOrientationSensor::estimate without being synthesized twice.
   LocalizationResult localize(const channel::BackscatterChannel& channel,
-                              const channel::NodePose& pose, milback::Rng& rng) const;
+                              const channel::NodePose& pose, milback::Rng& rng,
+                              ChirpBeats* rx0_sink = nullptr) const;
 
   /// Per-chirp beat signals at both RX antennas (they share the TX-side
   /// randomness: clutter drift, slope error).
   struct BurstPair {
-    std::vector<std::vector<radar::cplx>> rx0;  ///< Phase-reference antenna.
-    std::vector<std::vector<radar::cplx>> rx1;  ///< Baseline-offset antenna.
+    ChirpBeats rx0;  ///< Phase-reference antenna.
+    ChirpBeats rx1;  ///< Baseline-offset antenna.
   };
 
   /// Builds the five-chirp beat signals for both RX antennas (exposed for

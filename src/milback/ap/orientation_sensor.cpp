@@ -5,9 +5,10 @@
 
 namespace milback::ap {
 
-ApOrientationSensor::ApOrientationSensor(const OrientationSensorConfig& config)
+ApOrientationSensor::ApOrientationSensor(const LocalizerConfig& radar,
+                                         const OrientationSensorConfig& config)
     : config_(config), localizer_([&] {
-        LocalizerConfig lc = config.radar;
+        LocalizerConfig lc = radar;
         lc.fft.window = dsp::WindowType::kRectangular;
         return lc;
       }()) {}
@@ -18,7 +19,6 @@ ApOrientationResult ApOrientationSensor::estimate(
   require_positive(pose.distance_m, "pose.distance_m");
   require_finite(pose.azimuth_deg, "pose.azimuth_deg");
   require_finite(pose.orientation_deg, "pose.orientation_deg");
-  ApOrientationResult result;
 
   const auto& lc = localizer_.config();
   const double steered =
@@ -32,10 +32,20 @@ ApOrientationResult ApOrientationSensor::estimate(
 
   const auto burst =
       localizer_.synthesize_burst(channel, pose, states, slope_scale, steered, rng);
+  return estimate(channel, burst.rx0, rng);
+}
 
+ApOrientationResult ApOrientationSensor::estimate(
+    const channel::BackscatterChannel& channel, const ChirpBeats& rx0_beats,
+    milback::Rng& rng) const {
+  MILBACK_REQUIRE(rx0_beats.size() >= 2,
+                  "ApOrientationSensor: background subtraction needs >= 2 chirps");
+  ApOrientationResult result;
+
+  const auto& lc = localizer_.config();
   std::vector<radar::RangeSpectrum> spectra;
-  spectra.reserve(burst.rx0.size());
-  for (const auto& beat : burst.rx0) {
+  spectra.reserve(rx0_beats.size());
+  for (const auto& beat : rx0_beats) {
     spectra.push_back(
         radar::range_fft(beat, lc.beat_sample_rate_hz, lc.chirp, lc.fft));
   }

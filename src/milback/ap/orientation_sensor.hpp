@@ -8,6 +8,11 @@
 // ground-plane mirror reflection survives subtraction and degrades the
 // estimate near the specular-collision orientations (-6..-2 degrees),
 // reproducing the Fig 13b error bump.
+//
+// That modulation is Field 2's, so one Field-2 burst serves both the
+// localizer and this sensor: a packet hands the localizer's RX0 beats to
+// estimate(channel, rx0_beats, rng). The pose overload is the standalone
+// measurement: it synthesizes its own burst, then runs the same processing.
 #pragma once
 
 #include <optional>
@@ -17,9 +22,9 @@
 
 namespace milback::ap {
 
-/// Orientation-sensor parameters.
+/// Orientation-sensor parameters (the Field-2 chirp, sample rate and chirp
+/// count come from the LocalizerConfig the sensor is built with).
 struct OrientationSensorConfig {
-  LocalizerConfig radar{};             ///< Shares the Field-2 radar settings.
   radar::ProfileConfig profile{};      ///< Power-vs-frequency binning.
   double frequency_jitter_hz = 30e6;   ///< Per-trial chirp-vs-FSA frequency
                                        ///< calibration tolerance (VXG segment
@@ -36,13 +41,22 @@ struct ApOrientationResult {
 /// Estimates node orientation from the reflected-power spectrum.
 class ApOrientationSensor {
  public:
-  /// Builds the sensor; the range-FFT window is forced rectangular so the
-  /// recovered time envelope is the FSA pattern, not the window shape.
-  explicit ApOrientationSensor(const OrientationSensorConfig& config = {});
+  /// Builds the sensor over the Field-2 burst `radar` describes; the
+  /// range-FFT window is forced rectangular so the recovered time envelope
+  /// is the FSA pattern, not the window shape.
+  explicit ApOrientationSensor(const LocalizerConfig& radar = {},
+                               const OrientationSensorConfig& config = {});
 
-  /// Runs one orientation measurement of the node at `pose`.
+  /// Runs one standalone orientation measurement of the node at `pose`:
+  /// synthesizes a Field-2 burst, then estimate(channel, burst.rx0, rng).
   ApOrientationResult estimate(const channel::BackscatterChannel& channel,
                                const channel::NodePose& pose, milback::Rng& rng) const;
+
+  /// Estimates the orientation from the RX0 beats of a Field-2 burst (port A
+  /// toggling from reflect, port B absorbing). `rng` draws the calibration
+  /// jitter.
+  ApOrientationResult estimate(const channel::BackscatterChannel& channel,
+                               const ChirpBeats& rx0_beats, milback::Rng& rng) const;
 
   /// Config echo.
   const OrientationSensorConfig& config() const noexcept { return config_; }

@@ -28,8 +28,7 @@ std::vector<EnergyRow> milback_energy_rows(const node::PowerModelConfig& config,
                                            double uplink_rate_bps = 40e6);
 
 /// Node energy [J] spent on one packet given its timing, direction and the
-/// power model (duplicates the accounting inside MilBackLink::run_packet for
-/// standalone use by benches).
+/// power model.
 double packet_node_energy_j(const PacketTiming& timing, LinkDirection direction,
                             const node::PowerModelConfig& config,
                             double uplink_symbol_rate_hz,

@@ -5,7 +5,7 @@
 
 #include "milback/core/ber.hpp"
 #include "milback/core/contract.hpp"
-#include "milback/node/power_model.hpp"
+#include "milback/core/energy.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::core {
@@ -91,7 +91,7 @@ std::optional<node::NodeOrientationEstimate> MilBackLink::sense_orientation_at_n
   const auto n = std::size_t(chirp.duration_s * fs);
 
   const auto paths = channel_.node_path_set(pose);
-  auto port_trace = [&](FsaPort port) {
+  const auto port_trace = [&](FsaPort port) {
     const double through = node_.rf_switch(port).through_power(rf::SwitchState::kAbsorb);
     std::vector<double> power(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -104,9 +104,14 @@ std::optional<node::NodeOrientationEstimate> MilBackLink::sense_orientation_at_n
 
   const auto trace_a = port_trace(FsaPort::kA);
   const auto trace_b = port_trace(FsaPort::kB);
+  return node_orientation_from_traces(trace_a, trace_b);
+}
+
+std::optional<node::NodeOrientationEstimate> MilBackLink::node_orientation_from_traces(
+    const std::vector<double>& trace_a, const std::vector<double>& trace_b) const {
   return node::estimate_orientation_at_node(trace_a, trace_b,
                                             node_.mcu().adc().config().sample_rate_hz,
-                                            chirp, node_.fsa());
+                                            config_.packet.preamble.field1, node_.fsa());
 }
 
 DownlinkRunResult MilBackLink::run_downlink(const channel::NodePose& pose,
@@ -115,10 +120,16 @@ DownlinkRunResult MilBackLink::run_downlink(const channel::NodePose& pose,
   require_positive(pose.distance_m, "pose.distance_m");
   require_finite(pose.azimuth_deg, "pose.azimuth_deg");
   require_finite(pose.orientation_deg, "pose.orientation_deg");
+  const auto orient = ap_.sense_orientation(channel_, pose, rng);
+  return downlink_payload(pose, bits, orient, rng);
+}
+
+DownlinkRunResult MilBackLink::downlink_payload(const channel::NodePose& pose,
+                                                const std::vector<bool>& bits,
+                                                const ap::ApOrientationResult& orient,
+                                                milback::Rng& rng) const {
   DownlinkRunResult result;
   result.bits_sent = bits.size();
-
-  const auto orient = ap_.sense_orientation(channel_, pose, rng);
   if (!orient.valid) return result;
   result.orientation_estimate_deg = orient.orientation_deg;
 
@@ -248,11 +259,17 @@ UplinkRunResult MilBackLink::run_uplink(const channel::NodePose& pose,
                                         const std::vector<bool>& bits, milback::Rng& rng,
                                         double bit_rate_bps) const {
   require_finite(bit_rate_bps, "bit_rate_bps");
+  const double rate = bit_rate_bps > 0.0 ? bit_rate_bps : config_.uplink_bit_rate_bps;
+  const auto orient = ap_.sense_orientation(channel_, pose, rng);
+  return uplink_payload(pose, bits, orient, rate, rng);
+}
+
+UplinkRunResult MilBackLink::uplink_payload(const channel::NodePose& pose,
+                                            const std::vector<bool>& bits,
+                                            const ap::ApOrientationResult& orient,
+                                            double bit_rate_bps, milback::Rng& rng) const {
   UplinkRunResult result;
   result.bits_sent = bits.size();
-  const double rate = bit_rate_bps > 0.0 ? bit_rate_bps : config_.uplink_bit_rate_bps;
-
-  const auto orient = ap_.sense_orientation(channel_, pose, rng);
   if (!orient.valid) return result;
   result.orientation_estimate_deg = orient.orientation_deg;
 
@@ -263,7 +280,7 @@ UplinkRunResult MilBackLink::run_uplink(const channel::NodePose& pose,
   result.mode = carriers->mode;
 
   ap::UplinkRxConfig rx_cfg = ap_.config().uplink;
-  rx_cfg.symbol_rate_hz = rate / double(bits_per_symbol(carriers->mode));
+  rx_cfg.symbol_rate_hz = bit_rate_bps / double(bits_per_symbol(carriers->mode));
   const ap::UplinkReceiver receiver(rx_cfg);
 
   std::vector<bool> rx_bits;
@@ -303,9 +320,9 @@ UplinkRunResult MilBackLink::run_uplink(const channel::NodePose& pose,
   // Analytic SNR (Fig 15): worst tone, noise bandwidth = bit rate.
   rf::RfSwitch sw(node_.config().rf_switch);
   const auto budget_a = channel::compute_uplink_budget(channel_, pose, FsaPort::kA,
-                                                       carriers->f_a_hz, sw, rate);
+                                                       carriers->f_a_hz, sw, bit_rate_bps);
   const auto budget_b = channel::compute_uplink_budget(channel_, pose, FsaPort::kB,
-                                                       carriers->f_b_hz, sw, rate);
+                                                       carriers->f_b_hz, sw, bit_rate_bps);
   result.snr_db = std::min(budget_a.snr_db, budget_b.snr_db);
   result.analytic_ber = ber_oaqfm(db2lin(budget_a.snr_db), db2lin(budget_b.snr_db));
   return result;
@@ -322,48 +339,48 @@ PacketRunResult MilBackLink::run_packet(const channel::NodePose& pose,
   result.requested = direction;
 
   // --- Field 1: node senses direction + its own orientation. ---
+  const auto& pre = config_.packet.preamble;
   const auto trace_a = node_field1_trace(pose, FsaPort::kA, direction, rng);
   const auto trace_b = node_field1_trace(pose, FsaPort::kB, direction, rng);
   const double mcu_fs = node_.mcu().adc().config().sample_rate_hz;
   // Use the stronger port's trace for mode detection.
   const double max_a = trace_a.empty() ? 0.0 : *std::max_element(trace_a.begin(), trace_a.end());
   const double max_b = trace_b.empty() ? 0.0 : *std::max_element(trace_b.begin(), trace_b.end());
-  result.detected = detect_direction(max_a >= max_b ? trace_a : trace_b, mcu_fs,
-                                     config_.packet.preamble);
+  result.detected = detect_direction(max_a >= max_b ? trace_a : trace_b, mcu_fs, pre);
   result.direction_ok = result.detected && *result.detected == direction;
-  result.node_orientation = sense_orientation_at_node(pose, rng);
+  // Orientation: the first chirp opens Field 1 at t = 0 in both directions.
+  const auto chirp_samples = std::size_t(std::lround(pre.field1.duration_s * mcu_fs));
+  const auto first_chirp = [&](const std::vector<double>& trace) {
+    return std::vector<double>(trace.begin(),
+                               trace.begin() + std::ptrdiff_t(std::min(chirp_samples,
+                                                                       trace.size())));
+  };
+  result.node_orientation =
+      node_orientation_from_traces(first_chirp(trace_a), first_chirp(trace_b));
 
-  // --- Field 2: AP localizes. ---
-  result.localization = localize(pose, rng);
+  // --- Field 2: AP localizes and senses orientation on the same burst. ---
+  ap::ChirpBeats rx0_beats;
+  result.localization = ap_.localizer().localize(channel_, pose, rng, &rx0_beats);
+  result.ap_orientation = ap_.orientation_sensor().estimate(channel_, rx0_beats, rng);
 
-  // --- Payload. ---
+  // --- Payload, on the carriers the Field-2 estimate picks. ---
   const double rate = direction == LinkDirection::kDownlink
                           ? config_.downlink_bit_rate_bps
                           : config_.uplink_bit_rate_bps;
   if (result.direction_ok) {
     if (direction == LinkDirection::kDownlink) {
-      result.downlink = run_downlink(pose, payload_bits, rng);
+      result.downlink = downlink_payload(pose, payload_bits, result.ap_orientation, rng);
     } else {
-      result.uplink = run_uplink(pose, payload_bits, rng);
+      result.uplink = uplink_payload(pose, payload_bits, result.ap_orientation, rate, rng);
     }
   }
 
   // --- Timing + node energy. ---
   const double symbol_rate = rate / 2.0;
   result.timing = compute_timing(config_.packet, direction, symbol_rate);
-  const auto& pw = node_.config().power;
-  double energy = 0.0;
-  energy += node::node_power_w(node::NodeMode::kOrientationSensing, pw) * result.timing.field1_s;
-  energy += node::node_power_w(node::NodeMode::kLocalization, pw,
-                               node_.config().localization_toggle_hz) *
-            result.timing.field2_s;
-  if (direction == LinkDirection::kDownlink) {
-    energy += node::node_power_w(node::NodeMode::kDownlink, pw) * result.timing.payload_s;
-  } else {
-    energy += node::node_power_w(node::NodeMode::kUplink, pw, symbol_rate) *
-              result.timing.payload_s;
-  }
-  result.node_energy_j = energy;
+  result.node_energy_j =
+      packet_node_energy_j(result.timing, direction, node_.config().power, symbol_rate,
+                           node_.config().localization_toggle_hz);
   return result;
 }
 

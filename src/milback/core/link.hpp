@@ -67,7 +67,10 @@ struct PacketRunResult {
   LinkDirection requested = LinkDirection::kDownlink;
   std::optional<LinkDirection> detected;  ///< Node's Field-1 mode detection.
   bool direction_ok = false;
-  ap::LocalizationResult localization{};  ///< Field-2 outcome.
+  ap::LocalizationResult localization{};  ///< Field-2 outcome (range/AoA).
+  ap::ApOrientationResult ap_orientation{};  ///< Field-2 outcome (AP-sensed
+                                             ///< orientation; the payload's
+                                             ///< carrier input).
   std::optional<node::NodeOrientationEstimate> node_orientation;  ///< Field-1 outcome.
   std::optional<DownlinkRunResult> downlink;  ///< Payload (downlink packets).
   std::optional<UplinkRunResult> uplink;      ///< Payload (uplink packets).
@@ -100,7 +103,8 @@ class MilBackLink {
                                         antenna::FsaPort port, LinkDirection direction,
                                         milback::Rng& rng) const;
 
-  /// Downlink payload exchange at the configured rate.
+  /// Downlink payload exchange at the configured rate, after its own AP
+  /// orientation measurement.
   DownlinkRunResult run_downlink(const channel::NodePose& pose,
                                  const std::vector<bool>& bits, milback::Rng& rng) const;
 
@@ -111,12 +115,17 @@ class MilBackLink {
                                        const std::vector<bool>& bits, unsigned levels,
                                        milback::Rng& rng) const;
 
-  /// Uplink payload exchange; `bit_rate_bps` <= 0 uses the configured rate.
+  /// Uplink payload exchange after its own AP orientation measurement;
+  /// `bit_rate_bps` <= 0 uses the configured rate.
   UplinkRunResult run_uplink(const channel::NodePose& pose, const std::vector<bool>& bits,
                              milback::Rng& rng, double bit_rate_bps = 0.0) const;
 
-  /// Full packet: Field 1 (direction + node orientation), Field 2
-  /// (localization), payload in `direction`.
+  /// Full packet, one preamble: one Field 1 and one Field 2 serve all four
+  /// estimates. The node detects `direction` from its two Field-1 port
+  /// traces and estimates its orientation from their first chirp; the AP
+  /// localizes on the Field-2 burst and senses the node's orientation from
+  /// that burst's RX0 beats; the payload in `direction` picks its carriers
+  /// from that AP estimate. No extra sensing waveform is simulated.
   PacketRunResult run_packet(const channel::NodePose& pose, LinkDirection direction,
                              const std::vector<bool>& payload_bits,
                              milback::Rng& rng) const;
@@ -133,6 +142,23 @@ class MilBackLink {
   std::vector<double> field1_port_power(const channel::NodePose& pose,
                                         antenna::FsaPort port,
                                         LinkDirection direction) const;
+
+  /// Node orientation from one triangular chirp's MCU traces at both ports.
+  std::optional<node::NodeOrientationEstimate> node_orientation_from_traces(
+      const std::vector<double>& trace_a, const std::vector<double>& trace_b) const;
+
+  /// Downlink payload with carriers picked from an AP orientation estimate.
+  DownlinkRunResult downlink_payload(const channel::NodePose& pose,
+                                     const std::vector<bool>& bits,
+                                     const ap::ApOrientationResult& orient,
+                                     milback::Rng& rng) const;
+
+  /// Uplink payload at `bit_rate_bps` with carriers picked from an AP
+  /// orientation estimate.
+  UplinkRunResult uplink_payload(const channel::NodePose& pose,
+                                 const std::vector<bool>& bits,
+                                 const ap::ApOrientationResult& orient,
+                                 double bit_rate_bps, milback::Rng& rng) const;
 
   channel::BackscatterChannel channel_;
   LinkConfig config_;

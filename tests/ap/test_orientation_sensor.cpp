@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "milback/ap/orientation_sensor.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/util/stats.hpp"
 
 namespace milback::ap {
@@ -79,6 +80,49 @@ TEST(ApOrientation, DeterministicGivenSeed) {
   const auto b = sensor.estimate(chan, pose, r2);
   ASSERT_EQ(a.valid, b.valid);
   EXPECT_DOUBLE_EQ(a.orientation_deg, b.orientation_deg);
+}
+
+TEST(ApOrientationSensor, PoseEstimateIsSynthesisThenBurstProcessing) {
+  // The standalone measurement is a Field-2 burst of its own followed by the
+  // same processing a packet runs on its localization burst: same draws in
+  // the same order, bit-identical results.
+  const auto chan = cluttered_channel();
+  const LocalizerConfig radar;
+  const ApOrientationSensor sensor(radar);
+  const Localizer synth(radar);
+  std::uint64_t seed = 50;
+  for (const double o : {-16.0, -4.0, 0.0, 9.0, 18.0}) {
+    for (const double d : {1.5, 4.0}) {
+      const channel::NodePose pose{d, 6.0, o};
+      Rng rng(seed++);
+      Rng replay = rng;
+      const auto r = sensor.estimate(chan, pose, rng);
+
+      const double steered =
+          pose.azimuth_deg + replay.gaussian(0.0, chan.config().steering_error_sigma_deg);
+      const double slope_scale = 1.0 + replay.gaussian(0.0, radar.slope_error_rms);
+      std::vector<rf::SwitchState> states(radar.n_chirps);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        states[i] = i % 2 == 0 ? rf::SwitchState::kReflect : rf::SwitchState::kAbsorb;
+      }
+      const auto burst =
+          synth.synthesize_burst(chan, pose, states, slope_scale, steered, replay);
+      const auto e = sensor.estimate(chan, burst.rx0, replay);
+
+      EXPECT_EQ(r.valid, e.valid) << "orientation " << o << " distance " << d;
+      EXPECT_EQ(r.orientation_deg, e.orientation_deg) << "orientation " << o;
+      EXPECT_EQ(r.f_peak_hz, e.f_peak_hz) << "orientation " << o;
+      EXPECT_EQ(rng.engine()(), replay.engine()()) << "orientation " << o;
+    }
+  }
+}
+
+TEST(ApOrientationSensor, BurstEstimateRejectsSingleChirp) {
+  const auto chan = cluttered_channel();
+  const ApOrientationSensor sensor;
+  Rng rng(60);
+  const ChirpBeats one_chirp(1, std::vector<radar::cplx>(16));
+  EXPECT_THROW((void)sensor.estimate(chan, one_chirp, rng), ContractViolation);
 }
 
 }  // namespace

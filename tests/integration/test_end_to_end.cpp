@@ -100,6 +100,35 @@ TEST(PaperClaims, OrientationAccuracyFig13) {
   }
 }
 
+TEST(PaperClaims, PacketOrientationMeetsFig13Bounds) {
+  // Both estimates as a packet takes them: the node's from its Field-1
+  // traces, the AP's from the Field-2 localization burst. Fig 13a: node mean
+  // error < 3 deg; Fig 13b: AP mean error < 1.5 deg away from the mirror
+  // region, here 8-16 deg either side of normal incidence at 2 m.
+  const auto link = make_link();
+  Rng data(120);
+  const auto bits = data.bits(128);
+  std::vector<double> node_errs, ap_errs;
+  std::uint64_t seed = 121;
+  for (const double o : {-16.0, -12.0, -8.0, 8.0, 12.0, 16.0}) {
+    for (int t = 0; t < 8; ++t) {
+      Rng rng(seed++);
+      const auto dir = t % 2 == 0 ? core::LinkDirection::kUplink : core::LinkDirection::kDownlink;
+      const auto r = link.run_packet({2.0, 0.0, o}, dir, bits, rng);
+      if (r.node_orientation) {
+        node_errs.push_back(std::abs(r.node_orientation->orientation_deg - o));
+      }
+      if (r.ap_orientation.valid) {
+        ap_errs.push_back(std::abs(r.ap_orientation.orientation_deg - o));
+      }
+    }
+  }
+  EXPECT_GE(node_errs.size(), 46u);
+  EXPECT_GE(ap_errs.size(), 46u);
+  EXPECT_LT(mean(node_errs), 3.0);
+  EXPECT_LT(mean(ap_errs), 1.5);
+}
+
 TEST(PaperClaims, PowerConsumption) {
   // 18 mW localization/downlink, 32 mW uplink (at 40 Mbps).
   const auto link = make_link();
