@@ -1,5 +1,6 @@
 #include "milback/ap/localizer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -87,7 +88,8 @@ Localizer::Localizer(const LocalizerConfig& config) : config_(config) {
 Localizer::BurstPair Localizer::synthesize_burst(
     const BackscatterChannel& channel, const NodePose& pose,
     const std::vector<rf::SwitchState>& port_a_states, double true_slope_scale,
-    double steered_azimuth_deg, milback::Rng& rng, bool steer_amplitudes) const {
+    double steered_azimuth_deg, milback::Rng& rng, bool steer_amplitudes,
+    std::size_t rx1_chirps) const {
   require_positive(pose.distance_m, "pose.distance_m");
   require_finite(pose.azimuth_deg, "pose.azimuth_deg");
   require_finite(pose.orientation_deg, "pose.orientation_deg");
@@ -204,10 +206,11 @@ Localizer::BurstPair Localizer::synthesize_burst(
 
   BurstPair burst;
   burst.rx0.reserve(port_a_states.size());
-  burst.rx1.reserve(port_a_states.size());
+  burst.rx1.reserve(std::min(rx1_chirps, port_a_states.size()));
 
   const std::size_t clutter_base = 2 + ghosts.size();
-  for (const auto state : port_a_states) {
+  for (std::size_t chirp = 0; chirp < port_a_states.size(); ++chirp) {
+    const auto state = port_a_states[chirp];
     const double refl = node_switch.reflection_power(state);
     const double a_node = std::sqrt(p_node_unit_w * refl);
     paths0[0].amplitude = a_node;
@@ -237,8 +240,12 @@ Localizer::BurstPair Localizer::synthesize_burst(
 
     burst.rx0.push_back(
         radar::synthesize_beat(paths0, true_chirp, fs, n, noise_w, rng));
-    burst.rx1.push_back(
-        radar::synthesize_beat(paths1, true_chirp, fs, n, noise_w, rng));
+    if (chirp < rx1_chirps) {
+      burst.rx1.push_back(
+          radar::synthesize_beat(paths1, true_chirp, fs, n, noise_w, rng));
+    } else if (noise_w > 0.0) {
+      rng.discard_complex_gaussian(n);  // the skipped beat's noise draws
+    }
   }
   return burst;
 }
@@ -280,20 +287,21 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
     PassResult pass;
     obs::Span synth_span(loc_obs().synth_span, 0.0,
                          obs::trace_lane(obs::kLaneLocalizer, 0));
+    // AoA reads only RX1's first chirp pair.
     auto burst = synthesize_burst(channel, pose, states, slope_scale, steer_deg, rng,
-                                  steer_amplitudes);
+                                  steer_amplitudes, /*rx1_chirps=*/2);
     synth_span.end(burst_samples);
 
     obs::Span fft_span(loc_obs().fft_span, 0.0,
                        obs::trace_lane(obs::kLaneLocalizer, 1));
     std::vector<radar::RangeSpectrum> spectra0, spectra1;
-    for (std::size_t i = 0; i < burst.rx0.size(); ++i) {
+    for (const auto& beat : burst.rx0) {
       spectra0.push_back(
-          radar::range_fft(burst.rx0[i], config_.beat_sample_rate_hz, config_.chirp,
-                           config_.fft));
+          radar::range_fft(beat, config_.beat_sample_rate_hz, config_.chirp, config_.fft));
+    }
+    for (const auto& beat : burst.rx1) {
       spectra1.push_back(
-          radar::range_fft(burst.rx1[i], config_.beat_sample_rate_hz, config_.chirp,
-                           config_.fft));
+          radar::range_fft(beat, config_.beat_sample_rate_hz, config_.chirp, config_.fft));
     }
     fft_span.end(burst_samples);
     if (beats_sink != nullptr) *beats_sink = std::move(burst.rx0);
@@ -301,7 +309,6 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
     obs::Span subtract_span(loc_obs().subtract_span, 0.0,
                             obs::trace_lane(obs::kLaneLocalizer, 2));
     const auto sub0 = radar::background_subtract(spectra0);
-    const auto sub1 = radar::background_subtract(spectra1);
     subtract_span.end(burst_samples);
 
     const double n_bins = double(sub0.first_difference.size());
@@ -315,13 +322,15 @@ LocalizationResult Localizer::localize(const BackscatterChannel& channel,
     pass.range_m = det->range_m;
     pass.snr_db = det->snr_db;
 
-    // Angle: phase of the first difference spectrum at the detected bin.
+    // Angle: phase of the first difference spectrum at the detected bin,
+    // across the two RX antennas.
     const auto bin = std::size_t(std::llround(det->bin));
-    if (bin < sub0.first_difference.size() && bin < sub1.first_difference.size()) {
+    if (bin < sub0.first_difference.size()) {
       obs::Span aoa_span(loc_obs().aoa_span, double(bin),
                          obs::trace_lane(obs::kLaneLocalizer, 4));
       pass.aoa_offset_deg = radar::estimate_offset_deg(
-          sub0.first_difference[bin], sub1.first_difference[bin], config_.aoa);
+          sub0.first_difference[bin], spectra1[1].bins[bin] - spectra1[0].bins[bin],
+          config_.aoa);
       aoa_span.end(double(bin + 1));
     }
     pass.angle_deg = steer_deg + pass.aoa_offset_deg.value_or(0.0);

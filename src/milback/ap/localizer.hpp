@@ -1,12 +1,13 @@
 // AP-side localization pipeline (Sections 5.1 and 9.2 of the paper).
 //
 // The AP transmits five sawtooth FMCW chirps (Field 2) while the node
-// toggles a port between reflect and absorb. Per chirp and per RX antenna
-// the pipeline synthesizes the dechirped beat signal (node return + static
-// clutter + the node's partially-modulated mirror reflection + thermal
-// noise), takes the range FFT, background-subtracts consecutive chirps to
-// cancel clutter, finds the modulated peak for range, and compares the
-// peak-bin phase across the two RX antennas for the angle.
+// toggles a port between reflect and absorb. Per chirp the pipeline
+// synthesizes the dechirped RX0 beat signal (node return + static clutter +
+// the node's partially-modulated mirror reflection + thermal noise), takes
+// the range FFT, background-subtracts consecutive chirps to cancel clutter
+// and finds the modulated peak for range. For the angle it compares the
+// peak-bin phase of the first chirp pair's difference across the two RX
+// antennas, so RX1 needs only chirps 0 and 1.
 #pragma once
 
 #include <optional>
@@ -70,9 +71,14 @@ class Localizer {
   explicit Localizer(const LocalizerConfig& config = {});
 
   /// Runs one five-chirp localization of the node at `pose` through
-  /// `channel`. `rng` drives noise, clutter drift and steering error. When
-  /// `rx0_sink` is set, the first (node-steered) pass's RX0 beats are moved
-  /// into it after their range FFTs, so the same Field-2 burst can also feed
+  /// `channel`. `rng` drives noise, clutter drift and steering error. Each
+  /// pipeline pass synthesizes and range-FFTs the n_chirps RX0 beats and RX1
+  /// chirps 0 and 1 only: range comes from the background-subtracted RX0
+  /// spectra, AoA from the RX0 and RX1 first differences at the detected
+  /// bin. The unread RX1 chirps' noise is discarded, so the draws match a
+  /// full two-antenna burst. When `rx0_sink` is set, the first
+  /// (node-steered) pass's RX0 beats are moved into it after their range
+  /// FFTs, so the same Field-2 burst can also feed
   /// ApOrientationSensor::estimate without being synthesized twice.
   LocalizationResult localize(const channel::BackscatterChannel& channel,
                               const channel::NodePose& pose, milback::Rng& rng,
@@ -85,19 +91,26 @@ class Localizer {
     ChirpBeats rx1;  ///< Baseline-offset antenna.
   };
 
+  /// `rx1_chirps` value that synthesizes every RX1 chirp.
+  static constexpr std::size_t kAllChirps = ~std::size_t{0};
+
   /// Builds the five-chirp beat signals for both RX antennas (exposed for
   /// the orientation sensor and for tests). `port_a_states[i]` is the node's
   /// port-A switch state during chirp i; port B absorbs throughout.
   /// `steer_amplitudes` models a burst whose horns really point at
   /// `steered_azimuth_deg` (the reflector-aware second pass at a wall
-  /// bearing): path powers pay/gain the horn pattern relative to that steer
-  /// instead of assuming the node bearing. The default keeps the legacy
-  /// behavior where the steer only sets the AoA phase reference.
+  /// bearing): path powers pay/gain the horn pattern relative to that steer.
+  /// Otherwise the steer only sets the AoA phase reference.
+  /// `rx1_chirps` keeps RX1 beats for the leading chirps only (rx1 holds
+  /// min(rx1_chirps, chirps) beats). Each later RX1 beat's noise is still
+  /// drawn and discarded in its place, so RX0 and the RX1 prefix are bitwise
+  /// equal to the full burst's and `rng` ends in the same state.
   BurstPair synthesize_burst(const channel::BackscatterChannel& channel,
                              const channel::NodePose& pose,
                              const std::vector<rf::SwitchState>& port_a_states,
                              double true_slope_scale, double steered_azimuth_deg,
-                             milback::Rng& rng, bool steer_amplitudes = false) const;
+                             milback::Rng& rng, bool steer_amplitudes = false,
+                             std::size_t rx1_chirps = kAllChirps) const;
 
   /// Config echo.
   const LocalizerConfig& config() const noexcept { return config_; }

@@ -30,8 +30,10 @@ ApOrientationResult ApOrientationSensor::estimate(
     states[i] = (i % 2 == 0) ? rf::SwitchState::kReflect : rf::SwitchState::kAbsorb;
   }
 
-  const auto burst =
-      localizer_.synthesize_burst(channel, pose, states, slope_scale, steered, rng);
+  // The sensor reads RX0 only; RX1's noise is discarded to keep the draws.
+  const auto burst = localizer_.synthesize_burst(channel, pose, states, slope_scale,
+                                                 steered, rng, /*steer_amplitudes=*/false,
+                                                 /*rx1_chirps=*/0);
   return estimate(channel, burst.rx0, rng);
 }
 
@@ -40,19 +42,20 @@ ApOrientationResult ApOrientationSensor::estimate(
     milback::Rng& rng) const {
   MILBACK_REQUIRE(rx0_beats.size() >= 2,
                   "ApOrientationSensor: background subtraction needs >= 2 chirps");
+  MILBACK_REQUIRE(rx0_beats[0].size() == rx0_beats[1].size(),
+                  "ApOrientationSensor: chirp length mismatch");
   ApOrientationResult result;
 
+  // The profile reads one difference spectrum: chirp 1 minus chirp 0.
   const auto& lc = localizer_.config();
-  std::vector<radar::RangeSpectrum> spectra;
-  spectra.reserve(rx0_beats.size());
-  for (const auto& beat : rx0_beats) {
-    spectra.push_back(
-        radar::range_fft(beat, lc.beat_sample_rate_hz, lc.chirp, lc.fft));
-  }
-  const auto sub = radar::background_subtract(spectra);
+  const auto first =
+      radar::range_fft(rx0_beats[0], lc.beat_sample_rate_hz, lc.chirp, lc.fft).bins;
+  auto difference =
+      radar::range_fft(rx0_beats[1], lc.beat_sample_rate_hz, lc.chirp, lc.fft).bins;
+  for (std::size_t k = 0; k < difference.size(); ++k) difference[k] -= first[k];
 
   const auto profile = radar::reflected_power_profile(
-      sub.first_difference, lc.beat_sample_rate_hz, lc.chirp, config_.profile);
+      difference, lc.beat_sample_rate_hz, lc.chirp, config_.profile);
   auto f_peak = profile.peak_frequency_hz();
   if (!f_peak) return result;
   // Chirp-vs-FSA frequency calibration tolerance (per trial).

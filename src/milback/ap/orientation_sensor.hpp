@@ -1,10 +1,11 @@
 // AP-side orientation sensing (Section 5.2(a) of the paper).
 //
 // The node puts port B in absorb and toggles port A between absorb and
-// reflect across chirps; the AP background-subtracts the chirp spectra,
-// IFFTs back to the time domain, and reads off which chirp frequencies
-// produced the strongest reflection. The FSA scan law maps that aligned
-// frequency to the node's orientation. The node's partially-modulated
+// reflect across chirps; the AP subtracts the RX0 spectra of the first chirp
+// pair (reflect, then absorb), so only chirps 0 and 1 are transformed. It
+// IFFTs that difference back to the time domain and reads off which chirp
+// frequencies produced the strongest reflection. The FSA scan law maps that
+// aligned frequency to the node's orientation. The node's partially-modulated
 // ground-plane mirror reflection survives subtraction and degrades the
 // estimate near the specular-collision orientations (-6..-2 degrees),
 // reproducing the Fig 13b error bump.
@@ -13,6 +14,8 @@
 // localizer and this sensor: a packet hands the localizer's RX0 beats to
 // estimate(channel, rx0_beats, rng). The pose overload is the standalone
 // measurement: it synthesizes its own burst, then runs the same processing.
+// That burst carries no RX1 beats (the sensor reads none); their noise draws
+// are discarded, so the RNG stream matches a full two-antenna burst.
 #pragma once
 
 #include <optional>
@@ -53,8 +56,9 @@ class ApOrientationSensor {
                                const channel::NodePose& pose, milback::Rng& rng) const;
 
   /// Estimates the orientation from the RX0 beats of a Field-2 burst (port A
-  /// toggling from reflect, port B absorbing). `rng` draws the calibration
-  /// jitter.
+  /// toggling from reflect, port B absorbing). Reads chirps 0 and 1 only;
+  /// needs >= 2 beats, the first two of equal length. `rng` draws the
+  /// calibration jitter.
   ApOrientationResult estimate(const channel::BackscatterChannel& channel,
                                const ChirpBeats& rx0_beats, milback::Rng& rng) const;
 

@@ -51,18 +51,30 @@ void FftPlan::execute(cplx* x, const std::vector<cplx>& twiddle) const noexcept 
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(x[i], x[j]);
   }
-  const cplx* stage = twiddle.data();
+  // Butterflies on the interleaved (re, im) doubles that std::complex is
+  // guaranteed to store. The twiddle product is spelled out: std::complex's
+  // operator* adds a NaN check and a __muldc3 call that blocks vectorization,
+  // and for finite operands it computes exactly these two expressions.
+  double* d = reinterpret_cast<double*>(x);
+  const double* stage = reinterpret_cast<const double*>(twiddle.data());
   for (std::size_t len = 2; len <= n_; len <<= 1) {
     const std::size_t half = len / 2;
     for (std::size_t i = 0; i < n_; i += len) {
+      double* top = d + 2 * i;
+      double* bot = d + 2 * (i + half);
       for (std::size_t k = 0; k < half; ++k) {
-        const cplx u = x[i + k];
-        const cplx v = x[i + k + half] * stage[k];
-        x[i + k] = u + v;
-        x[i + k + half] = u - v;
+        const double wr = stage[2 * k], wi = stage[2 * k + 1];
+        const double br = bot[2 * k], bi = bot[2 * k + 1];
+        const double vr = br * wr - bi * wi;
+        const double vi = br * wi + bi * wr;
+        const double ur = top[2 * k], ui = top[2 * k + 1];
+        top[2 * k] = ur + vr;
+        top[2 * k + 1] = ui + vi;
+        bot[2 * k] = ur - vr;
+        bot[2 * k + 1] = ui - vi;
       }
     }
-    stage += half;
+    stage += 2 * half;
   }
 }
 

@@ -11,7 +11,11 @@
 // Accuracy policy: the twiddle tables are generated with the *same*
 // `w *= wlen` recurrence the legacy loop evaluated on the fly, so planned
 // transforms are bit-identical to the textbook iterative Cooley-Tukey
-// reference (tests/dsp/test_fft_plan.cpp pins this). The real-input
+// reference (tests/dsp/test_fft_plan.cpp pins this). The butterfly is
+// written as real arithmetic on the interleaved doubles; for finite inputs
+// it is bit-identical to std::complex's operator* (the build is ISO C++20,
+// so nothing contracts to FMA), without that operator's NaN recovery path.
+// The real-input
 // transform uses the half-size complex trick and is equivalent to the full
 // complex transform only up to rounding (~1e-12 relative).
 #pragma once

@@ -31,7 +31,7 @@ struct SubtractionResult {
 SubtractionResult background_subtract(
     const std::vector<std::vector<std::complex<double>>>& chirp_spectra);
 
-/// Convenience overload over RangeSpectrum objects.
+/// Same, over RangeSpectrum objects (their bins are read in place).
 SubtractionResult background_subtract(const std::vector<RangeSpectrum>& spectra);
 
 }  // namespace milback::radar

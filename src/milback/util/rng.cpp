@@ -14,15 +14,23 @@ inline double uniform_pm1(Rng::Engine& engine) {
   return 0x1.0p-52 * double(engine() >> 11) - 1.0;
 }
 
-/// One Marsaglia polar draw: a pair of independent unit Gaussians, scaled so
-/// the complex sample has E[|z|^2] = variance.
-inline std::complex<double> polar_pair(Rng::Engine& engine, double sigma) {
-  double x, y, s;
+/// The polar method's rejection loop: draws uniform pairs until one lands
+/// inside the unit disc, off the origin. Returns s = x^2 + y^2.
+inline double polar_point(Rng::Engine& engine, double& x, double& y) {
+  double s;
   do {
     x = uniform_pm1(engine);
     y = uniform_pm1(engine);
     s = x * x + y * y;
   } while (s >= 1.0 || s == 0.0);
+  return s;
+}
+
+/// One Marsaglia polar draw: a pair of independent unit Gaussians, scaled so
+/// the complex sample has E[|z|^2] = variance.
+inline std::complex<double> polar_pair(Rng::Engine& engine, double sigma) {
+  double x, y;
+  const double s = polar_point(engine, x, y);
   const double k = sigma * std::sqrt(-2.0 * std::log(s) / s);
   return {x * k, y * k};
 }
@@ -82,6 +90,11 @@ void Rng::add_complex_gaussian(std::complex<double>* x, std::size_t n,
                                double variance) {
   const double sigma = std::sqrt(variance / 2.0);
   for (std::size_t i = 0; i < n; ++i) x[i] += polar_pair(engine_, sigma);
+}
+
+void Rng::discard_complex_gaussian(std::size_t n) {
+  double x, y;
+  for (std::size_t i = 0; i < n; ++i) polar_point(engine_, x, y);
 }
 
 std::uint64_t Rng::mix64(std::uint64_t z) noexcept {

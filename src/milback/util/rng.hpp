@@ -105,6 +105,13 @@ class Rng {
   void add_complex_gaussian(std::complex<double>* x, std::size_t n,
                             double variance);
 
+  /// Advances the engine exactly as `add_complex_gaussian(x, n, v)` would
+  /// for any variance v: the same uniform pairs through the same polar
+  /// rejection test, without the log/sqrt or a store. A caller that does not
+  /// need a noise block discards it here and keeps every later draw in place.
+  // milback-analyze: no-contract(any count is valid, including zero; there is no variance to check)
+  void discard_complex_gaussian(std::size_t n);
+
   /// Bernoulli draw with probability `p` in [0, 1] of returning true.
   bool bernoulli(double p) {
     MILBACK_REQUIRE(p >= 0.0 && p <= 1.0, "Rng::bernoulli: p must be in [0, 1]");

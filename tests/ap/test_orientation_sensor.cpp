@@ -117,6 +117,62 @@ TEST(ApOrientationSensor, PoseEstimateIsSynthesisThenBurstProcessing) {
   }
 }
 
+TEST(ApOrientationSensor, PoseEstimateMatchesFullBurstReference) {
+  // The spec: a full two-antenna burst, every RX0 chirp range-FFT'd and
+  // background-subtracted, the profile read off the first difference. The
+  // sensor synthesizes no RX1 beats and transforms one chirp pair, and must
+  // still match it bit for bit, the mirror-collision region included.
+  const auto chan = cluttered_channel();
+  const LocalizerConfig radar;
+  const ApOrientationSensor sensor(radar);
+  LocalizerConfig rect = radar;
+  rect.fft.window = dsp::WindowType::kRectangular;
+  const Localizer synth(rect);
+  const OrientationSensorConfig& oc = sensor.config();
+  std::uint64_t seed = 90;
+  for (const double o : {-22.0, -6.0, -5.0, -4.0, -3.0, -2.0, 0.0, 11.0, 24.0}) {
+    for (const double d : {1.2, 3.5}) {
+      const channel::NodePose pose{d, -7.0, o};
+      Rng rng(seed++);
+      Rng replay = rng;
+      const auto r = sensor.estimate(chan, pose, rng);
+
+      ApOrientationResult e;
+      const double steered =
+          pose.azimuth_deg + replay.gaussian(0.0, chan.config().steering_error_sigma_deg);
+      const double slope_scale = 1.0 + replay.gaussian(0.0, rect.slope_error_rms);
+      std::vector<rf::SwitchState> states(rect.n_chirps);
+      for (std::size_t i = 0; i < states.size(); ++i) {
+        states[i] = i % 2 == 0 ? rf::SwitchState::kReflect : rf::SwitchState::kAbsorb;
+      }
+      const auto burst =
+          synth.synthesize_burst(chan, pose, states, slope_scale, steered, replay);
+      std::vector<radar::RangeSpectrum> spectra;
+      for (const auto& beat : burst.rx0) {
+        spectra.push_back(
+            radar::range_fft(beat, rect.beat_sample_rate_hz, rect.chirp, rect.fft));
+      }
+      const auto sub = radar::background_subtract(spectra);
+      const auto profile = radar::reflected_power_profile(
+          sub.first_difference, rect.beat_sample_rate_hz, rect.chirp, oc.profile);
+      auto f_peak = profile.peak_frequency_hz();
+      if (f_peak) {
+        *f_peak += replay.gaussian(0.0, oc.frequency_jitter_hz);
+        if (const auto angle = chan.fsa().beam_angle_deg(antenna::FsaPort::kA, *f_peak)) {
+          e.valid = true;
+          e.f_peak_hz = *f_peak;
+          e.orientation_deg = *angle;
+        }
+      }
+
+      EXPECT_EQ(r.valid, e.valid) << "orientation " << o << " distance " << d;
+      EXPECT_EQ(r.orientation_deg, e.orientation_deg) << "orientation " << o;
+      EXPECT_EQ(r.f_peak_hz, e.f_peak_hz) << "orientation " << o;
+      EXPECT_EQ(rng.engine()(), replay.engine()()) << "orientation " << o;
+    }
+  }
+}
+
 TEST(ApOrientationSensor, BurstEstimateRejectsSingleChirp) {
   const auto chan = cluttered_channel();
   const ApOrientationSensor sensor;

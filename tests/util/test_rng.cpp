@@ -161,6 +161,25 @@ TEST(Rng, BulkAddMatchesPerCallDraws) {
   }
 }
 
+TEST(Rng, DiscardComplexGaussianAdvancesLikeAdd) {
+  // Discarding a noise block must leave the engine exactly where adding it
+  // would. Each sample takes two or more engine words, so the counts end
+  // inside the lazy first block's doubling chunks and past its 312-word
+  // block edges, from a fresh engine and from an odd offset.
+  for (const std::size_t n : {0, 1, 155, 156, 157, 311, 312, 313, 900, 5000}) {
+    for (const int offset : {0, 3}) {
+      Rng rng(64 + n);
+      for (int i = 0; i < offset; ++i) (void)rng.engine()();
+      Rng replay = rng;
+      std::vector<std::complex<double>> x(n);
+      rng.add_complex_gaussian(x.data(), n, 1.5);
+      replay.discard_complex_gaussian(n);
+      EXPECT_EQ(rng.engine()(), replay.engine()()) << "n " << n << " offset " << offset;
+      EXPECT_EQ(rng.complex_gaussian(1.0), replay.complex_gaussian(1.0)) << "n " << n;
+    }
+  }
+}
+
 TEST(Rng, ZeroVarianceComplexGaussianIsZero) {
   Rng rng(63);
   EXPECT_EQ(rng.complex_gaussian(0.0), (std::complex<double>{0.0, 0.0}));
