@@ -16,8 +16,8 @@
 // The run prints the whole-network report plus the per-node memory
 // footprint of the simulation state. At this small scale fixed costs
 // (engine objects, 1024-element slab granularity) dominate the per-node
-// figure; BM_MultiCell_MemoryPerNode measures the amortized number at
-// 16 cells x 10k nodes against its 256-byte budget.
+// figure; ScaleSmoke bounds it at 16k nodes and bench/e2e's campus_100k
+// reports the amortized number at 100k nodes (outcome.bytes_per_node).
 //
 // Build & run:  ./build/examples/campus_network [seed]
 #include <cstdlib>
@@ -104,6 +104,7 @@ int main(int argc, char** argv) {
             << Table::num(double(campus.memory_bytes()) / double(kTags), 0)
             << " bytes of simulation state per node"
             << " (fixed slab granularity dominates at 2k nodes;"
-            << " BM_MultiCell_MemoryPerNode measures the 160k-node figure)\n";
+            << " ScaleSmoke and campus_100k's outcome.bytes_per_node"
+            << " measure it at scale)\n";
   return 0;
 }

@@ -2,7 +2,7 @@
 # Full correctness gate: static lint, Werror build + tests, the determinism
 # analyzer over the exported compilation database, the same suite under
 # AddressSanitizer + UBSan, the parallel sim engine under ThreadSanitizer,
-# then the perf pipeline against its committed baseline.
+# then the end-to-end benchmark of the working tree against HEAD.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -38,11 +38,20 @@ cmake --preset tsan
 cmake --build --preset tsan -j "${jobs}"
 ctest --preset tsan -R 'TrialRunner|Sweep|Accumulator|ThreadInvariance'
 
-echo "== perf pipeline vs committed baseline =="
-# The dev preset was built above; rerun the perf suite and fail on >15%
-# regression against bench/baselines/BENCH_perf_pipeline.json.
-./build-dev/bench/bench_perf_pipeline --benchmark_min_time=0.2 \
-    --json build-dev/BENCH_perf_pipeline.json
-python3 scripts/bench_compare.py build-dev/BENCH_perf_pipeline.json
+echo "== bench/e2e: HEAD vs working tree =="
+# The one performance gate. The end-to-end benchmark runs 3 repetitions at
+# its own run length on a `git archive` of HEAD (built in its own directory)
+# and then on the working tree; `run.py compare` exits 1 when a metric is
+# worse than its BENCHMARK.json bound or when a simulated output (digest)
+# differs. A change that moves outputs on purpose fails here on
+# `digests: differ` and says so in CHANGES.md. The pinned anchor.json is not
+# the reference: its digests predate deliberate output changes.
+e2e_dir="$(mktemp -d)"
+trap 'rm -rf "${e2e_dir}"' EXIT
+git archive HEAD | tar -x -C "${e2e_dir}"
+CARGO_TARGET_DIR="${e2e_dir}/.bench_build" \
+    python3 "${e2e_dir}/bench/e2e/run.py" --repeats 3 --out "${e2e_dir}/HEAD.json"
+python3 bench/e2e/run.py --repeats 3 --out "${e2e_dir}/tree.json"
+python3 bench/e2e/run.py compare "${e2e_dir}/HEAD.json" "${e2e_dir}/tree.json"
 
 echo "== all checks passed =="

@@ -21,7 +21,7 @@
 // Storage is struct-of-arrays (node_soa.hpp) over pooled chains and the
 // event queue is slab-pooled (event_queue.hpp): a steady-state run makes
 // zero event allocations and per-node state fits a fixed byte budget
-// (BM_MultiCell_MemoryPerNode prints the measured number).
+// (bench/e2e campus_100k reports the measured outcome.bytes_per_node).
 //
 // tests/integration/test_cell_equivalence.cpp pins the engine against
 // reference loops of the original per-round and per-MAC-run service.
@@ -276,7 +276,7 @@ class CellEngine {
   /// Pending events (epoch drivers use this to detect an idle cell).
   std::size_t pending_events() const noexcept { return queue_.size(); }
   /// Bytes held by node columns, pooled chains and the event queue —
-  /// the simulation state BM_MultiCell_MemoryPerNode divides by population.
+  /// the simulation state outcome.bytes_per_node divides by population.
   std::size_t memory_bytes() const noexcept;
 
  private:

@@ -172,7 +172,7 @@ class MultiCellEngine {
 
   /// Bytes held by all shards' node columns, pools and event queues plus
   /// the driver's own state — the numerator of bytes-per-node
-  /// (BM_MultiCell_MemoryPerNode).
+  /// (bench/e2e campus_100k's outcome.bytes_per_node).
   std::size_t memory_bytes() const noexcept;
 
  private:
@@ -196,7 +196,7 @@ class MultiCellEngine {
   /// cell's SoA columns (traffic spec, join time, the interned id) or in
   /// shared side tables (directive chain, handoff history) — this record is
   /// the per-node cost of the multi-cell layer and is part of the
-  /// BM_MultiCell_MemoryPerNode budget.
+  /// per-node memory budget.
   struct GlobalNode {
     float x_m = 0.0f, y_m = 0.0f;    ///< Last applied plan position.
     float orientation_deg = 0.0f;    ///< FSA normal vs the serving-AP line.

@@ -16,7 +16,7 @@
 // The columns the sweep hot loop reads (pose, rate, alive) are dense and
 // prefetch-friendly. Columns grow by ~12.5% when full rather than doubling:
 // a handed-off node that overflows a pre-reserved fleet must not double the
-// measured bytes-per-node (BM_MultiCell_MemoryPerNode counts capacity).
+// measured bytes-per-node (memory_bytes() counts capacity).
 //
 // The engine owns the semantics (who counts what, when); this class owns
 // the layout. Columns are public on purpose — `nodes_.queued_bits[i]` in

@@ -3,7 +3,7 @@
 // ordering contract — under sustained interleaved push/pop churn the pop
 // sequence must match a naive reference queue exactly, and the pool must
 // stop growing once the live depth stops growing (the zero-steady-state-
-// allocation property BM_CellEngine relies on).
+// allocation property the cell engine relies on).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -3,7 +3,7 @@
 // dedicated scale-smoke CI job's own ceiling) and stay inside the per-node
 // memory budget the README commits to. This is the cheap tripwire for
 // accidental O(n^2) regressions in the SoA/pool path — the full-size
-// configurations live in BM_MultiCell_* where they are measured, not gated.
+// campus is bench/e2e's campus_100k workload, where it is measured.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -57,8 +57,8 @@ TEST(ScaleSmoke, SixteenCellsSixteenThousandNodes) {
 
   // Loose per-node memory tripwire: at 1k nodes per cell the slab and heap
   // granularity still shows, so this bound is the O(n)-blowup guard — the
-  // committed 256-byte budget is measured at full scale by
-  // BM_MultiCell_MemoryPerNode (16 cells x 10k nodes).
+  // full-scale figure is campus_100k's outcome.bytes_per_node in bench/e2e
+  // (25 cells x 4000 nodes).
   const double bytes_per_node =
       double(engine.memory_bytes()) / double(kNodes);
   EXPECT_LE(bytes_per_node, 512.0);

@@ -2,9 +2,10 @@
 """Fixture suite for scripts/physics_lint.py rules R1, R10 and R11.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
-temporary repository layout (src/milback/fix/ for the flagged ones,
-tests/util/, src/milback/channel/ and src/milback/mesh/ for the
-allowed-scope negative controls), runs physics_lint on the staged tree, and asserts the reported
+temporary repository layout (src/milback/fix/ for the flagged ones, plus
+bench/ for the R1 engines; tests/util/, src/milback/channel/ and
+src/milback/mesh/ for the allowed-scope negative controls), runs
+physics_lint on the staged tree, and asserts the reported
 findings match the `lint-expect: R<n>` markers exactly — same rule id, same
 staged file, same line — with nothing reported for the clean controls.
 
@@ -25,25 +26,26 @@ FIXTURES = HERE / "fixtures"
 EXPECT_RE = re.compile(r"lint-expect:\s*(R\d+)")
 FINDING_RE = re.compile(r"^([^:]+):(\d+): \[(R\d+)\]")
 
-# fixture file -> path inside the staged tree.
-STAGE = {
-    "r1_engine.cpp": "src/milback/fix/r1_engine.cpp",
-    "r1_clean.cpp": "src/milback/fix/r1_clean.cpp",
-    "r1_tests_ok.cpp": "tests/util/r1_tests_ok.cpp",
-    "r10_fspl.cpp": "src/milback/fix/r10_fspl.cpp",
-    "r10_clean.cpp": "src/milback/fix/r10_clean.cpp",
-    "r10_channel_ok.cpp": "src/milback/channel/r10_channel_ok.cpp",
-    "r11_flood.cpp": "src/milback/fix/r11_flood.cpp",
-    "r11_clean.cpp": "src/milback/fix/r11_clean.cpp",
-    "r11_mesh_ok.cpp": "src/milback/mesh/r11_mesh_ok.cpp",
-}
+# (fixture file, path inside the staged tree); a fixture may be staged twice.
+STAGE = [
+    ("r1_engine.cpp", "src/milback/fix/r1_engine.cpp"),
+    ("r1_engine.cpp", "bench/r1_engine.cpp"),
+    ("r1_clean.cpp", "src/milback/fix/r1_clean.cpp"),
+    ("r1_tests_ok.cpp", "tests/util/r1_tests_ok.cpp"),
+    ("r10_fspl.cpp", "src/milback/fix/r10_fspl.cpp"),
+    ("r10_clean.cpp", "src/milback/fix/r10_clean.cpp"),
+    ("r10_channel_ok.cpp", "src/milback/channel/r10_channel_ok.cpp"),
+    ("r11_flood.cpp", "src/milback/fix/r11_flood.cpp"),
+    ("r11_clean.cpp", "src/milback/fix/r11_clean.cpp"),
+    ("r11_mesh_ok.cpp", "src/milback/mesh/r11_mesh_ok.cpp"),
+]
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         expected = set()
-        for name, rel in STAGE.items():
+        for name, rel in STAGE:
             text = (FIXTURES / name).read_text(encoding="utf-8")
             dest = root / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
