@@ -10,6 +10,7 @@
 
 #include "milback/core/ber.hpp"
 #include "milback/core/link.hpp"
+#include "milback/util/units.hpp"
 
 using namespace milback;
 

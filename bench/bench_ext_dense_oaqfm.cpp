@@ -12,6 +12,7 @@
 #include "milback/core/ber.hpp"
 #include "milback/core/link.hpp"
 #include "milback/core/oaqfm_dense.hpp"
+#include "milback/util/units.hpp"
 
 using namespace milback;
 

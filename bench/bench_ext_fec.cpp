@@ -13,6 +13,7 @@
 #include "milback/core/ber.hpp"
 #include "milback/core/fec.hpp"
 #include "milback/core/link.hpp"
+#include "milback/util/units.hpp"
 
 using namespace milback;
 

@@ -11,6 +11,7 @@
 #include <cmath>
 
 #include "milback/cell/cell_engine.hpp"
+#include "milback/util/units.hpp"
 
 using namespace milback;
 

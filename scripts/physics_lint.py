@@ -44,6 +44,11 @@ Rules:
       bounded-TTL route floods, hop iteration) belongs to the mesh layer,
       where link budgets come from the shared PathSet and route selection
       is deterministic; a private flood loop forks the routing model.
+  R12 reach discipline: every src/milback/ header must be included by
+      something outside tests/ besides its own .cpp -- a header only tests
+      reach is a second model nothing in the simulator runs (test-only
+      probes belong under tests/). The include graph is textual: quoted
+      `#include "milback/..."` lines across src/, bench/, examples/, tests/.
 
 Exit status is non-zero when any violation is found.
 """
@@ -130,6 +135,9 @@ MESH_LOOP = re.compile(
     r"\b(?:for|while)\s*\([^)]*\b(?:ttl\w*|hops?\w*|flood\w*|neighbor\w*)\b"
 )
 MESH_LOOP_ALLOWED_PREFIX = "src/milback/mesh/"
+
+# R12: the quoted project includes that make up the textual include graph.
+MILBACK_INCLUDE = re.compile(r'^\s*#\s*include\s*"(milback/[^"]+)"')
 
 COMMENT_LINE = re.compile(r"^\s*(?://|\*|/\*)")
 
@@ -248,6 +256,25 @@ def lint_file(root: Path, path: Path, errors: list[str]) -> None:
                     )
 
 
+def lint_test_only_headers(root: Path, paths: list[Path], errors: list[str]) -> None:
+    rels = [path.relative_to(root).as_posix() for path in paths]
+    includers: dict[str, set[str]] = {}
+    for path, rel in zip(paths, rels):
+        for raw in path.read_text(encoding="utf-8", errors="replace").splitlines():
+            m = MILBACK_INCLUDE.match(raw)
+            if m:
+                includers.setdefault("src/" + m.group(1), set()).add(rel)
+    for rel in rels:
+        if not (rel.startswith("src/milback/") and rel.endswith(".hpp")):
+            continue
+        users = includers.get(rel, set()) - {rel[: -len(".hpp")] + ".cpp"}
+        if all(u.startswith("tests/") for u in users):
+            errors.append(
+                f"{rel}:1: [R12] header only tests reach -- use it from the"
+                " simulator, or move it under tests/"
+            )
+
+
 RULES = (
     ("R1", "raw std RNG engine/distribution outside util/rng -- use milback::Rng"),
     ("R2", "`using namespace` in a header"),
@@ -260,6 +287,7 @@ RULES = (
     ("R9", "std::chrono outside src/milback/obs/ -- sim timestamps must be sim time"),
     ("R10", "ad-hoc 20*log10(distance) FSPL outside src/milback/channel/"),
     ("R11", "ad-hoc TTL/flood/neighbor relay loop outside src/milback/mesh/"),
+    ("R12", "src/milback/ header that nothing outside tests/ (and its own .cpp) includes"),
 )
 
 
@@ -280,18 +308,19 @@ def main() -> int:
         return 0
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path.cwd()
     errors: list[str] = []
-    n_files = 0
+    paths: list[Path] = []
     for d in SCAN_DIRS:
         base = root / d
         if not base.is_dir():
             continue
         for path in sorted(base.rglob("*")):
             if path.suffix in CPP_EXTS and path.is_file():
-                n_files += 1
+                paths.append(path)
                 lint_file(root, path, errors)
+    lint_test_only_headers(root, paths, errors)
     for e in errors:
         print(e)
-    print(f"physics_lint: {n_files} files scanned, {len(errors)} violation(s)")
+    print(f"physics_lint: {len(paths)} files scanned, {len(errors)} violation(s)")
     return 1 if errors else 0
 
 

@@ -4,8 +4,6 @@ namespace milback::ap {
 
 MilBackAp::MilBackAp(const ApConfig& config)
     : config_(config),
-      tx_(config.tx),
-      rx_(config.rx),
       localizer_(config.localizer),
       orientation_(config.localizer, config.orientation),
       downlink_(config.downlink),

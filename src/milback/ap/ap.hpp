@@ -1,21 +1,19 @@
-// The MilBack access point facade: owns the TX/RX chains and the four
-// processing engines (localizer, orientation sensor, downlink transmitter,
-// uplink receiver) and exposes the operations the protocol layer composes.
+// The MilBack access point facade: owns the four processing engines
+// (localizer, orientation sensor, downlink transmitter, uplink receiver) and
+// exposes the operations the protocol layer composes. The AP's RF hardware
+// (VXG + PA + horns, LNA -> mixer -> BPF -> scope) enters the simulation as
+// link-budget terms in channel::ChannelConfig, not as objects here.
 #pragma once
 
 #include "milback/ap/downlink_transmitter.hpp"
 #include "milback/ap/localizer.hpp"
 #include "milback/ap/orientation_sensor.hpp"
-#include "milback/ap/rx_chain.hpp"
-#include "milback/ap/tx_chain.hpp"
 #include "milback/ap/uplink_receiver.hpp"
 
 namespace milback::ap {
 
 /// Full AP configuration.
 struct ApConfig {
-  TxChainConfig tx{};
-  RxChainConfig rx{};
   LocalizerConfig localizer{};            ///< Field 2, for both estimates.
   OrientationSensorConfig orientation{};
   DownlinkTxConfig downlink{};
@@ -43,8 +41,6 @@ class MilBackAp {
                                                   double orientation_deg) const;
 
   /// Engine access.
-  const TxChain& tx() const noexcept { return tx_; }
-  const RxChain& rx() const noexcept { return rx_; }
   const Localizer& localizer() const noexcept { return localizer_; }
   const ApOrientationSensor& orientation_sensor() const noexcept { return orientation_; }
   const DownlinkTransmitter& downlink() const noexcept { return downlink_; }
@@ -53,8 +49,6 @@ class MilBackAp {
 
  private:
   ApConfig config_;
-  TxChain tx_;
-  RxChain rx_;
   Localizer localizer_;
   ApOrientationSensor orientation_;
   DownlinkTransmitter downlink_;

@@ -35,8 +35,14 @@ struct NodePose {
 /// cable/connector losses, polarization mismatch, mixer conversion loss and
 /// modulation loss — calibrated once against the paper's reported operating
 /// points (see DESIGN.md section 2) and then held fixed for every experiment.
+///
+/// This is the one model of the AP's RF hardware: its parts enter only as the
+/// link-budget terms below (the 20 dBi horns are the `rf::HornAntenna`s the
+/// channel is built with).
 struct ChannelConfig {
-  double tx_power_dbm = 27.0;          ///< Power at the AP TX antenna port.
+  /// Power at the AP TX horn port: the VXG + ADPA7005 PA chain's calibrated
+  /// output as the paper states it, 27 dBm (47 dBm EIRP with a 20 dBi horn).
+  double tx_power_dbm = 27.0;
   double implementation_loss_one_way_db = 15.0;  ///< Downlink lumped loss
                                                  ///< (pointing, polarization,
                                                  ///< port coupling).
@@ -46,7 +52,11 @@ struct ChannelConfig {
                                                  ///< modulation loss is
                                                  ///< accounted explicitly via
                                                  ///< modulation_power_coeff().
-  double rx_noise_figure_db = 5.0;     ///< AP receive chain noise figure.
+  /// AP receive chain noise figure. The Friis cascade of the ADL8142 LNA
+  /// (3.5 dB NF, 20 dB gain), the passive mixer (9 dB conversion loss, NF ~
+  /// loss) and the BPF (1 dB insertion loss) is 3.67 dB; a 1.33 dB
+  /// implementation margin (LO noise, cabling, scope front end) makes 5.0 dB.
+  double rx_noise_figure_db = 5.0;
   double multiplicative_noise_db = -26.0;  ///< Residual self-interference floor
                                            ///< relative to received power (LO
                                            ///< phase-noise skirt); caps uplink

@@ -97,6 +97,24 @@ TEST(BackscatterChannel, NoiseFloorMatchesThermalPlusNf) {
               -114.0 + chan.config().rx_noise_figure_db, 0.1);
 }
 
+TEST(BackscatterChannel, ApDefaultsMatchPaper) {
+  // ChannelConfig is the one model of the AP's RF parts: 27 dBm at the horn
+  // port, 47 dBm EIRP through the 20 dBi horn, and a 5.0 dB receive NF that
+  // is the LNA -> mixer -> BPF Friis cascade plus a 1.33 dB margin.
+  const auto chan = make_channel();
+  EXPECT_DOUBLE_EQ(chan.config().tx_power_dbm, 27.0);
+  EXPECT_DOUBLE_EQ(chan.config().tx_power_dbm + chan.ap_tx_antenna().gain_dbi(0.0), 47.0);
+  EXPECT_DOUBLE_EQ(chan.config().rx_noise_figure_db, 5.0);
+
+  const double lna_f = db2lin(3.5), lna_g = db2lin(20.0);
+  const double mixer_f = db2lin(9.0), mixer_g = db2lin(-9.0);
+  const double bpf_f = db2lin(1.0);
+  const double cascade_db =
+      lin2db(lna_f + (mixer_f - 1.0) / lna_g + (bpf_f - 1.0) / (lna_g * mixer_g));
+  EXPECT_NEAR(cascade_db, 3.67, 0.005);
+  EXPECT_NEAR(cascade_db + 1.33, chan.config().rx_noise_figure_db, 0.005);
+}
+
 TEST(BackscatterChannel, EffectiveUplinkNoiseRegimes) {
   const auto chan = make_channel();
   // Weak signal: thermal dominates.

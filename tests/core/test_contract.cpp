@@ -14,7 +14,6 @@
 #include "milback/dsp/fft.hpp"
 #include "milback/dsp/fir.hpp"
 #include "milback/radar/cfar.hpp"
-#include "milback/rf/waveform.hpp"
 
 namespace milback {
 namespace {
@@ -130,19 +129,6 @@ TEST(DomainGuards, MessageNamesQuantityAndValue) {
 }
 
 // --- subsystem entry points reject invalid configs --------------------------
-
-TEST(SubsystemContracts, WaveformGeneratorRejectsEmptyBand) {
-  rf::WaveformGeneratorConfig cfg;
-  cfg.min_frequency_hz = 29.5e9;
-  cfg.max_frequency_hz = 26.5e9;  // inverted band
-  EXPECT_THROW(rf::WaveformGenerator{cfg}, ContractViolation);
-}
-
-TEST(SubsystemContracts, WaveformGeneratorRejectsNegativeSegmentBandwidth) {
-  rf::WaveformGeneratorConfig cfg;
-  cfg.max_segment_bandwidth_hz = -2e9;
-  EXPECT_THROW(rf::WaveformGenerator{cfg}, ContractViolation);
-}
 
 TEST(SubsystemContracts, FsaRejectsDegenerateGeometry) {
   antenna::FsaConfig cfg;

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "milback/dsp/fir.hpp"
-#include "milback/dsp/goertzel.hpp"
 #include "milback/util/units.hpp"
+#include "support/tone_power.hpp"
 
 namespace milback::dsp {
 namespace {

@@ -1,12 +1,13 @@
-// Goertzel single-bin DFT tests.
+// Tests of the Goertzel single-bin DFT probes in tests/support, which the
+// FIR and resampler tests measure tone power with.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "milback/dsp/fft.hpp"
-#include "milback/dsp/goertzel.hpp"
 #include "milback/util/rng.hpp"
 #include "milback/util/units.hpp"
+#include "support/tone_power.hpp"
 
 namespace milback::dsp {
 namespace {

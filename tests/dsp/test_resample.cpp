@@ -3,9 +3,9 @@
 
 #include <cmath>
 
-#include "milback/dsp/goertzel.hpp"
 #include "milback/dsp/resample.hpp"
 #include "milback/util/units.hpp"
+#include "support/tone_power.hpp"
 
 namespace milback::dsp {
 namespace {

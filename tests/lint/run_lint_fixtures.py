@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Fixture suite for scripts/physics_lint.py rules R1, R10 and R11.
+"""Fixture suite for scripts/physics_lint.py rules R1, R10, R11 and R12.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the flagged ones, plus
 bench/ for the R1 engines; tests/util/, src/milback/channel/ and
-src/milback/mesh/ for the allowed-scope negative controls), runs
+src/milback/mesh/ for the allowed-scope negative controls; a tests/ and a
+bench/ includer for the R12 headers), runs
 physics_lint on the staged tree, and asserts the reported
 findings match the `lint-expect: R<n>` markers exactly — same rule id, same
 staged file, same line — with nothing reported for the clean controls.
@@ -38,6 +39,10 @@ STAGE = [
     ("r11_flood.cpp", "src/milback/fix/r11_flood.cpp"),
     ("r11_clean.cpp", "src/milback/fix/r11_clean.cpp"),
     ("r11_mesh_ok.cpp", "src/milback/mesh/r11_mesh_ok.cpp"),
+    ("r12_tests_only.hpp", "src/milback/fix/r12_tests_only.hpp"),
+    ("r12_test_user.cpp", "tests/fix/r12_test_user.cpp"),
+    ("r12_bench_used.hpp", "src/milback/fix/r12_bench_used.hpp"),
+    ("r12_bench_user.cpp", "bench/r12_bench_user.cpp"),
 ]
 
 
