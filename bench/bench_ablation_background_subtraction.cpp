@@ -10,7 +10,7 @@
 #include <cmath>
 
 #include "milback/ap/localizer.hpp"
-#include "milback/dsp/fft.hpp"
+#include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/peak.hpp"
 
 using namespace milback;

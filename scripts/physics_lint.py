@@ -49,6 +49,19 @@ Rules:
       reach is a second model nothing in the simulator runs (test-only
       probes belong under tests/). The include graph is textual: quoted
       `#include "milback/..."` lines across src/, bench/, examples/, tests/.
+      In src/milback/dsp/ and src/milback/rf/ the rule also works per
+      function: a free function declared in one of those headers is a
+      finding when no file in src/, bench/ or examples/ names it. Its own
+      header does not count, and in its own .cpp only names inside a
+      function body after the end of its definition count. Also textual:
+      comments and string literals are blanked, and `.name`/`->name`
+      member accesses are not names.
+  R13 contract/noexcept discipline: a contract check (MILBACK_REQUIRE /
+      ENSURE / ASSERT or a require_* domain guard) written directly in the
+      body of a `noexcept` function in src/, bench/ or examples/. The
+      default handler throws ContractViolation, and a throw out of a
+      noexcept body calls std::terminate instead of reaching the caller.
+      Calls made from that body are not followed.
 
 Exit status is non-zero when any violation is found.
 """
@@ -139,7 +152,24 @@ MESH_LOOP_ALLOWED_PREFIX = "src/milback/mesh/"
 # R12: the quoted project includes that make up the textual include graph.
 MILBACK_INCLUDE = re.compile(r'^\s*#\s*include\s*"(milback/[^"]+)"')
 
+# R12 (per function): the layers whose free functions are checked one by one.
+FUNCTION_REACH_DIRS = ("src/milback/dsp/", "src/milback/rf/")
+# What runs the simulator: the scope of R13 and the users R12 counts.
+SIMULATOR_DIRS = ("src/", "bench/", "examples/")
+
+# R13: the contract checks that throw under the default handler.
+CONTRACT_CHECK = re.compile(
+    r"\b(?:MILBACK_(?:REQUIRE|ENSURE|ASSERT)|require_(?:finite|positive"
+    r"|non_negative|in_range|unit_interval|nonzero))\s*\("
+)
+NOEXCEPT = re.compile(r"\bnoexcept\b")
+
 COMMENT_LINE = re.compile(r"^\s*(?://|\*|/\*)")
+# Comments and string/char literals; digit separators (1'000) go first.
+CODE_NOISE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:[^"\\\n]|\\.)*"|\'(?:[^\'\\\n]|\\.)+\'', re.S
+)
+DIGIT_SEPARATOR = re.compile(r"(?<=[0-9])'(?=[0-9A-Fa-f])")
 
 
 def strip_strings(line: str) -> str:
@@ -275,6 +305,181 @@ def lint_test_only_headers(root: Path, paths: list[Path], errors: list[str]) -> 
             )
 
 
+def code_only(text: str) -> str:
+    """`text` with comments and literals blanked; offsets and newlines kept."""
+    text = DIGIT_SEPARATOR.sub(" ", text)
+    return CODE_NOISE.sub(lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+
+
+def match_close(code: str, i: int) -> int:
+    """Index just past the bracket that closes the one at `code[i]`."""
+    pairs = {"(": ")", "{": "}", "[": "]"}
+    stack = [pairs[code[i]]]
+    j = i + 1
+    while j < len(code) and stack:
+        c = code[j]
+        if c in pairs:
+            stack.append(pairs[c])
+        elif c == stack[-1]:
+            stack.pop()
+        j += 1
+    return j
+
+
+def skip_space(code: str, j: int) -> int:
+    while j < len(code) and code[j].isspace():
+        j += 1
+    return j
+
+
+def noexcept_body(code: str, j: int) -> int | None:
+    """Given the index just past a `noexcept`, returns the index of the
+    function body's `{`, or None when the keyword ends a declaration, a
+    function type or an operator expression."""
+    j = skip_space(code, j)
+    if j < len(code) and code[j] == "(":
+        end = match_close(code, j)
+        if code[j + 1 : end - 1].strip() == "false":
+            return None
+        j = skip_space(code, end)
+    while True:
+        m = re.match(r"(?:override|final)\b", code[j:])
+        if not m:
+            break
+        j = skip_space(code, j + m.end())
+    if code.startswith("->", j):  # trailing return type
+        while j < len(code) and code[j] not in "{;":
+            j = match_close(code, j) if code[j] in "([" else j + 1
+    elif code.startswith(":", j) and not code.startswith("::", j):
+        # Constructor member-init list: `name(...)` / `name{...}`, commas.
+        j += 1
+        while True:
+            m = re.match(r"\s*[\w:<>]+\s*", code[j:])
+            if not m:
+                return None
+            j += m.end()
+            if j >= len(code) or code[j] not in "({":
+                return None
+            j = skip_space(code, match_close(code, j))
+            if not code.startswith(",", j):
+                break
+            j += 1
+    return j if j < len(code) and code[j] == "{" else None
+
+
+def lint_noexcept_contracts(rel: str, code: str, errors: list[str]) -> None:
+    for m in NOEXCEPT.finditer(code):
+        brace = noexcept_body(code, m.end())
+        if brace is None:
+            continue
+        if CONTRACT_CHECK.search(code, brace, match_close(code, brace)):
+            line = code.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{rel}:{line}: [R13] contract check inside a noexcept body --"
+                " a violation calls std::terminate instead of throwing;"
+                " drop the noexcept"
+            )
+
+
+def namespace_scope(code: str) -> list[bool]:
+    """Per character: True where every enclosing brace is a namespace."""
+    out = [True] * len(code)
+    stack: list[bool] = []  # one entry per open brace: is it a namespace?
+    start = 0  # start of the text that leads up to the next brace
+    for i, c in enumerate(code):
+        if c == "{":
+            stack.append(re.search(r"\bnamespace\b|\bextern\b", code[start:i]) is not None)
+            start = i + 1
+        elif c == "}":
+            if stack:
+                stack.pop()
+            start = i + 1
+        elif c == ";":
+            start = i + 1
+        out[i] = all(stack) and c != "}"
+    return out
+
+
+def free_function_decls(code: str) -> list[tuple[str, int]]:
+    """(name, line) of the free functions a header declares at namespace
+    scope. A statement declares one when an identifier sits right before its
+    first `(` with no `=` ahead of it (that is a variable initializer)."""
+    code = re.sub(r"(?m)^[ \t]*#.*$", lambda m: " " * len(m.group(0)), code)
+    scope = namespace_scope(code)
+    out = []
+    stmt_start = None
+    for i, c in enumerate(code):
+        if not scope[i]:
+            if stmt_start is not None and c == "{":
+                out.extend(declared_name(code, stmt_start, i))
+            stmt_start = None
+            continue
+        if c in ";{}":
+            if stmt_start is not None and c == ";":
+                out.extend(declared_name(code, stmt_start, i))
+            stmt_start = None
+        elif stmt_start is None and not c.isspace():
+            stmt_start = i
+    return out
+
+
+def declared_name(code: str, start: int, end: int) -> list[tuple[str, int]]:
+    stmt = code[start:end]
+    if re.match(r"\s*(?:using|typedef|static_assert|friend|namespace)\b", stmt):
+        return []
+    paren = stmt.find("(")
+    if paren < 0 or "=" in stmt[:paren]:
+        return []
+    m = re.search(r"([A-Za-z_]\w*)\s*$", stmt[:paren])
+    if not m or m.group(1) in {"decltype", "alignas", "noexcept"}:
+        return []
+    if re.search(r"\boperator\b", stmt[:paren]):
+        return []
+    return [(m.group(1), code.count("\n", 0, start + m.start(1)) + 1)]
+
+
+def definition_end(code: str, name: str) -> int:
+    """Index past the body of `name`'s namespace-scope definition in `code`,
+    or 0 when the file defines no such function."""
+    scope = namespace_scope(code)
+    for m in re.finditer(rf"\b{re.escape(name)}\s*\(", code):
+        if not scope[m.start()]:
+            continue
+        j = match_close(code, m.end() - 1)
+        while j < len(code) and code[j] not in "{;":
+            j = match_close(code, j) if code[j] in "([" else j + 1
+        if j < len(code) and code[j] == "{":
+            return match_close(code, j)
+    return 0
+
+
+def lint_test_only_functions(codes: dict[str, str], errors: list[str]) -> None:
+    users = {rel: code for rel, code in codes.items() if rel.startswith(SIMULATOR_DIRS)}
+    for rel, code in codes.items():
+        if not (rel.endswith(".hpp") and rel.rsplit("/", 1)[0] + "/" in FUNCTION_REACH_DIRS):
+            continue
+        own_cpp = rel[: -len(".hpp")] + ".cpp"
+        for name, line in free_function_decls(code):
+            pattern = re.compile(rf"(?<!\.)(?<!->)\b{re.escape(name)}\b")
+            named = False
+            for user, text in users.items():
+                if user == own_cpp:
+                    # A use sits in a function body; a later overload's
+                    # definition at namespace scope is not one.
+                    scope = namespace_scope(text)
+                    hits = pattern.finditer(text, definition_end(text, name))
+                    named = any(not scope[m.start()] for m in hits)
+                else:
+                    named = user != rel and pattern.search(text) is not None
+                if named:
+                    break
+            if not named:
+                errors.append(
+                    f"{rel}:{line}: [R12] `{name}` is named by nothing outside"
+                    " tests/ -- call it from the simulator, or delete it"
+                )
+
+
 RULES = (
     ("R1", "raw std RNG engine/distribution outside util/rng -- use milback::Rng"),
     ("R2", "`using namespace` in a header"),
@@ -287,12 +492,14 @@ RULES = (
     ("R9", "std::chrono outside src/milback/obs/ -- sim timestamps must be sim time"),
     ("R10", "ad-hoc 20*log10(distance) FSPL outside src/milback/channel/"),
     ("R11", "ad-hoc TTL/flood/neighbor relay loop outside src/milback/mesh/"),
-    ("R12", "src/milback/ header that nothing outside tests/ (and its own .cpp) includes"),
+    ("R12", "src/milback/ header that nothing outside tests/ (and its own .cpp) includes;"
+            " in dsp/ and rf/, also a free function nothing outside tests/ names"),
+    ("R13", "contract check directly inside a noexcept function body"),
 )
 
 
 def list_rules() -> None:
-    print("physics_lint textual rules (fast, line-oriented gate):")
+    print("physics_lint textual rules (fast, no compile database needed):")
     for rule, desc in RULES:
         print(f"  {rule}  {desc}")
     print()
@@ -317,7 +524,14 @@ def main() -> int:
             if path.suffix in CPP_EXTS and path.is_file():
                 paths.append(path)
                 lint_file(root, path, errors)
+    codes: dict[str, str] = {}
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        codes[rel] = code_only(path.read_text(encoding="utf-8", errors="replace"))
+        if rel.startswith(SIMULATOR_DIRS):
+            lint_noexcept_contracts(rel, codes[rel], errors)
     lint_test_only_headers(root, paths, errors)
+    lint_test_only_functions(codes, errors)
     for e in errors:
         print(e)
     print(f"physics_lint: {len(paths)} files scanned, {len(errors)} violation(s)")

@@ -8,7 +8,7 @@
 
 namespace milback::antenna {
 
-double uniform_array_factor(double psi, std::size_t n) noexcept {
+double uniform_array_factor(double psi, std::size_t n) {
   require_finite(psi, "psi");
   if (n == 0) return 0.0;
   if (n == 1) return 1.0;
@@ -23,7 +23,7 @@ double array_directivity_db(std::size_t n) noexcept {
   return 10.0 * std::log10(double(n));
 }
 
-double element_pattern_db(double theta_deg, double q) noexcept {
+double element_pattern_db(double theta_deg, double q) {
   require_finite(theta_deg, "theta_deg");
   require_positive(q, "q");
   const double theta = std::abs(theta_deg);
@@ -32,7 +32,7 @@ double element_pattern_db(double theta_deg, double q) noexcept {
   return std::max(10.0 * q * std::log10(c), -40.0);
 }
 
-double beamwidth_deg(std::size_t n, double d_over_lambda, double theta_deg) noexcept {
+double beamwidth_deg(std::size_t n, double d_over_lambda, double theta_deg) {
   require_finite(theta_deg, "theta_deg");
   if (n == 0 || d_over_lambda <= 0.0) return 180.0;
   const double broadside = 0.886 / (double(n) * d_over_lambda);  // radians

@@ -25,7 +25,7 @@ DualPortFsa::DualPortFsa(const FsaConfig& config) : config_(config) {
                  "DualPortFsa: derived geometry must be positive");
 }
 
-std::optional<double> DualPortFsa::beam_angle_deg(FsaPort port, double f_hz) const noexcept {
+std::optional<double> DualPortFsa::beam_angle_deg(FsaPort port, double f_hz) const {
   require_finite(f_hz, "f_hz");
   if (f_hz <= 0.0) return std::nullopt;
   const double fc = config_.center_frequency_hz;
@@ -38,7 +38,7 @@ std::optional<double> DualPortFsa::beam_angle_deg(FsaPort port, double f_hz) con
 }
 
 std::optional<double> DualPortFsa::beam_frequency_hz(FsaPort port,
-                                                     double theta_deg) const noexcept {
+                                                     double theta_deg) const {
   require_finite(theta_deg, "theta_deg");
   const double fc = config_.center_frequency_hz;
   const double m = double(config_.mode_number);
@@ -64,7 +64,7 @@ double DualPortFsa::psi(FsaPort port, double f_hz, double theta_deg) const noexc
   return port == FsaPort::kA ? spatial - line : spatial + line;
 }
 
-double DualPortFsa::gain_dbi(FsaPort port, double f_hz, double theta_deg) const noexcept {
+double DualPortFsa::gain_dbi(FsaPort port, double f_hz, double theta_deg) const {
   require_finite(f_hz, "f_hz");
   require_finite(theta_deg, "theta_deg");
   const double af = uniform_array_factor(psi(port, f_hz, theta_deg), config_.n_elements);
@@ -87,7 +87,7 @@ double DualPortFsa::peak_gain_dbi() const noexcept {
          config_.efficiency_db;
 }
 
-double DualPortFsa::beamwidth_deg(double f_hz) const noexcept {
+double DualPortFsa::beamwidth_deg(double f_hz) const {
   require_finite(f_hz, "f_hz");
   const double theta = beam_angle_deg(FsaPort::kA, f_hz).value_or(0.0);
   const double d_over_lambda = spacing_m_ / wavelength(f_hz);
@@ -95,7 +95,7 @@ double DualPortFsa::beamwidth_deg(double f_hz) const noexcept {
 }
 
 std::optional<std::pair<double, double>> DualPortFsa::carrier_pair_for_angle(
-    double theta_deg) const noexcept {
+    double theta_deg) const {
   require_finite(theta_deg, "theta_deg");
   const auto fa = beam_frequency_hz(FsaPort::kA, theta_deg);
   const auto fb = beam_frequency_hz(FsaPort::kB, theta_deg);
@@ -103,7 +103,7 @@ std::optional<std::pair<double, double>> DualPortFsa::carrier_pair_for_angle(
   return std::make_pair(*fa, *fb);
 }
 
-bool DualPortFsa::normal_incidence(double theta_deg, double min_separation_hz) const noexcept {
+bool DualPortFsa::normal_incidence(double theta_deg, double min_separation_hz) const {
   require_finite(theta_deg, "theta_deg");
   require_non_negative(min_separation_hz, "min_separation_hz");
   const auto pair = carrier_pair_for_angle(theta_deg);

@@ -67,16 +67,16 @@ class DualPortFsa {
   /// Beam direction [deg] of `port` at frequency `f_hz`; std::nullopt when
   /// the mainlobe has scanned past endfire (|sin| > 1) — outside the
   /// operating band.
-  std::optional<double> beam_angle_deg(FsaPort port, double f_hz) const noexcept;
+  std::optional<double> beam_angle_deg(FsaPort port, double f_hz) const;
 
   /// Frequency [Hz] whose beam (for `port`) points at `theta_deg`;
   /// std::nullopt when that frequency falls outside the operating band.
-  std::optional<double> beam_frequency_hz(FsaPort port, double theta_deg) const noexcept;
+  std::optional<double> beam_frequency_hz(FsaPort port, double theta_deg) const;
 
   /// Realized gain [dBi] of `port` at frequency `f_hz` toward `theta_deg`:
   /// array factor x element pattern x efficiency, floored by the diffuse
   /// sidelobe level.
-  double gain_dbi(FsaPort port, double f_hz, double theta_deg) const noexcept;
+  double gain_dbi(FsaPort port, double f_hz, double theta_deg) const;
 
   /// Linear power gain version of gain_dbi.
   double gain_linear(FsaPort port, double f_hz, double theta_deg) const noexcept;
@@ -85,19 +85,19 @@ class DualPortFsa {
   double peak_gain_dbi() const noexcept;
 
   /// Half-power beamwidth [deg] at frequency `f_hz` (scan-broadened).
-  double beamwidth_deg(double f_hz) const noexcept;
+  double beamwidth_deg(double f_hz) const;
 
   /// The OAQFM carrier pair for a node whose boresight normal points
   /// `theta_deg` away from the AP direction: first = port A's aligned
   /// frequency, second = port B's. std::nullopt if either falls out of band
   /// (orientation outside the FSA's scan range).
   std::optional<std::pair<double, double>> carrier_pair_for_angle(
-      double theta_deg) const noexcept;
+      double theta_deg) const;
 
   /// True when the node is close enough to normal incidence that both ports
   /// alias to (nearly) the same carrier and OAQFM degenerates to OOK.
   /// `min_separation_hz` is the smallest usable tone spacing.
-  bool normal_incidence(double theta_deg, double min_separation_hz) const noexcept;
+  bool normal_incidence(double theta_deg, double min_separation_hz) const;
 
   /// Scan range [deg] across the operating band (min angle, max angle) for
   /// port A (port B is the mirror image).

@@ -20,7 +20,7 @@ void require_valid_pose(const NodePose& pose) {
 
 }  // namespace
 
-double modulation_power_coeff(const rf::RfSwitch& sw) noexcept {
+double modulation_power_coeff(const rf::RfSwitch& sw) {
   const double a_reflect = std::sqrt(sw.reflection_power(rf::SwitchState::kReflect));
   const double a_absorb = std::sqrt(sw.reflection_power(rf::SwitchState::kAbsorb));
   const double amp = (a_reflect - a_absorb) / 2.0;

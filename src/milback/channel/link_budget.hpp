@@ -52,7 +52,7 @@ struct RadarBudget {
 /// Effective modulation power coefficient of OOK backscatter through an RF
 /// switch: ((sqrt(G_reflect) - sqrt(G_absorb)) / 2)^2 — the fraction of
 /// incident power that ends up in the data-bearing component.
-double modulation_power_coeff(const rf::RfSwitch& sw) noexcept;
+double modulation_power_coeff(const rf::RfSwitch& sw);
 
 /// Computes the downlink budget at `port` for a tone at `f_signal_hz` while
 /// the other OAQFM tone sits at `f_other_hz`, with detector noise measured

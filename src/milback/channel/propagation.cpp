@@ -21,7 +21,7 @@ double friis_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
 double backscatter_dbm(double tx_power_dbm, double ap_tx_gain_dbi, double ap_rx_gain_dbi,
                        double node_gain_in_dbi, double node_gain_out_dbi,
                        double reflect_power_coeff, double distance_m,
-                       double frequency_hz) noexcept {
+                       double frequency_hz) {
   require_positive(frequency_hz, "frequency_hz");
   const double loss = fspl_db(distance_m, frequency_hz);
   const double reflect_db = lin2db(std::max(reflect_power_coeff, 1e-30));
@@ -30,7 +30,7 @@ double backscatter_dbm(double tx_power_dbm, double ap_tx_gain_dbi, double ap_rx_
 }
 
 double radar_return_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
-                        double rcs_m2, double distance_m, double frequency_hz) noexcept {
+                        double rcs_m2, double distance_m, double frequency_hz) {
   // Pr = Pt Gt Gr lambda^2 sigma / ((4 pi)^3 d^4)
   require_positive(frequency_hz, "frequency_hz");
   const double d = std::max(distance_m, 0.01);

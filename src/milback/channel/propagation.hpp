@@ -18,12 +18,12 @@ double friis_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
 double backscatter_dbm(double tx_power_dbm, double ap_tx_gain_dbi, double ap_rx_gain_dbi,
                        double node_gain_in_dbi, double node_gain_out_dbi,
                        double reflect_power_coeff, double distance_m,
-                       double frequency_hz) noexcept;
+                       double frequency_hz);
 
 /// Received power [dBm] from a passive clutter reflector of radar cross
 /// section `rcs_m2` at `distance_m` (monostatic radar equation).
 double radar_return_dbm(double tx_power_dbm, double tx_gain_dbi, double rx_gain_dbi,
-                        double rcs_m2, double distance_m, double frequency_hz) noexcept;
+                        double rcs_m2, double distance_m, double frequency_hz);
 
 /// One-way propagation delay [s].
 double one_way_delay_s(double distance_m) noexcept;

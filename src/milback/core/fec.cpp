@@ -74,7 +74,7 @@ FecDecodeResult hamming74_decode(const std::vector<bool>& coded) {
   return r;
 }
 
-double hamming74_coded_ber(double raw_ber) noexcept {
+double hamming74_coded_ber(double raw_ber) {
   require_finite(raw_ber, "raw_ber");
   const double p = std::min(std::max(raw_ber, 0.0), 0.5);
   if (p <= 0.0) return 0.0;

@@ -33,7 +33,7 @@ FecDecodeResult hamming74_decode(const std::vector<bool>& coded);
 /// Post-decoding BER estimate for a raw channel bit error rate `raw_ber`
 /// (combinatorial over >= 2 errors per 7-bit block; miscorrection adds one
 /// more flipped bit per failed block).
-double hamming74_coded_ber(double raw_ber) noexcept;
+double hamming74_coded_ber(double raw_ber);
 
 /// Effective data rate [bps] through the code at a given channel rate.
 inline double hamming74_data_rate(double channel_rate_bps) noexcept {

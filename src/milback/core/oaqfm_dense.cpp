@@ -86,7 +86,7 @@ std::size_t dense_bit_errors(const std::vector<DenseSymbol>& tx,
   return errors;
 }
 
-double ber_dense_ask(double snr_linear, unsigned levels) noexcept {
+double ber_dense_ask(double snr_linear, unsigned levels) {
   require_finite(snr_linear, "snr_linear");
   if (!valid_levels(levels) || snr_linear <= 0.0) return 0.5;
   const double L = double(levels);

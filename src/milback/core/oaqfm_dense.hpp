@@ -89,7 +89,7 @@ std::size_t dense_bit_errors(const std::vector<DenseSymbol>& tx,
 /// Approximate per-tone symbol-error-driven BER of L-level power-domain ASK
 /// at full-scale decision SNR `snr_linear` = (V_fullscale / sigma_v)^2,
 /// assuming Gray coding: Pb ~ 2 (1 - 1/L) Q( sqrt(snr) / (2 (L-1)) ) / log2 L.
-double ber_dense_ask(double snr_linear, unsigned levels) noexcept;
+double ber_dense_ask(double snr_linear, unsigned levels);
 
 /// Extra SINR [dB] L-level dense OAQFM needs over standard OAQFM (L = 2) to
 /// hold the same BER: 20 log10(L - 1) (decision-distance shrinkage).

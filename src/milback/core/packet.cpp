@@ -8,7 +8,7 @@
 namespace milback::core {
 
 PacketTiming compute_timing(const PacketConfig& config, LinkDirection direction,
-                            double symbol_rate_hz) noexcept {
+                            double symbol_rate_hz) {
   require_finite(symbol_rate_hz, "symbol_rate_hz");
   PacketTiming t;
   const auto& p = config.preamble;
@@ -24,7 +24,7 @@ PacketTiming compute_timing(const PacketConfig& config, LinkDirection direction,
 }
 
 std::vector<double> field1_chirp_starts(const PreambleConfig& config,
-                                        LinkDirection direction) noexcept {
+                                        LinkDirection direction) {
   std::vector<double> starts;
   const double T = require_positive(config.field1.duration_s, "field1.duration_s");
   if (direction == LinkDirection::kUplink) {

@@ -47,11 +47,11 @@ struct PacketTiming {
 
 /// Computes packet timing for a direction at `symbol_rate_hz`.
 PacketTiming compute_timing(const PacketConfig& config, LinkDirection direction,
-                            double symbol_rate_hz) noexcept;
+                            double symbol_rate_hz);
 
 /// Field-1 transmission schedule: chirp start times (seconds from field start).
 std::vector<double> field1_chirp_starts(const PreambleConfig& config,
-                                        LinkDirection direction) noexcept;
+                                        LinkDirection direction);
 
 /// Node-side direction detection from its Field-1 envelope trace: the node
 /// cannot count chirps directly (it only sees peaks when the sweep crosses

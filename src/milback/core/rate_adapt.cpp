@@ -4,14 +4,14 @@
 
 namespace milback::core {
 
-double service_rate_bps(const RateAdaptConfig& config, double snr_db) noexcept {
+double service_rate_bps(const RateAdaptConfig& config, double snr_db) {
   require_finite(snr_db, "snr_db");
   if (snr_db >= config.snr_for_40mbps_db) return 40e6;
   if (snr_db >= config.snr_for_10mbps_db) return 10e6;
   return 0.0;
 }
 
-RateDecision adapt_rate(const RateAdaptConfig& config, double snr_db) noexcept {
+RateDecision adapt_rate(const RateAdaptConfig& config, double snr_db) {
   require_finite(snr_db, "snr_db");
   if (snr_db >= config.snr_for_40mbps_db) {
     return {40e6, snr_db < config.snr_for_40mbps_db + config.fec_margin_db};

@@ -37,10 +37,10 @@ struct RateDecision {
 };
 
 /// Scheduler decision: 40e6 / 10e6 / 0 bps (0 = not worth a service slot).
-double service_rate_bps(const RateAdaptConfig& config, double snr_db) noexcept;
+double service_rate_bps(const RateAdaptConfig& config, double snr_db);
 
 /// Session decision: rate plus FEC, falling back to 10 Mbps + FEC below the
 /// 10 Mbps threshold (an established link keeps trying; see session.hpp).
-RateDecision adapt_rate(const RateAdaptConfig& config, double snr_db) noexcept;
+RateDecision adapt_rate(const RateAdaptConfig& config, double snr_db);
 
 }  // namespace milback::core

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "milback/core/contract.hpp"
-#include "milback/dsp/fft.hpp"
 #include "milback/obs/registry.hpp"
 
 namespace milback::dsp {
@@ -17,7 +16,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
 
   // Bit-reversal permutation, recorded as the swap partner of each index
   // (j < i entries are the already-swapped mirror and are skipped at
-  // execution time exactly like the in-loop variant did).
+  // execution time, as in the textbook in-loop permutation).
   bitrev_.resize(n);
   for (std::size_t i = 0, j = 0; i < n; ++i) {
     bitrev_[i] = std::uint32_t(j);
@@ -27,7 +26,7 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
   }
 
   // Per-stage twiddle tables. Each stage `len` stores the len/2 values the
-  // legacy loop produced by repeated multiplication `w *= wlen`; keeping the
+  // textbook loop produces by repeated multiplication `w *= wlen`; keeping the
   // same recurrence (instead of calling cos/sin per entry) keeps planned
   // transforms bit-identical to the reference implementation.
   fwd_.reserve(n - 1);
@@ -96,51 +95,6 @@ void FftPlan::inverse(std::vector<cplx>& x) const {
   inverse(x.data());
 }
 
-void FftPlan::forward_real(const std::vector<double>& x,
-                           std::vector<cplx>& out) const {
-  MILBACK_REQUIRE(n_ >= 2, "FftPlan::forward_real: plan size must be >= 2");
-  MILBACK_REQUIRE(x.size() <= n_, "FftPlan::forward_real: input longer than plan");
-  const std::size_t half = n_ / 2;
-  out.assign(n_, cplx{0.0, 0.0});
-
-  // Pack adjacent real samples into complex pairs z[j] = x[2j] + i*x[2j+1]
-  // and transform with the half-size plan (shared via the cache).
-  for (std::size_t j = 0; 2 * j < x.size(); ++j) {
-    const double re = x[2 * j];
-    const double im = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
-    out[j] = cplx{re, im};
-  }
-  fft_plan(half).forward(out.data());
-
-  // Untangle: with E/O the half-length DFTs of the even/odd samples,
-  //   E[k] = (Z[k] + conj(Z[half-k]))/2,  O[k] = -i (Z[k] - conj(Z[half-k]))/2,
-  //   X[k] = E[k] + W^k O[k],  X[k+half] = E[k] - W^k O[k],  W = e^{-2*pi*i/n}.
-  // W^k is exactly the last forward stage's twiddle table.
-  const cplx* w = fwd_.data() + (half - 1);
-  const cplx z0 = out[0];
-  out[0] = cplx{z0.real() + z0.imag(), 0.0};
-  out[half] = cplx{z0.real() - z0.imag(), 0.0};
-  for (std::size_t k = 1; 2 * k < half; ++k) {
-    const std::size_t m = half - k;
-    const cplx zk = out[k];
-    const cplx zm = out[m];
-    const cplx ek = 0.5 * (zk + std::conj(zm));
-    const cplx ok = cplx{0.0, -0.5} * (zk - std::conj(zm));
-    const cplx wok = w[k] * ok;
-    const cplx wom = w[m] * std::conj(ok);
-    out[k] = ek + wok;
-    out[k + half] = ek - wok;
-    out[m] = std::conj(ek) + wom;
-    out[m + half] = std::conj(ek) - wom;
-  }
-  if (half >= 2) {
-    // Self-paired bin k = half/2: E = Re(Z), O = Im(Z), W^{n/4} = -i.
-    const std::size_t q = half / 2;
-    out[q] = std::conj(out[q]);
-    out[q + half] = std::conj(out[q]);
-  }
-}
-
 const FftPlan& fft_plan(std::size_t n) {
   MILBACK_REQUIRE(is_pow2(n), "fft_plan: size must be a power of two");
   static std::mutex mutex;
@@ -157,6 +111,22 @@ const FftPlan& fft_plan(std::size_t n) {
     hits.add();
   }
   return *slot;
+}
+
+std::size_t next_pow2(std::size_t n) {
+  MILBACK_REQUIRE(n <= (std::size_t{1} << 62), "next_pow2: size out of range");
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+bool is_pow2(std::size_t n) noexcept { return n != 0 && (n & (n - 1)) == 0; }
+
+std::vector<double> magnitude_spectrum(const std::vector<cplx>& spectrum) {
+  std::vector<double> out(spectrum.size());
+  for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = std::abs(spectrum[i]);
+  MILBACK_ENSURE(out.size() == spectrum.size(), "magnitude_spectrum: one bin per input bin");
+  return out;
 }
 
 }  // namespace milback::dsp

@@ -1,23 +1,22 @@
 // Planned radix-2 FFT: precomputed bit-reversal permutation and per-stage
 // twiddle tables, executed in place on caller-owned buffers with zero
-// per-call allocation.
+// per-call allocation. This is the only transform in the tree: the AP's
+// range FFTs (radar/range_fft) and the orientation profiler's IFFT back to
+// reflected power vs chirp frequency (radar/spectrum_profile) both run it.
 //
 // Why a plan layer: the AP digests a 5 x 18 us Field-2 burst (10 range FFTs)
 // per localization, and the Monte-Carlo sweeps run thousands of trials per
-// figure — the legacy `dsp::fft` recomputed every twiddle factor with a
-// complex multiply per butterfly and allocated a fresh output vector per
-// call. A plan amortizes all of that setup across the run.
+// figure. Recomputing every twiddle factor with a complex multiply per
+// butterfly, and allocating an output vector per call, would repeat the same
+// setup for each of them; a plan amortizes it across the run.
 //
-// Accuracy policy: the twiddle tables are generated with the *same*
-// `w *= wlen` recurrence the legacy loop evaluated on the fly, so planned
-// transforms are bit-identical to the textbook iterative Cooley-Tukey
-// reference (tests/dsp/test_fft_plan.cpp pins this). The butterfly is
-// written as real arithmetic on the interleaved doubles; for finite inputs
-// it is bit-identical to std::complex's operator* (the build is ISO C++20,
-// so nothing contracts to FMA), without that operator's NaN recovery path.
-// The real-input
-// transform uses the half-size complex trick and is equivalent to the full
-// complex transform only up to rounding (~1e-12 relative).
+// Accuracy policy: the twiddle tables are generated with the `w *= wlen`
+// recurrence of the textbook iterative Cooley-Tukey loop, so planned
+// transforms are bit-identical to that reference (tests/dsp/test_fft_plan.cpp
+// pins this). The butterfly is written as real arithmetic on the interleaved
+// doubles; for finite inputs it is bit-identical to std::complex's operator*
+// (the build is ISO C++20, so nothing contracts to FMA), without that
+// operator's NaN recovery path.
 #pragma once
 
 #include <complex>
@@ -54,13 +53,6 @@ class FftPlan {
   void inverse(cplx* x) const noexcept;
   void inverse(std::vector<cplx>& x) const;
 
-  /// Forward DFT of a real signal via the half-size complex trick: packs the
-  /// input into size()/2 complex samples, runs the half plan, and untangles
-  /// the spectrum into all `size()` bins of `out` (resized; conjugate
-  /// symmetric). `x.size()` must be <= size(); the tail is zero-padded.
-  /// Requires size() >= 2. Costs ~half of a full complex `forward`.
-  void forward_real(const std::vector<double>& x, std::vector<cplx>& out) const;
-
  private:
   void execute(cplx* x, const std::vector<cplx>& twiddle) const noexcept;
 
@@ -76,5 +68,14 @@ class FftPlan {
 /// results are bit-identical no matter which thread (or how many
 /// sim::TrialRunner workers) first populated the cache.
 const FftPlan& fft_plan(std::size_t n);
+
+/// Smallest power of two >= n (n >= 1). next_pow2(0) == 1.
+std::size_t next_pow2(std::size_t n);
+
+/// True if n is a nonzero power of two.
+bool is_pow2(std::size_t n) noexcept;
+
+/// |X[k]| for each bin.
+std::vector<double> magnitude_spectrum(const std::vector<cplx>& spectrum);
 
 }  // namespace milback::dsp

@@ -12,7 +12,7 @@ std::size_t argmax(const std::vector<double>& x) noexcept {
   return std::size_t(std::max_element(x.begin(), x.end()) - x.begin());
 }
 
-Peak interpolate_peak(const std::vector<double>& x, std::size_t k) noexcept {
+Peak interpolate_peak(const std::vector<double>& x, std::size_t k) {
   if (x.empty()) return {};
   MILBACK_REQUIRE(k < x.size(), "interpolate_peak: peak index within x");
   if (k == 0 || k + 1 >= x.size()) return {double(k), x.empty() ? 0.0 : x[k]};

@@ -23,7 +23,7 @@ std::size_t argmax(const std::vector<double>& x) noexcept;
 
 /// Quadratic (parabolic) interpolation around integer bin `k` of `x`.
 /// Falls back to the integer peak at the edges. Works on linear magnitudes.
-Peak interpolate_peak(const std::vector<double>& x, std::size_t k) noexcept;
+Peak interpolate_peak(const std::vector<double>& x, std::size_t k);
 
 /// Global maximum with parabolic refinement.
 Peak max_peak(const std::vector<double>& x) noexcept;

@@ -29,25 +29,10 @@ std::vector<double> make_window(WindowType type, std::size_t n) {
       case WindowType::kHann:
         w[i] = 0.5 - 0.5 * std::cos(kTau * t);
         break;
-      case WindowType::kHamming:
-        w[i] = 0.54 - 0.46 * std::cos(kTau * t);
-        break;
-      case WindowType::kBlackman:
-        w[i] = 0.42 - 0.5 * std::cos(kTau * t) + 0.08 * std::cos(2.0 * kTau * t);
-        break;
-      case WindowType::kBlackmanHarris:
-        w[i] = 0.35875 - 0.48829 * std::cos(kTau * t) + 0.14128 * std::cos(2.0 * kTau * t) -
-               0.01168 * std::cos(3.0 * kTau * t);
-        break;
     }
   }
   MILBACK_ENSURE(w.size() == n, "make_window: one coefficient per sample");
   return w;
-}
-
-void apply_window(std::vector<double>& x, const std::vector<double>& w) {
-  MILBACK_REQUIRE(x.size() == w.size(), "apply_window: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= w[i];
 }
 
 // milback-analyze: no-contract(total over any window; empty input is defined to return 0)
@@ -56,18 +41,6 @@ double coherent_gain(const std::vector<double>& w) noexcept {
   double sum = 0.0;
   for (double v : w) sum += v;
   return sum / double(w.size());
-}
-
-// milback-analyze: no-contract(total over any window; degenerate windows are defined to return 0)
-double enbw_bins(const std::vector<double>& w) noexcept {
-  if (w.empty()) return 0.0;
-  double sum = 0.0, sum2 = 0.0;
-  for (double v : w) {
-    sum += v;
-    sum2 += v * v;
-  }
-  if (sum == 0.0) return 0.0;
-  return double(w.size()) * sum2 / (sum * sum);
 }
 
 const CachedWindow& cached_window(WindowType type, std::size_t n) {
@@ -90,7 +63,6 @@ const CachedWindow& cached_window(WindowType type, std::size_t n) {
     auto entry = std::make_unique<CachedWindow>();
     entry->samples = make_window(type, n);
     entry->coherent_gain_lin = coherent_gain(entry->samples);
-    entry->enbw_bins = enbw_bins(entry->samples);
     entry->normalized = entry->samples;
     if (entry->coherent_gain_lin > 0.0) {
       for (double& v : entry->normalized) v /= entry->coherent_gain_lin;

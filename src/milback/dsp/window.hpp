@@ -1,6 +1,8 @@
 // Window functions for spectral analysis. FMCW range FFTs use a Hann window
 // to suppress sidelobes of strong clutter that would otherwise bury the
-// node's weak backscatter return.
+// node's weak backscatter return. The AP orientation sensor uses a
+// rectangular one, so the time envelope it recovers is the FSA pattern and
+// not the window shape.
 #pragma once
 
 #include <cstddef>
@@ -12,23 +14,13 @@ namespace milback::dsp {
 enum class WindowType {
   kRectangular,  ///< All-ones (no windowing).
   kHann,         ///< Raised cosine; -31 dB first sidelobe.
-  kHamming,      ///< -43 dB first sidelobe, non-zero ends.
-  kBlackman,     ///< -58 dB first sidelobe, wider mainlobe.
-  kBlackmanHarris,  ///< 4-term, -92 dB sidelobes, widest mainlobe.
 };
 
 /// Generates the length-`n` window. n == 0 yields an empty vector.
 std::vector<double> make_window(WindowType type, std::size_t n);
 
-/// Multiplies `x` elementwise by the window (sizes must match; throws
-/// std::invalid_argument otherwise).
-void apply_window(std::vector<double>& x, const std::vector<double>& w);
-
 /// Coherent gain of a window: sum(w)/n. Used to renormalize peak amplitudes.
 double coherent_gain(const std::vector<double>& w) noexcept;
-
-/// Equivalent noise bandwidth in bins: n*sum(w^2)/sum(w)^2.
-double enbw_bins(const std::vector<double>& w) noexcept;
 
 /// One window shape at one length, with the derived scalars every consumer
 /// used to recompute per call. Immutable once built.
@@ -36,7 +28,6 @@ struct CachedWindow {
   std::vector<double> samples;     ///< make_window(type, n).
   std::vector<double> normalized;  ///< samples / coherent gain (peak-preserving).
   double coherent_gain_lin = 0.0;  ///< coherent_gain(samples).
-  double enbw_bins = 0.0;          ///< enbw_bins(samples).
 };
 
 /// Process-wide, thread-safe window cache keyed by (type, length). Returns a

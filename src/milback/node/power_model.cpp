@@ -5,7 +5,7 @@
 namespace milback::node {
 
 double node_power_w(NodeMode mode, const PowerModelConfig& config,
-                    double toggle_rate_hz) noexcept {
+                    double toggle_rate_hz) {
   require_non_negative(toggle_rate_hz, "toggle_rate_hz");
   if (mode == NodeMode::kIdle) return config.idle_power_w;
   // Two detectors + two switch biases + support rail are on in every active

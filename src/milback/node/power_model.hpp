@@ -34,7 +34,7 @@ struct PowerModelConfig {
 /// per-switch state-change rate (symbol rate for uplink, 10 kHz for
 /// localization, 0 otherwise).
 double node_power_w(NodeMode mode, const PowerModelConfig& config,
-                    double toggle_rate_hz = 0.0) noexcept;
+                    double toggle_rate_hz = 0.0);
 
 /// Same including the MCU.
 double node_power_with_mcu_w(NodeMode mode, const PowerModelConfig& config,

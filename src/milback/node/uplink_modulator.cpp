@@ -48,7 +48,7 @@ std::size_t count_transitions(const UplinkSchedule& schedule) noexcept {
 }
 
 double average_toggle_rate_hz(const UplinkSchedule& schedule,
-                              double symbol_rate_hz) noexcept {
+                              double symbol_rate_hz) {
   const std::size_t symbols = schedule.port_a.size();
   if (symbols < 2) return 0.0;
   require_positive(symbol_rate_hz, "symbol_rate_hz");

@@ -33,6 +33,6 @@ std::size_t count_transitions(const UplinkSchedule& schedule) noexcept;
 
 /// Average per-switch toggle rate [Hz] of a schedule at `symbol_rate_hz`.
 double average_toggle_rate_hz(const UplinkSchedule& schedule,
-                              double symbol_rate_hz) noexcept;
+                              double symbol_rate_hz);
 
 }  // namespace milback::node

@@ -28,15 +28,15 @@ double offset_to_phase_rad(double offset_deg, const AoaConfig& config) noexcept;
 
 /// Inverts the interferometer equation. Returns std::nullopt when the phase
 /// implies |sin| > 1 (should not happen inside the unambiguous window).
-std::optional<double> phase_to_offset_deg(double phase_rad, const AoaConfig& config) noexcept;
+std::optional<double> phase_to_offset_deg(double phase_rad, const AoaConfig& config);
 
 /// Estimates the arrival offset [deg] from the complex peak-bin values of
 /// the two RX channels (phase of the cross product).
 std::optional<double> estimate_offset_deg(std::complex<double> rx0_peak,
                                           std::complex<double> rx1_peak,
-                                          const AoaConfig& config) noexcept;
+                                          const AoaConfig& config);
 
 /// Half-width of the unambiguous angle window [deg].
-double unambiguous_halfwidth_deg(const AoaConfig& config) noexcept;
+double unambiguous_halfwidth_deg(const AoaConfig& config);
 
 }  // namespace milback::radar

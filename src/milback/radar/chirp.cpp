@@ -14,7 +14,7 @@ double ChirpConfig::slope_hz_per_s() const noexcept {
   return bandwidth_hz / sweep_time;
 }
 
-double ChirpConfig::frequency_at(double t) const noexcept {
+double ChirpConfig::frequency_at(double t) const {
   require_finite(t, "t");
   const double tt = std::clamp(t, 0.0, duration_s);
   if (shape == ChirpShape::kSawtooth) {
@@ -25,7 +25,7 @@ double ChirpConfig::frequency_at(double t) const noexcept {
   return end_frequency_hz() - slope_hz_per_s() * (tt - half);
 }
 
-std::size_t ChirpConfig::crossings(double f, double t_out[2]) const noexcept {
+std::size_t ChirpConfig::crossings(double f, double t_out[2]) const {
   require_finite(f, "f");
   if (f < start_frequency_hz || f > end_frequency_hz()) return 0;
   const double s = slope_hz_per_s();

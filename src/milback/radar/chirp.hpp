@@ -30,12 +30,12 @@ struct ChirpConfig {
   double slope_hz_per_s() const noexcept;
 
   /// Instantaneous frequency at time `t` in [0, duration].
-  double frequency_at(double t) const noexcept;
+  double frequency_at(double t) const;
 
   /// Time(s) at which the sweep crosses frequency `f`. For a sawtooth there
   /// is one crossing; for a triangular chirp there are two (up and down leg).
   /// Returns the count written into `t_out[2]`; 0 if `f` is out of sweep.
-  std::size_t crossings(double f, double t_out[2]) const noexcept;
+  std::size_t crossings(double f, double t_out[2]) const;
 
   /// Sweep end frequency.
   double end_frequency_hz() const noexcept {

@@ -1,7 +1,6 @@
 #include "milback/radar/range_fft.hpp"
 
 #include "milback/core/contract.hpp"
-#include "milback/dsp/fft.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/util/units.hpp"
 

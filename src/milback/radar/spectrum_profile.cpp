@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "milback/core/contract.hpp"
-#include "milback/dsp/fft.hpp"
+#include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/peak.hpp"
-#include "milback/dsp/resample.hpp"
+#include "milback/dsp/smoothing.hpp"
 
 namespace milback::radar {
 
@@ -30,7 +30,8 @@ FrequencyProfile reflected_power_profile(
 
   // Back to the time domain: the difference spectrum's IFFT is the node's
   // modulated return over the chirp (clutter already cancelled).
-  auto time_domain = dsp::ifft(difference_spectrum);
+  auto time_domain = difference_spectrum;
+  dsp::fft_plan(time_domain.size()).inverse(time_domain);
   // Only the span covered by real samples maps to sweep time; the FFT was
   // zero-padded beyond the chirp, so restrict to the chirp extent.
   const std::size_t n_chirp =

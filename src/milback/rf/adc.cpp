@@ -22,7 +22,7 @@ double Adc::quantization_noise_power() const noexcept {
   return q * q / 12.0;
 }
 
-double Adc::quantize(double v) const noexcept {
+double Adc::quantize(double v) const {
   require_finite(v, "v");
   const double lo = config_.bipolar ? -config_.full_scale_v / 2.0 : 0.0;
   const double hi = config_.bipolar ? config_.full_scale_v / 2.0 : config_.full_scale_v;

@@ -26,7 +26,7 @@ class Adc {
   explicit Adc(const AdcConfig& config);
 
   /// Quantizes one voltage to the nearest code's voltage (clips at range).
-  double quantize(double v) const noexcept;
+  double quantize(double v) const;
 
   /// Samples a waveform given at `input_rate_hz` down to the ADC rate
   /// (nearest-sample decimation; input rate must be >= ADC rate) and

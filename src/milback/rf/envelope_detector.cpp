@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "milback/core/contract.hpp"
-#include "milback/dsp/fir.hpp"
+#include "milback/dsp/smoothing.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::rf {

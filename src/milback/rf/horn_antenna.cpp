@@ -13,7 +13,7 @@ HornAntenna::HornAntenna(const HornAntennaConfig& config) : config_(config) {
   require_finite(config_.boresight_gain_dbi, "boresight_gain_dbi");
 }
 
-double HornAntenna::gain_dbi(double offset_deg) const noexcept {
+double HornAntenna::gain_dbi(double offset_deg) const {
   require_finite(offset_deg, "offset_deg");
   // Gaussian main lobe: -3 dB at +-beamwidth/2.
   const double x = offset_deg / (config_.beamwidth_deg / 2.0);

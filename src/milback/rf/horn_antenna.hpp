@@ -23,7 +23,7 @@ class HornAntenna {
   explicit HornAntenna(const HornAntennaConfig& config);
 
   /// Gain [dBi] at `offset_deg` from boresight.
-  double gain_dbi(double offset_deg) const noexcept;
+  double gain_dbi(double offset_deg) const;
 
   /// Linear power gain at `offset_deg` from boresight.
   double gain_linear(double offset_deg) const noexcept;

@@ -1,8 +1,5 @@
 #include "milback/rf/noise.hpp"
 
-#include <cmath>
-
-#include "milback/core/contract.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::rf {
@@ -13,31 +10,6 @@ double noise_floor_w(double bandwidth_hz, double noise_figure_db) {
 
 double noise_floor_dbm(double bandwidth_hz, double noise_figure_db) {
   return watt2dbm(noise_floor_w(bandwidth_hz, noise_figure_db));
-}
-
-std::vector<double> awgn_real(std::size_t n, double power_w, milback::Rng& rng) {
-  require_finite(power_w, "power_w");
-  const double sigma = std::sqrt(std::max(power_w, 0.0));
-  std::vector<double> out(n);
-  for (auto& v : out) v = rng.gaussian(0.0, sigma);
-  return out;
-}
-
-std::vector<std::complex<double>> awgn_complex(std::size_t n, double power_w,
-                                               milback::Rng& rng) {
-  require_finite(power_w, "power_w");
-  std::vector<std::complex<double>> out(n);
-  rng.fill_complex_gaussian(out.data(), out.size(), std::max(power_w, 0.0));
-  return out;
-}
-
-void add_awgn(std::vector<std::complex<double>>& x, double power_w, milback::Rng& rng) {
-  rng.add_complex_gaussian(x.data(), x.size(), std::max(power_w, 0.0));
-}
-
-void add_awgn(std::vector<double>& x, double power_w, milback::Rng& rng) {
-  const double sigma = std::sqrt(std::max(power_w, 0.0));
-  for (auto& v : x) v += rng.gaussian(0.0, sigma);
 }
 
 }  // namespace milback::rf

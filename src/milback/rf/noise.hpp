@@ -1,12 +1,6 @@
-// Receiver noise helpers: noise floors with noise figure, and AWGN sample
-// generation at a specified power, for the waveform-level simulations.
+// Receiver noise floors: kTB over a bandwidth, degraded by the chain noise
+// figure. Noise samples are drawn through milback::Rng directly.
 #pragma once
-
-#include <complex>
-#include <cstddef>
-#include <vector>
-
-#include "milback/util/rng.hpp"
 
 namespace milback::rf {
 
@@ -15,18 +9,5 @@ double noise_floor_w(double bandwidth_hz, double noise_figure_db);
 
 /// Receiver noise floor [dBm].
 double noise_floor_dbm(double bandwidth_hz, double noise_figure_db);
-
-/// Real AWGN samples with total power `power_w` (variance = power).
-std::vector<double> awgn_real(std::size_t n, double power_w, milback::Rng& rng);
-
-/// Complex circularly-symmetric AWGN with E[|z|^2] = power_w.
-std::vector<std::complex<double>> awgn_complex(std::size_t n, double power_w,
-                                               milback::Rng& rng);
-
-/// Adds complex AWGN of total power `power_w` to `x` in place.
-void add_awgn(std::vector<std::complex<double>>& x, double power_w, milback::Rng& rng);
-
-/// Adds real AWGN of total power `power_w` to `x` in place.
-void add_awgn(std::vector<double>& x, double power_w, milback::Rng& rng);
 
 }  // namespace milback::rf

@@ -42,7 +42,7 @@ std::vector<CdfPoint> Accumulator::cdf() const {
   return milback::empirical_cdf(samples_);
 }
 
-double Accumulator::fraction_below(double x) const noexcept {
+double Accumulator::fraction_below(double x) const {
   require_finite(x, "x");
   if (samples_.empty()) return 0.0;
   std::size_t below = 0;

@@ -49,7 +49,7 @@ class Accumulator {
   /// Full empirical CDF (sorted values with step probabilities).
   std::vector<CdfPoint> cdf() const;
   /// Fraction of samples <= x; 0 when empty.
-  double fraction_below(double x) const noexcept;
+  double fraction_below(double x) const;
 
  private:
   std::vector<double> samples_;

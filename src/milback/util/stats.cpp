@@ -98,7 +98,7 @@ std::vector<CdfPoint> empirical_cdf(std::span<const double> xs) {
   return cdf;
 }
 
-void RunningStats::add(double x) noexcept {
+void RunningStats::add(double x) {
   require_finite(x, "x");
   if (n_ == 0) {
     min_ = max_ = x;

@@ -58,7 +58,7 @@ std::vector<CdfPoint> empirical_cdf(std::span<const double> xs);
 class RunningStats {
  public:
   /// Adds one sample (Welford update).
-  void add(double x) noexcept;
+  void add(double x);
 
   /// Number of samples added.
   std::size_t count() const noexcept { return n_; }

@@ -66,9 +66,9 @@ inline double thermal_noise_dbm(double bandwidth_hz,
 }
 
 /// Wraps an angle in degrees into [-180, 180).
-double wrap_degrees(double deg) noexcept;
+double wrap_degrees(double deg);
 
 /// Wraps a phase in radians into [-pi, pi).
-double wrap_radians(double rad) noexcept;
+double wrap_radians(double rad);
 
 }  // namespace milback

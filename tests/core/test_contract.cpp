@@ -11,9 +11,13 @@
 #include "milback/antenna/fsa.hpp"
 #include "milback/core/contract.hpp"
 #include "milback/core/link.hpp"
-#include "milback/dsp/fft.hpp"
-#include "milback/dsp/fir.hpp"
+#include "milback/core/rate_adapt.hpp"
+#include "milback/dsp/fft_plan.hpp"
+#include "milback/dsp/smoothing.hpp"
 #include "milback/radar/cfar.hpp"
+#include "milback/radar/chirp.hpp"
+#include "milback/rf/horn_antenna.hpp"
+#include "milback/util/units.hpp"
 
 namespace milback {
 namespace {
@@ -156,14 +160,23 @@ TEST(SubsystemContracts, CfarRejectsDegenerateWindow) {
 }
 
 TEST(SubsystemContracts, DspRejectsMalformedInput) {
-  // fft() pads to a power of two; the strict size contract is on the
-  // in-place transform.
-  std::vector<dsp::cplx> empty;
-  EXPECT_THROW(dsp::fft_inplace(empty), ContractViolation);
-  std::vector<dsp::cplx> not_pow2(12);
-  EXPECT_THROW(dsp::fft_inplace(not_pow2), ContractViolation);
-  EXPECT_THROW(dsp::design_lowpass(0.9, 1.0, 31), ContractViolation);  // fc >= fs/2
-  EXPECT_THROW(dsp::design_lowpass(0.1, 1.0, 4), ContractViolation);   // even taps
+  // Plans exist for nonzero powers of two only, and a plan transforms
+  // exactly its own length.
+  EXPECT_THROW(dsp::fft_plan(0), ContractViolation);
+  EXPECT_THROW(dsp::fft_plan(12), ContractViolation);
+  std::vector<dsp::cplx> short_input(8);
+  EXPECT_THROW(dsp::fft_plan(16).forward(short_input), ContractViolation);
+  EXPECT_THROW(dsp::moving_average({1.0, 2.0}, 0), ContractViolation);  // zero width
+}
+
+TEST(SubsystemContracts, ScalarChecksThrowToTheCaller) {
+  // Scalar helpers that validate their argument must let the violation
+  // reach the caller as a ContractViolation under the default handler; a
+  // noexcept on any of them would terminate the process instead.
+  EXPECT_THROW(wrap_degrees(kNan), ContractViolation);
+  EXPECT_THROW(rf::HornAntenna{rf::HornAntennaConfig{}}.gain_dbi(kNan), ContractViolation);
+  EXPECT_THROW(radar::ChirpConfig{}.frequency_at(kNan), ContractViolation);
+  EXPECT_THROW(core::service_rate_bps(core::RateAdaptConfig{}, kNan), ContractViolation);
 }
 
 TEST(SubsystemContracts, LocalizeRejectsNonPhysicalPose) {

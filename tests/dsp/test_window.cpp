@@ -24,9 +24,7 @@ TEST_P(WindowTypes, PeaksAtCenter) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWindows, WindowTypes,
-                         ::testing::Values(WindowType::kRectangular, WindowType::kHann,
-                                           WindowType::kHamming, WindowType::kBlackman,
-                                           WindowType::kBlackmanHarris));
+                         ::testing::Values(WindowType::kRectangular, WindowType::kHann));
 
 TEST(Window, RectangularIsAllOnes) {
   const auto w = make_window(WindowType::kRectangular, 16);
@@ -39,29 +37,11 @@ TEST(Window, HannEndsAtZero) {
   EXPECT_NEAR(w.back(), 0.0, 1e-12);
 }
 
-TEST(Window, HammingEndsNonZero) {
-  const auto w = make_window(WindowType::kHamming, 33);
-  EXPECT_NEAR(w.front(), 0.08, 1e-9);
-}
-
 TEST(Window, DegenerateSizes) {
   EXPECT_TRUE(make_window(WindowType::kHann, 0).empty());
   const auto w1 = make_window(WindowType::kHann, 1);
   ASSERT_EQ(w1.size(), 1u);
   EXPECT_DOUBLE_EQ(w1[0], 1.0);
-}
-
-TEST(Window, ApplyMultiplies) {
-  std::vector<double> x{2.0, 2.0, 2.0};
-  apply_window(x, {0.5, 1.0, 0.25});
-  EXPECT_DOUBLE_EQ(x[0], 1.0);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
-  EXPECT_DOUBLE_EQ(x[2], 0.5);
-}
-
-TEST(Window, ApplyRejectsMismatch) {
-  std::vector<double> x{1.0, 2.0};
-  EXPECT_THROW(apply_window(x, {1.0}), std::invalid_argument);
 }
 
 TEST(Window, CoherentGainKnownValues) {
@@ -70,27 +50,20 @@ TEST(Window, CoherentGainKnownValues) {
   EXPECT_NEAR(coherent_gain(make_window(WindowType::kHann, 4097)), 0.5, 1e-3);
 }
 
-TEST(Window, EnbwKnownValues) {
-  EXPECT_NEAR(enbw_bins(make_window(WindowType::kRectangular, 64)), 1.0, 1e-12);
-  // Hann ENBW = 1.5 bins for large N.
-  EXPECT_NEAR(enbw_bins(make_window(WindowType::kHann, 4097)), 1.5, 1e-2);
-}
-
 TEST(Window, CacheReturnsSharedInstance) {
   const CachedWindow& a = cached_window(WindowType::kHann, 900);
   const CachedWindow& b = cached_window(WindowType::kHann, 900);
   EXPECT_EQ(&a, &b);
   EXPECT_NE(&a, &cached_window(WindowType::kHann, 901));
-  EXPECT_NE(&a, &cached_window(WindowType::kHamming, 900));
+  EXPECT_NE(&a, &cached_window(WindowType::kRectangular, 900));
 }
 
 TEST(Window, CachedEntryMatchesDirectComputation) {
-  const auto& c = cached_window(WindowType::kBlackman, 257);
-  const auto direct = make_window(WindowType::kBlackman, 257);
+  const auto& c = cached_window(WindowType::kHann, 257);
+  const auto direct = make_window(WindowType::kHann, 257);
   ASSERT_EQ(c.samples.size(), direct.size());
   const double cg = coherent_gain(direct);
   EXPECT_DOUBLE_EQ(c.coherent_gain_lin, cg);
-  EXPECT_DOUBLE_EQ(c.enbw_bins, enbw_bins(direct));
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_DOUBLE_EQ(c.samples[i], direct[i]);
     EXPECT_DOUBLE_EQ(c.normalized[i], direct[i] / cg);

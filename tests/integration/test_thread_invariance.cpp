@@ -15,7 +15,6 @@
 
 #include "milback/cell/cell_engine.hpp"
 #include "milback/core/link.hpp"
-#include "milback/dsp/fft.hpp"
 #include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/window.hpp"
 #include "milback/sim/sweep.hpp"
@@ -180,7 +179,7 @@ TEST(ThreadInvariance, SharedFftPlanCacheKeepsSweepsBitIdentical) {
     for (auto& v : x) v = rng.complex_gaussian(1.0);
     dsp::fft_plan(fft_size).forward(x.data());
     const auto& w = dsp::cached_window(dsp::WindowType::kHann, fft_size / 2);
-    double acc = w.enbw_bins;
+    double acc = w.coherent_gain_lin;
     for (const auto& v : x) acc += std::norm(v);
     return acc;
   };

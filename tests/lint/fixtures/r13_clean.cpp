@@ -1,0 +1,26 @@
+// Clean control for R13, staged as src/milback/fix/: checks outside noexcept
+// bodies, noexcept bodies without checks, and noexcept that ends a
+// declaration or a function type. Calls out of a noexcept body are not
+// followed, so the last wrapper is clean too.
+#include "milback/core/contract.hpp"
+
+namespace milback::fix {
+
+double checked_third(double x) {
+  MILBACK_REQUIRE(x > 0.0, "x must be positive");
+  return x / 3.0;
+}
+
+double unchecked_twice(double x) noexcept { return 2.0 * x; }
+
+struct Gain {
+  Gain() noexcept = default;
+  double scale(double x) const noexcept;
+  double db = 0.0;
+};
+
+using Transfer = double (*)(double) noexcept;
+
+double wraps_checked(double x) noexcept { return checked_third(x); }
+
+}  // namespace milback::fix

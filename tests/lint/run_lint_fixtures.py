@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Fixture suite for scripts/physics_lint.py rules R1, R10, R11 and R12.
+"""Fixture suite for scripts/physics_lint.py rules R1, R10, R11, R12 and R13.
 
 Stages the seeded-violation fixtures from tests/lint/fixtures/ into a
 temporary repository layout (src/milback/fix/ for the flagged ones, plus
 bench/ for the R1 engines; tests/util/, src/milback/channel/ and
 src/milback/mesh/ for the allowed-scope negative controls; a tests/ and a
-bench/ includer for the R12 headers), runs
-physics_lint on the staged tree, and asserts the reported
+bench/ includer for the R12 headers; src/milback/dsp/ for the per-function
+R12 header, with a bench/ user of one function and a tests/ user of the
+other), runs physics_lint on the staged tree, and asserts the reported
 findings match the `lint-expect: R<n>` markers exactly — same rule id, same
 staged file, same line — with nothing reported for the clean controls.
 
@@ -43,6 +44,12 @@ STAGE = [
     ("r12_test_user.cpp", "tests/fix/r12_test_user.cpp"),
     ("r12_bench_used.hpp", "src/milback/fix/r12_bench_used.hpp"),
     ("r12_bench_user.cpp", "bench/r12_bench_user.cpp"),
+    ("r12_fn_decls.hpp", "src/milback/dsp/r12_fn_decls.hpp"),
+    ("r12_fn_decls.cpp", "src/milback/dsp/r12_fn_decls.cpp"),
+    ("r12_fn_bench_user.cpp", "bench/r12_fn_bench_user.cpp"),
+    ("r12_fn_test_user.cpp", "tests/fix/r12_fn_test_user.cpp"),
+    ("r13_noexcept_check.cpp", "src/milback/fix/r13_noexcept_check.cpp"),
+    ("r13_clean.cpp", "src/milback/fix/r13_clean.cpp"),
 ]
 
 

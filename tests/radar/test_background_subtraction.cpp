@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "milback/dsp/fft.hpp"
+#include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/peak.hpp"
 #include "milback/radar/background_subtraction.hpp"
 #include "milback/radar/beat_synthesis.hpp"

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "milback/dsp/fft.hpp"
+#include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/peak.hpp"
 #include "milback/radar/beat_synthesis.hpp"
 #include "milback/util/units.hpp"
@@ -38,7 +38,9 @@ TEST(BeatSynthesis, SingleReflectorProducesExpectedBeatTone) {
   auto rng = quiet_rng();
   const auto beat = synthesize_beat({p}, chirp, fs, n, 0.0, rng);
 
-  auto spec = dsp::fft(beat);
+  auto spec = beat;
+  spec.resize(dsp::next_pow2(spec.size()));
+  dsp::fft_plan(spec.size()).forward(spec);
   const auto mags = dsp::magnitude_spectrum(spec);
   std::vector<double> positive(mags.begin(), mags.begin() + std::ptrdiff_t(mags.size() / 2));
   const auto peak = dsp::max_peak(positive);

@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "milback/dsp/fft.hpp"
+#include "milback/dsp/fft_plan.hpp"
 #include "milback/dsp/peak.hpp"
 #include "milback/radar/beat_synthesis.hpp"
 #include "milback/radar/range_fft.hpp"

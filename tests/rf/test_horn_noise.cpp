@@ -1,11 +1,10 @@
-// Horn antenna and noise helper tests.
+// Horn antenna and receiver noise floor tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "milback/rf/horn_antenna.hpp"
 #include "milback/rf/noise.hpp"
-#include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
 
 namespace milback::rf {
@@ -52,37 +51,6 @@ TEST(Noise, FloorWithNoiseFigure) {
   // kTB(1 MHz) = -114 dBm; NF 5 dB -> -109 dBm.
   EXPECT_NEAR(noise_floor_dbm(1e6, 5.0), -109.0, 0.1);
   EXPECT_NEAR(noise_floor_w(1e6, 0.0), thermal_noise_power(1e6), 1e-25);
-}
-
-TEST(Noise, AwgnRealPower) {
-  Rng rng(1);
-  const auto n = awgn_real(50000, 2.0, rng);
-  double acc = 0.0;
-  for (const double v : n) acc += v * v;
-  EXPECT_NEAR(acc / double(n.size()), 2.0, 0.1);
-}
-
-TEST(Noise, AwgnComplexPower) {
-  Rng rng(2);
-  const auto n = awgn_complex(50000, 3.0, rng);
-  double acc = 0.0;
-  for (const auto& v : n) acc += std::norm(v);
-  EXPECT_NEAR(acc / double(n.size()), 3.0, 0.15);
-}
-
-TEST(Noise, AddAwgnInPlace) {
-  Rng rng(3);
-  std::vector<double> x(20000, 5.0);
-  add_awgn(x, 1.0, rng);
-  EXPECT_NEAR(mean(x), 5.0, 0.05);
-  EXPECT_NEAR(stddev(x), 1.0, 0.05);
-}
-
-TEST(Noise, ZeroPowerIsNoop) {
-  Rng rng(4);
-  std::vector<std::complex<double>> x(10, {1.0, 1.0});
-  add_awgn(x, 0.0, rng);
-  for (const auto& v : x) EXPECT_EQ(v, std::complex<double>(1.0, 1.0));
 }
 
 }  // namespace
