@@ -201,6 +201,8 @@ BENCHMARK(BM_Obs_CounterHist_Enabled);
 
 // Longest chirp at Field-1 rates: 45 us at 50 MHz.
 constexpr std::size_t kChirpSamples = 2250;
+// One Field-2 localization chirp's beat, per RX.
+constexpr std::size_t kBeatSamples = 900;
 
 void BM_Kernel_Phasor_Rotated(benchmark::State& state) {
   const double phi0 = 0.37;
@@ -223,6 +225,28 @@ void BM_Kernel_Noise_Bulk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Kernel_Noise_Bulk);
+
+// A skipped beat's noise block (the localizer's non-AoA chirps): the same
+// polar draws as Noise_Bulk without the log/sqrt or a store.
+void BM_Kernel_Noise_Discard(benchmark::State& state) {
+  Rng rng(99);
+  for (auto _ : state) {
+    rng.discard_complex_gaussian(kBeatSamples);
+    benchmark::DoNotOptimize(rng);
+  }
+}
+BENCHMARK(BM_Kernel_Noise_Discard);
+
+// The envelope detector's per-sample output noise: one real Gaussian block.
+void BM_Kernel_Gaussian_Bulk(benchmark::State& state) {
+  Rng rng(99);
+  std::vector<double> y(kBeatSamples);
+  for (auto _ : state) {
+    rng.fill_gaussian(y.data(), y.size(), 1e-3);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_Kernel_Gaussian_Bulk);
 
 // The cell engine's arrival pattern: derive a fresh stream per event and
 // take one Gaussian from it (Noise_Bulk above is the long-stream pattern).

@@ -58,10 +58,14 @@ Rules:
       member accesses are not names.
   R13 contract/noexcept discipline: a contract check (MILBACK_REQUIRE /
       ENSURE / ASSERT or a require_* domain guard) written directly in the
-      body of a `noexcept` function in src/, bench/ or examples/. The
-      default handler throws ContractViolation, and a throw out of a
-      noexcept body calls std::terminate instead of reaching the caller.
-      Calls made from that body are not followed.
+      body of a `noexcept` function in src/, bench/ or examples/, or a call
+      from that body to a function whose own body has one. The default
+      handler throws ContractViolation, and a throw out of a noexcept body
+      calls std::terminate instead of reaching the caller. Calls are
+      followed one level and matched by name: a name the file defines
+      resolves to its own definitions, any other to every simulator
+      definition; calls through `.`/`->` and calls inside a `try` block
+      are not followed.
 
 Exit status is non-zero when any violation is found.
 """
@@ -163,6 +167,15 @@ CONTRACT_CHECK = re.compile(
     r"|non_negative|in_range|unit_interval|nonzero))\s*\("
 )
 NOEXCEPT = re.compile(r"\bnoexcept\b")
+# An identifier applied to an argument list: a call, or a definition's name.
+# A `std::`-qualified name is never the repository's own function.
+CALL = re.compile(r"(?<!std::)\b([A-Za-z_]\w*)\s*\(")
+# Words that take a parenthesized list but do not name a function.
+NOT_FUNCTIONS = {
+    "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
+    "decltype", "noexcept", "static_assert", "requires", "operator",
+}
+FN_QUALIFIER = re.compile(r"(?:const|volatile|noexcept)\b|&&?")
 
 COMMENT_LINE = re.compile(r"^\s*(?://|\*|/\*)")
 # Comments and string/char literals; digit separators (1'000) go first.
@@ -342,6 +355,13 @@ def noexcept_body(code: str, j: int) -> int | None:
         if code[j + 1 : end - 1].strip() == "false":
             return None
         j = skip_space(code, end)
+    return body_brace(code, j)
+
+
+def body_brace(code: str, j: int) -> int | None:
+    """Given the index just past a function's exception specification (or
+    its cv/ref qualifiers), returns the index of its body's `{`, or None
+    when no body follows."""
     while True:
         m = re.match(r"(?:override|final)\b", code[j:])
         if not m:
@@ -367,17 +387,95 @@ def noexcept_body(code: str, j: int) -> int | None:
     return j if j < len(code) and code[j] == "{" else None
 
 
-def lint_noexcept_contracts(rel: str, code: str, errors: list[str]) -> None:
+def function_bodies(code: str) -> list[tuple[str, int, int]]:
+    """(name, start, end) of each function definition's body `{...}`: an
+    identifier, its parameter list, optional cv/ref/noexcept qualifiers, a
+    trailing return type or a member-init list, then `{`. Control
+    statements, calls through `.`/`->` and member-init entries (after `:`
+    or `,`) are not definitions."""
+    out = []
+    for m in CALL.finditer(code):
+        name = m.group(1)
+        if name in NOT_FUNCTIONS:
+            continue
+        k = m.start() - 1
+        while k >= 0 and code[k].isspace():
+            k -= 1
+        if k >= 0 and (code[k] in ",.>" or (code[k] == ":" and code[k - 1 : k + 1] != "::")):
+            continue
+        j = skip_space(code, match_close(code, m.end() - 1))
+        while True:
+            q = FN_QUALIFIER.match(code, j)
+            if not q:
+                break
+            j = skip_space(code, q.end())
+            if q.group(0) == "noexcept" and j < len(code) and code[j] == "(":
+                j = skip_space(code, match_close(code, j))
+        brace = body_brace(code, j)
+        if brace is not None:
+            out.append((name, brace, match_close(code, brace)))
+    return out
+
+
+def function_checks(code: str) -> dict[str, bool]:
+    """Name -> whether some definition of that name in `code` has a contract
+    check directly in its body."""
+    out: dict[str, bool] = {}
+    for name, start, end in function_bodies(code):
+        out[name] = out.get(name, False) or bool(CONTRACT_CHECK.search(code, start, end))
+    return out
+
+
+def unguarded_calls(code: str, start: int, end: int) -> set[str]:
+    """Names called in code[start:end] outside its `try { ... }` blocks and
+    not through `.` or `->` (a member of some other object, which the name
+    alone cannot resolve)."""
+    guarded = [
+        (t.end() - 1, match_close(code, t.end() - 1))
+        for t in re.finditer(r"\btry\s*\{", code[:end])
+        if t.start() >= start
+    ]
+    names = set()
+    for c in CALL.finditer(code, start, end):
+        if any(lo <= c.start() < hi for lo, hi in guarded):
+            continue
+        k = c.start() - 1
+        while k >= start and code[k].isspace():
+            k -= 1
+        if code[k] == "." or code[k - 1 : k + 1] == "->":
+            continue
+        names.add(c.group(1))
+    return names
+
+
+def lint_noexcept_contracts(
+    rel: str, code: str, local: dict[str, bool], checked: set[str], errors: list[str]
+) -> None:
+    """`local` is function_checks(code): a name the file defines resolves to
+    its own definitions. Any other name is checked when it is in `checked`,
+    the names of every simulator definition with a check."""
     for m in NOEXCEPT.finditer(code):
         brace = noexcept_body(code, m.end())
         if brace is None:
             continue
-        if CONTRACT_CHECK.search(code, brace, match_close(code, brace)):
-            line = code.count("\n", 0, m.start()) + 1
+        end = match_close(code, brace)
+        line = code.count("\n", 0, m.start()) + 1
+        if CONTRACT_CHECK.search(code, brace, end):
             errors.append(
                 f"{rel}:{line}: [R13] contract check inside a noexcept body --"
                 " a violation calls std::terminate instead of throwing;"
                 " drop the noexcept"
+            )
+            continue
+        calls = sorted(
+            n for n in unguarded_calls(code, brace, end)
+            if local.get(n, n in checked)
+        )
+        if calls:
+            errors.append(
+                f"{rel}:{line}: [R13] noexcept body calls {', '.join(calls)},"
+                " which has a contract check -- a violation calls"
+                " std::terminate instead of throwing; drop the noexcept"
             )
 
 
@@ -494,7 +592,7 @@ RULES = (
     ("R11", "ad-hoc TTL/flood/neighbor relay loop outside src/milback/mesh/"),
     ("R12", "src/milback/ header that nothing outside tests/ (and its own .cpp) includes;"
             " in dsp/ and rf/, also a free function nothing outside tests/ names"),
-    ("R13", "contract check directly inside a noexcept function body"),
+    ("R13", "contract check inside a noexcept function body, or one call away"),
 )
 
 
@@ -528,8 +626,14 @@ def main() -> int:
     for path in paths:
         rel = path.relative_to(root).as_posix()
         codes[rel] = code_only(path.read_text(encoding="utf-8", errors="replace"))
-        if rel.startswith(SIMULATOR_DIRS):
-            lint_noexcept_contracts(rel, codes[rel], errors)
+    checks = {
+        rel: function_checks(code)
+        for rel, code in codes.items()
+        if rel.startswith(SIMULATOR_DIRS)
+    }
+    checked = {name for c in checks.values() for name, has in c.items() if has}
+    for rel, local in checks.items():
+        lint_noexcept_contracts(rel, codes[rel], local, checked, errors)
     lint_test_only_headers(root, paths, errors)
     lint_test_only_functions(codes, errors)
     for e in errors:

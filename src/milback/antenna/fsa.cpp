@@ -78,7 +78,7 @@ double DualPortFsa::gain_dbi(FsaPort port, double f_hz, double theta_deg) const 
   return peak_db + rel_db;
 }
 
-double DualPortFsa::gain_linear(FsaPort port, double f_hz, double theta_deg) const noexcept {
+double DualPortFsa::gain_linear(FsaPort port, double f_hz, double theta_deg) const {
   return db2lin(gain_dbi(port, f_hz, theta_deg));
 }
 
@@ -111,7 +111,7 @@ bool DualPortFsa::normal_incidence(double theta_deg, double min_separation_hz) c
   return std::abs(pair->first - pair->second) < min_separation_hz;
 }
 
-std::pair<double, double> DualPortFsa::scan_range_deg() const noexcept {
+std::pair<double, double> DualPortFsa::scan_range_deg() const {
   const auto lo = beam_angle_deg(FsaPort::kA, config_.min_frequency_hz);
   const auto hi = beam_angle_deg(FsaPort::kA, config_.max_frequency_hz);
   return {lo.value_or(-90.0), hi.value_or(90.0)};

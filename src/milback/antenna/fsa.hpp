@@ -79,7 +79,7 @@ class DualPortFsa {
   double gain_dbi(FsaPort port, double f_hz, double theta_deg) const;
 
   /// Linear power gain version of gain_dbi.
-  double gain_linear(FsaPort port, double f_hz, double theta_deg) const noexcept;
+  double gain_linear(FsaPort port, double f_hz, double theta_deg) const;
 
   /// Peak realized gain [dBi] (at broadside, band center).
   double peak_gain_dbi() const noexcept;
@@ -101,7 +101,7 @@ class DualPortFsa {
 
   /// Scan range [deg] across the operating band (min angle, max angle) for
   /// port A (port B is the mirror image).
-  std::pair<double, double> scan_range_deg() const noexcept;
+  std::pair<double, double> scan_range_deg() const;
 
   /// Config echo.
   const FsaConfig& config() const noexcept { return config_; }

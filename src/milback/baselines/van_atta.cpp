@@ -12,7 +12,7 @@ VanAttaArray::VanAttaArray(const VanAttaConfig& config) : config_(config) {
   require_positive(config_.field_of_view_deg, "field_of_view_deg");
 }
 
-double VanAttaArray::aperture_gain_dbi(double incidence_deg) const noexcept {
+double VanAttaArray::aperture_gain_dbi(double incidence_deg) const {
   if (std::abs(incidence_deg) > config_.field_of_view_deg) return -20.0;
   return antenna::array_directivity_db(config_.n_elements) + config_.element_gain_dbi +
          antenna::element_pattern_db(incidence_deg, 1.3);

@@ -27,7 +27,7 @@ class VanAttaArray {
 
   /// One-way aperture gain [dBi] toward `incidence_deg` (element pattern
   /// rolls off; outside the FOV the retrodirective property collapses).
-  double aperture_gain_dbi(double incidence_deg) const noexcept;
+  double aperture_gain_dbi(double incidence_deg) const;
 
   /// Full retrodirective round-trip gain [dB]: receive aperture + re-radiate
   /// aperture - trace loss. This is what multiplies the backscatter link.

@@ -47,7 +47,7 @@ double round_trip_delay_s(double distance_m) noexcept {
   return 2.0 * distance_m / kSpeedOfLight;
 }
 
-double round_trip_phase_rad(double distance_m, double frequency_hz) noexcept {
+double round_trip_phase_rad(double distance_m, double frequency_hz) {
   return wrap_radians(2.0 * kPi * frequency_hz * round_trip_delay_s(distance_m));
 }
 

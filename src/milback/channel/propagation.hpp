@@ -32,6 +32,6 @@ double one_way_delay_s(double distance_m) noexcept;
 double round_trip_delay_s(double distance_m) noexcept;
 
 /// Round-trip phase [radians] at `frequency_hz` over `distance_m`.
-double round_trip_phase_rad(double distance_m, double frequency_hz) noexcept;
+double round_trip_phase_rad(double distance_m, double frequency_hz);
 
 }  // namespace milback::channel

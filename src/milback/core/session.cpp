@@ -47,7 +47,7 @@ AdaptiveSession::AdaptiveSession(channel::BackscatterChannel channel,
       scanner_(config.scan),
       tracker_(config.tracker) {}
 
-std::pair<double, bool> AdaptiveSession::adapt(double snr_db) const noexcept {
+std::pair<double, bool> AdaptiveSession::adapt(double snr_db) const {
   // Measured quality outranks the budget: if recent payloads erred, back off
   // to the conservative operating point whatever the model predicts.
   if (measured_ber_ema_ > config_.ber_backoff) return {10e6, true};

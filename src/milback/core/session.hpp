@@ -93,7 +93,7 @@ class AdaptiveSession {
 
  private:
   /// Picks (rate, fec) from a budget SNR.
-  std::pair<double, bool> adapt(double snr_db) const noexcept;
+  std::pair<double, bool> adapt(double snr_db) const;
 
   SessionConfig config_;
   MilBackLink link_;

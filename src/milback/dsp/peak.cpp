@@ -12,10 +12,11 @@ std::size_t argmax(const std::vector<double>& x) noexcept {
   return std::size_t(std::max_element(x.begin(), x.end()) - x.begin());
 }
 
-Peak interpolate_peak(const std::vector<double>& x, std::size_t k) {
-  if (x.empty()) return {};
-  MILBACK_REQUIRE(k < x.size(), "interpolate_peak: peak index within x");
-  if (k == 0 || k + 1 >= x.size()) return {double(k), x.empty() ? 0.0 : x[k]};
+namespace {
+
+// Parabolic interpolation around x[k], for a non-empty x and k < x.size().
+Peak interpolate_at(const std::vector<double>& x, std::size_t k) noexcept {
+  if (k == 0 || k + 1 >= x.size()) return {double(k), x[k]};
   const double a = x[k - 1], b = x[k], c = x[k + 1];
   const double denom = a - 2.0 * b + c;
   if (std::abs(denom) < 1e-30) return {double(k), b};
@@ -25,8 +26,18 @@ Peak interpolate_peak(const std::vector<double>& x, std::size_t k) {
   return {double(k) + delta, value};
 }
 
+}  // namespace
+
+Peak interpolate_peak(const std::vector<double>& x, std::size_t k) {
+  if (x.empty()) return {};
+  MILBACK_REQUIRE(k < x.size(), "interpolate_peak: peak index within x");
+  return interpolate_at(x, k);
+}
+
+// argmax is always in range, so max_peak skips interpolate_peak's check.
 Peak max_peak(const std::vector<double>& x) noexcept {
-  return interpolate_peak(x, argmax(x));
+  if (x.empty()) return {};
+  return interpolate_at(x, argmax(x));
 }
 
 std::vector<Peak> find_peaks(const std::vector<double>& x, double threshold,

@@ -59,7 +59,7 @@ void MilBackNode::enter_mode(NodeMode mode) noexcept {
 }
 
 // milback-analyze: no-contract(negative toggle rate is a sentinel selecting the mode-default rate)
-double MilBackNode::power_w(double toggle_rate_hz) const noexcept {
+double MilBackNode::power_w(double toggle_rate_hz) const {
   double rate = toggle_rate_hz;
   if (rate < 0.0) {
     rate = mode_ == NodeMode::kLocalization ? config_.localization_toggle_hz : 0.0;

@@ -58,7 +58,7 @@ class MilBackNode {
 
   /// Node power draw in the current mode [W], excluding the MCU.
   /// `toggle_rate_hz` defaults by mode (localization toggle or 0).
-  double power_w(double toggle_rate_hz = -1.0) const noexcept;
+  double power_w(double toggle_rate_hz = -1.0) const;
 
   /// Maximum uplink bit rate [bps] the switches support (2 bits/symbol,
   /// one possible transition per symbol per switch).

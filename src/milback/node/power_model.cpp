@@ -20,7 +20,7 @@ double node_power_w(NodeMode mode, const PowerModelConfig& config,
 }
 
 double node_power_with_mcu_w(NodeMode mode, const PowerModelConfig& config,
-                             double toggle_rate_hz) noexcept {
+                             double toggle_rate_hz) {
   return node_power_w(mode, config, toggle_rate_hz) +
          (mode == NodeMode::kIdle ? 0.0 : config.mcu_power_w);
 }

@@ -38,7 +38,7 @@ double node_power_w(NodeMode mode, const PowerModelConfig& config,
 
 /// Same including the MCU.
 double node_power_with_mcu_w(NodeMode mode, const PowerModelConfig& config,
-                             double toggle_rate_hz = 0.0) noexcept;
+                             double toggle_rate_hz = 0.0);
 
 /// Energy per bit [J/bit] at a given power draw and bit rate.
 double energy_per_bit_j(double power_w, double bit_rate_bps) noexcept;

@@ -37,10 +37,11 @@ std::vector<double> EnvelopeDetector::detect(const std::vector<double>& input_po
   const double enbw = std::min(kPi / 2.0 * config_.video_bandwidth_hz, fs / 2.0);
   const double sigma = config_.output_noise_v_per_rthz * std::sqrt(enbw);
   std::vector<double> out(input_power_w.size());
+  rng.fill_gaussian(out.data(), out.size(), sigma);  // per-sample noise, in order
   for (std::size_t i = 0; i < input_power_w.size(); ++i) {
     const double clean = output_voltage(input_power_w[i]);
     const double filtered = lpf.step(clean);
-    out[i] = std::clamp(filtered + rng.gaussian(0.0, sigma), 0.0, config_.max_output_v);
+    out[i] = std::clamp(filtered + out[i], 0.0, config_.max_output_v);
   }
   return out;
 }

@@ -21,7 +21,7 @@ double HornAntenna::gain_dbi(double offset_deg) const {
   return std::max(mainlobe, config_.sidelobe_floor_dbi);
 }
 
-double HornAntenna::gain_linear(double offset_deg) const noexcept {
+double HornAntenna::gain_linear(double offset_deg) const {
   return db2lin(gain_dbi(offset_deg));
 }
 

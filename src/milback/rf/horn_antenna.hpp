@@ -26,7 +26,7 @@ class HornAntenna {
   double gain_dbi(double offset_deg) const;
 
   /// Linear power gain at `offset_deg` from boresight.
-  double gain_linear(double offset_deg) const noexcept;
+  double gain_linear(double offset_deg) const;
 
   /// Config echo.
   const HornAntennaConfig& config() const noexcept { return config_; }

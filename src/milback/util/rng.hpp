@@ -4,8 +4,25 @@
 // results are reproducible run-to-run; `Rng` is a thin, seedable wrapper
 // around a bit-exact, lazily seeded std::mt19937_64 with the draw helpers the
 // signal chain needs.
+//
+// Speed without moving a bit. The engine twists a spent block with constant
+// loop bounds and a masked (branch-free) twist constant, then tempers the
+// whole block into a second 312-word array, so a draw is one load. The
+// complex AWGN kernels run the Marsaglia polar method in two passes over the
+// tempered block that is ready: a branch-free pass maps uniform pairs and
+// compacts the accepted (x, y, s) into a buffer, then a scalar pass runs
+// std::log/std::sqrt over it. Each pass consumes exactly the words the
+// one-pair-at-a-time loop would (it never reads past the n-th accepted pair,
+// and a pair that straddles the block edge is drawn word by word), and the
+// transcendentals stay scalar libm calls because a vector math library
+// (libmvec) does not round identically. `gaussian` and `fill_gaussian`
+// restate libstdc++'s std::normal_distribution draw so that no distribution
+// object is built per call. Two 312-word arrays make an Rng ~5 KB; it lives
+// only on the stack (built per trial, event or burst from `stream`), never
+// as a persistent member.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <complex>
@@ -25,38 +42,51 @@ class Rng {
   /// draw count. It seeds and twists the first block lazily: output i < 156
   /// reads only seed words i, i+1 and i+156, so a stream that takes a few
   /// draws costs ~160 seed-recurrence steps instead of a 312-word fill plus a
-  /// 312-word twist. Later blocks use the standard full twist.
+  /// 312-word twist. Later blocks use a full twist and temper the block in
+  /// one vectorizable pass.
   class Engine {
    public:
     using result_type = std::uint64_t;
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
+    // The state arrays are left unfilled: the lazy seeding writes every
+    // word before refill reads it.
     explicit Engine(result_type seed) { x_[0] = seed; }
+
+    // A copy takes only the words written so far; the rest stay unread
+    // until the lazy first block writes them.
+    Engine(const Engine& other) noexcept { *this = other; }
+    Engine& operator=(const Engine& other) noexcept {
+      if (this != &other) {
+        std::copy_n(other.x_.begin(), other.seeded_, x_.begin());
+        std::copy_n(other.out_.begin(), other.end_, out_.begin());
+        idx_ = other.idx_;
+        end_ = other.end_;
+        seeded_ = other.seeded_;
+      }
+      return *this;
+    }
 
     result_type operator()() {
       if (idx_ >= end_) refill();
-      return temper(x_[idx_++]);
+      return out_[idx_++];
     }
 
    private:
+    friend class Rng;  // the bulk kernels read the tempered block in place
+
     static constexpr std::size_t kN = 312;  // state words (one block of outputs)
     static constexpr std::size_t kM = 156;  // twist offset
-
-    static result_type temper(result_type z) {
-      z ^= (z >> 29) & 0x5555555555555555ULL;
-      z ^= (z << 17) & 0x71d67fffeda60000ULL;
-      z ^= (z << 37) & 0xfff7eee000000000ULL;
-      return z ^ (z >> 43);
-    }
 
     /// Makes outputs [idx_, end_) available: the next doubling of the
     /// first block's twisted prefix, or a full twist once the block is spent.
     void refill();
 
-    std::array<std::uint64_t, kN> x_{};
+    std::array<std::uint64_t, kN> x_;    // twist state (seed words, first block)
+    std::array<std::uint64_t, kN> out_;  // tempered outputs [0, end_) of the block
     std::size_t idx_ = 0;     // next output of the current block
-    std::size_t end_ = 0;     // outputs [0, end_) of the current block are twisted
+    std::size_t end_ = 0;     // outputs [0, end_) of the current block are ready
     std::size_t seeded_ = 1;  // seed words [0, seeded_) exist (first block only)
   };
 
@@ -79,18 +109,20 @@ class Rng {
 
   /// Gaussian with the given mean and standard deviation. `sigma` must be
   /// finite and >= 0; a zero sigma returns `mean` and still consumes the
-  /// draw, so the stream position never depends on the noise level.
-  double gaussian(double mean = 0.0, double sigma = 1.0) {
-    MILBACK_REQUIRE(std::isfinite(sigma) && sigma >= 0.0,
-                    "Rng::gaussian: sigma must be finite and >= 0");
-    return std::normal_distribution<double>(0.0, 1.0)(engine_) * sigma + mean;
-  }
+  /// draw, so the stream position never depends on the noise level. Equal,
+  /// value for value and draw for draw, to a fresh
+  /// std::normal_distribution<double>(mean, sigma) on the engine.
+  double gaussian(double mean = 0.0, double sigma = 1.0);
+
+  /// Fills out[0..n) with zero-mean Gaussians of standard deviation `sigma`:
+  /// exactly n `gaussian(0.0, sigma)` calls, with the contract checked once.
+  void fill_gaussian(double* out, std::size_t n, double sigma);
 
   /// Circularly-symmetric complex Gaussian with total variance
-  /// `variance` (i.e. E[|z|^2] = variance), the standard AWGN sample.
-  /// Implemented with a direct Marsaglia polar draw (~3x faster than going
-  /// through std::normal_distribution); the bulk fills below consume the
-  /// engine identically, so fill(n) == n single draws, sample for sample.
+  /// `variance` (i.e. E[|z|^2] = variance, finite and >= 0), the standard
+  /// AWGN sample. Implemented with a direct Marsaglia polar draw; the bulk
+  /// fills below consume the engine identically, so fill(n) == n single
+  /// draws, sample for sample.
   std::complex<double> complex_gaussian(double variance = 1.0);
 
   /// Fills out[0..n) with iid complex Gaussian samples of total variance
@@ -165,6 +197,14 @@ class Rng {
   static constexpr std::uint64_t kStreamSalt = 0x6d696c2d73696dULL;  // "mil-sim"
   /// Golden-ratio increment (same constant SplitMix64 uses to step).
   static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+  struct PolarBuf;  // accepted polar points of one pass (rng.cpp)
+
+  /// The two-pass polar kernel behind the block draws: draws n pairs that
+  /// `Polar` accepts and hands each run of them to
+  /// `sink(first, buf, count)`, the points of samples [first, first + count).
+  template <typename Polar, typename Sink>
+  void polar_draws(std::size_t n, Sink&& sink);
 
   Engine engine_;
 };

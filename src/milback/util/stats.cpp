@@ -46,14 +46,29 @@ double max_value(std::span<const double> xs) noexcept {
 
 namespace {
 
-// Interpolated percentile of an already-sorted, non-empty sample.
-double sorted_percentile(const std::vector<double>& sorted, double p) {
+// The interpolation rank of percentile p in a sample of n > 0 values: the
+// result is order statistic lo weighted (1 - frac) plus hi weighted frac.
+struct Rank {
+  std::size_t lo, hi;
+  double frac;
+};
+
+Rank percentile_rank(std::size_t n, double p) {
   p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * double(sorted.size() - 1);
+  const double rank = p / 100.0 * double(n - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - double(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return {lo, hi, rank - double(lo)};
+}
+
+double interpolate(double at_lo, double at_hi, double frac) {
+  return at_lo * (1.0 - frac) + at_hi * frac;
+}
+
+// Interpolated percentile of an already-sorted, non-empty sample.
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  const Rank r = percentile_rank(sorted.size(), p);
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
 }
 
 }  // namespace
@@ -61,9 +76,15 @@ double sorted_percentile(const std::vector<double>& sorted, double p) {
 double percentile(std::span<const double> xs, double p) {
   require_finite(p, "p");
   if (xs.empty()) return 0.0;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted_percentile(sorted, p);
+  // Selection, not a sort: order statistic lo by nth_element, and hi (at
+  // most lo + 1) as the least value above it. The same two values as a full
+  // sort, through the same interpolation.
+  std::vector<double> v(xs.begin(), xs.end());
+  const Rank r = percentile_rank(v.size(), p);
+  const auto lo = v.begin() + std::ptrdiff_t(r.lo);
+  std::nth_element(v.begin(), lo, v.end());
+  const double at_hi = r.hi == r.lo ? *lo : *std::min_element(lo + 1, v.end());
+  return interpolate(*lo, at_hi, r.frac);
 }
 
 std::vector<double> percentiles(std::span<const double> xs,

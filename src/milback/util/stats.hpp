@@ -27,8 +27,9 @@ double min_value(std::span<const double> xs) noexcept;
 /// Maximum element; 0 for an empty span.
 double max_value(std::span<const double> xs) noexcept;
 
-/// Linear-interpolated percentile, p in [0, 100]. Copies and sorts.
-/// Returns 0 for an empty span.
+/// Linear-interpolated percentile, p in [0, 100]. Copies and selects the
+/// two order statistics it interpolates (linear time, no full sort); equal
+/// bit for bit to interpolating a sorted copy. Returns 0 for an empty span.
 double percentile(std::span<const double> xs, double p);
 
 /// Several percentiles of the same sample in one pass: copies and sorts `xs`

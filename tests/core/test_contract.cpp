@@ -179,6 +179,16 @@ TEST(SubsystemContracts, ScalarChecksThrowToTheCaller) {
   EXPECT_THROW(core::service_rate_bps(core::RateAdaptConfig{}, kNan), ContractViolation);
 }
 
+TEST(SubsystemContracts, AntennaGainLinearThrowsToTheCaller) {
+  // The linear-gain wrappers reach gain_dbi's angle check; without a
+  // noexcept on them the violation reaches the caller instead of
+  // terminating the process.
+  EXPECT_THROW(rf::HornAntenna{rf::HornAntennaConfig{}}.gain_linear(kNan), ContractViolation);
+  const antenna::DualPortFsa fsa{antenna::FsaConfig{}};
+  EXPECT_THROW(fsa.gain_linear(antenna::FsaPort::kA, 26.5e9, kNan), ContractViolation);
+  EXPECT_THROW(fsa.gain_linear(antenna::FsaPort::kB, 26.5e9, kNan), ContractViolation);
+}
+
 TEST(SubsystemContracts, LocalizeRejectsNonPhysicalPose) {
   Rng env(1);
   core::MilBackLink link(

@@ -1,7 +1,6 @@
 // Clean control for R13, staged as src/milback/fix/: checks outside noexcept
 // bodies, noexcept bodies without checks, and noexcept that ends a
-// declaration or a function type. Calls out of a noexcept body are not
-// followed, so the last wrapper is clean too.
+// declaration or a function type.
 #include "milback/core/contract.hpp"
 
 namespace milback::fix {
@@ -20,7 +19,5 @@ struct Gain {
 };
 
 using Transfer = double (*)(double) noexcept;
-
-double wraps_checked(double x) noexcept { return checked_third(x); }
 
 }  // namespace milback::fix

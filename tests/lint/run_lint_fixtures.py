@@ -50,6 +50,8 @@ STAGE = [
     ("r12_fn_test_user.cpp", "tests/fix/r12_fn_test_user.cpp"),
     ("r13_noexcept_check.cpp", "src/milback/fix/r13_noexcept_check.cpp"),
     ("r13_clean.cpp", "src/milback/fix/r13_clean.cpp"),
+    ("r13_noexcept_call.cpp", "src/milback/fix/r13_noexcept_call.cpp"),
+    ("r13_call_clean.cpp", "src/milback/fix/r13_call_clean.cpp"),
 ]
 
 

@@ -135,41 +135,87 @@ TEST(Rng, ComplexGaussianIsUncorrelatedAcrossComponents) {
   EXPECT_NEAR(cross / n, 0.0, 0.02);
 }
 
+// Block counts and engine offsets for the bulk-draw equivalence tests. Each
+// sample takes two or more engine words, so the counts end inside the lazy
+// first block's doubling chunks and past its 312-word block edges; an odd
+// offset makes a pair straddle a block edge.
+constexpr std::size_t kBulkCounts[] = {0, 1, 155, 156, 157, 311, 312, 313, 900, 5000};
+constexpr int kBulkOffsets[] = {0, 1, 3, 311};
+
+// A generator seeded per count and advanced by `offset` draws.
+Rng offset_rng(std::size_t n, int offset) {
+  Rng rng(64 + n);
+  for (int i = 0; i < offset; ++i) (void)rng.engine()();
+  return rng;
+}
+
 TEST(Rng, BulkFillMatchesPerCallDraws) {
   // The bulk fill must consume the engine exactly like per-call draws, so
   // existing seeds reproduce the same noise no matter which API fills it.
-  Rng a(61), b(61);
-  std::vector<std::complex<double>> bulk(257);
-  a.fill_complex_gaussian(bulk.data(), bulk.size(), 2.5);
-  for (auto& v : bulk) {
-    const auto expect = b.complex_gaussian(2.5);
-    EXPECT_EQ(v.real(), expect.real());
-    EXPECT_EQ(v.imag(), expect.imag());
+  for (const std::size_t n : kBulkCounts) {
+    for (const int offset : kBulkOffsets) {
+      Rng a = offset_rng(n, offset);
+      Rng b = a;
+      std::vector<std::complex<double>> bulk(n);
+      a.fill_complex_gaussian(bulk.data(), n, 2.5);
+      std::size_t bad = 0;
+      for (const auto& v : bulk) {
+        const auto expect = b.complex_gaussian(2.5);
+        bad += v.real() != expect.real() || v.imag() != expect.imag();
+      }
+      EXPECT_EQ(bad, 0u) << "n " << n << " offset " << offset;
+      // And the engines end in the same state.
+      EXPECT_EQ(a.engine()(), b.engine()()) << "n " << n << " offset " << offset;
+    }
   }
-  // And the engines end in the same state.
-  EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
 }
 
 TEST(Rng, BulkAddMatchesPerCallDraws) {
-  Rng a(62), b(62);
-  std::vector<std::complex<double>> sum(64, std::complex<double>{1.0, -2.0});
-  a.add_complex_gaussian(sum.data(), sum.size(), 0.5);
-  for (auto& v : sum) {
-    const auto expect = std::complex<double>{1.0, -2.0} + b.complex_gaussian(0.5);
-    EXPECT_EQ(v.real(), expect.real());
-    EXPECT_EQ(v.imag(), expect.imag());
+  for (const std::size_t n : kBulkCounts) {
+    for (const int offset : kBulkOffsets) {
+      Rng a = offset_rng(n, offset);
+      Rng b = a;
+      std::vector<std::complex<double>> sum(n, std::complex<double>{1.0, -2.0});
+      a.add_complex_gaussian(sum.data(), n, 0.5);
+      std::size_t bad = 0;
+      for (const auto& v : sum) {
+        const auto expect = std::complex<double>{1.0, -2.0} + b.complex_gaussian(0.5);
+        bad += v.real() != expect.real() || v.imag() != expect.imag();
+      }
+      EXPECT_EQ(bad, 0u) << "n " << n << " offset " << offset;
+      EXPECT_EQ(a.engine()(), b.engine()()) << "n " << n << " offset " << offset;
+    }
   }
+}
+
+TEST(Rng, FillGaussianMatchesPerCallDraws) {
+  for (const std::size_t n : kBulkCounts) {
+    for (const int offset : kBulkOffsets) {
+      Rng a = offset_rng(n, offset);
+      Rng b = a;
+      std::vector<double> bulk(n);
+      a.fill_gaussian(bulk.data(), n, 0.75);
+      std::size_t bad = 0;
+      for (const double v : bulk) bad += v != b.gaussian(0.0, 0.75);
+      EXPECT_EQ(bad, 0u) << "n " << n << " offset " << offset;
+      EXPECT_EQ(a.engine()(), b.engine()()) << "n " << n << " offset " << offset;
+    }
+  }
+}
+
+TEST(Rng, FillGaussianRejectsNegativeOrNonFiniteSigma) {
+  Rng rng(27);
+  double out[4];
+  EXPECT_THROW(rng.fill_gaussian(out, 4, -1.0), ContractViolation);
+  EXPECT_THROW(rng.fill_gaussian(out, 4, std::nan("")), ContractViolation);
 }
 
 TEST(Rng, DiscardComplexGaussianAdvancesLikeAdd) {
   // Discarding a noise block must leave the engine exactly where adding it
-  // would. Each sample takes two or more engine words, so the counts end
-  // inside the lazy first block's doubling chunks and past its 312-word
-  // block edges, from a fresh engine and from an odd offset.
-  for (const std::size_t n : {0, 1, 155, 156, 157, 311, 312, 313, 900, 5000}) {
-    for (const int offset : {0, 3}) {
-      Rng rng(64 + n);
-      for (int i = 0; i < offset; ++i) (void)rng.engine()();
+  // would, on the same count and offset grid as the bulk fills.
+  for (const std::size_t n : kBulkCounts) {
+    for (const int offset : kBulkOffsets) {
+      Rng rng = offset_rng(n, offset);
       Rng replay = rng;
       std::vector<std::complex<double>> x(n);
       rng.add_complex_gaussian(x.data(), n, 1.5);
@@ -178,6 +224,16 @@ TEST(Rng, DiscardComplexGaussianAdvancesLikeAdd) {
       EXPECT_EQ(rng.complex_gaussian(1.0), replay.complex_gaussian(1.0)) << "n " << n;
     }
   }
+}
+
+TEST(Rng, ComplexGaussianRejectsNegativeOrNonFiniteVariance) {
+  Rng rng(28);
+  std::vector<std::complex<double>> x(4);
+  EXPECT_THROW(rng.complex_gaussian(-1.0), ContractViolation);
+  EXPECT_THROW(rng.fill_complex_gaussian(x.data(), x.size(), std::nan("")), ContractViolation);
+  EXPECT_THROW(rng.add_complex_gaussian(x.data(), x.size(),
+                                        std::numeric_limits<double>::infinity()),
+               ContractViolation);
 }
 
 TEST(Rng, ZeroVarianceComplexGaussianIsZero) {
@@ -363,6 +419,66 @@ TEST(RngEngine, InterleavedDistributionsMatchStdEngine) {
     }
     EXPECT_EQ(a.engine()(), b());
   }
+}
+
+// FNV-1a over the bytes of a buffer of doubles or words.
+template <typename T>
+std::uint64_t fnv1a(const std::vector<T>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(T); ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Seeds of the golden streams below; the middle one is the default seed.
+constexpr std::uint64_t kGoldenSeeds[] = {1, 0x6d696c6261636bULL, 0xfeedfacecafebeefULL};
+
+// The golden digests pin the noise streams themselves, not only their
+// agreement with a per-call path: they were taken from the one-pair-at-a-time
+// polar loop and the std::normal_distribution draw that the block kernels
+// replaced, so any change to a drawn bit or to the draw count fails here.
+TEST(RngGolden, FillComplexGaussian) {
+  const std::uint64_t expect[] = {0x97b01358093e10dfULL, 0x3fa104fa2da997f9ULL,
+                                  0x7e99c32e6cda11e2ULL};
+  for (std::size_t i = 0; i < 3; ++i) {
+    Rng rng(kGoldenSeeds[i]);
+    std::vector<std::complex<double>> x(4096);
+    rng.fill_complex_gaussian(x.data(), x.size(), 2.0);
+    EXPECT_EQ(fnv1a(x), expect[i]) << "seed " << kGoldenSeeds[i];
+  }
+}
+
+TEST(RngGolden, AddComplexGaussian) {
+  const std::uint64_t expect[] = {0x542f2c0f49956748ULL, 0xc7c613e1d4c54118ULL,
+                                  0x5ebf0122cd93d2feULL};
+  for (std::size_t i = 0; i < 3; ++i) {
+    Rng rng(kGoldenSeeds[i]);
+    std::vector<std::complex<double>> x(4096);
+    for (std::size_t k = 0; k < x.size(); ++k) x[k] = {0.25 * double(k), -0.5 * double(k)};
+    rng.add_complex_gaussian(x.data(), x.size(), 0.5);
+    EXPECT_EQ(fnv1a(x), expect[i]) << "seed " << kGoldenSeeds[i];
+  }
+}
+
+TEST(RngGolden, DiscardComplexGaussianThenDraw) {
+  const std::uint64_t expect[] = {0xe7ea4b9a89afc6aaULL, 0xc60690ce3e549e98ULL,
+                                  0xfc197a1d9ebcff0cULL};
+  for (std::size_t i = 0; i < 3; ++i) {
+    Rng rng(kGoldenSeeds[i]);
+    rng.discard_complex_gaussian(900);
+    EXPECT_EQ(fnv1a(std::vector<std::uint64_t>{rng.engine()()}), expect[i])
+        << "seed " << kGoldenSeeds[i];
+  }
+}
+
+TEST(RngGolden, Gaussian) {
+  Rng rng(kGoldenSeeds[2]);
+  std::vector<double> g(10000);
+  for (auto& v : g) v = rng.gaussian();
+  EXPECT_EQ(fnv1a(g), 0x3266d865218581c8ULL);
 }
 
 TEST(Rng, Mix64IsDeterministicAndMixes) {

@@ -1,9 +1,12 @@
 // Statistics helper tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "milback/util/rng.hpp"
 #include "milback/util/stats.hpp"
 
 namespace milback {
@@ -49,6 +52,40 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileUnsortedInput) {
   std::vector<double> xs{50.0, 10.0, 40.0, 20.0, 30.0};
   EXPECT_DOUBLE_EQ(median(xs), 30.0);
+}
+
+// Interpolated percentile of a fully sorted copy: the reference that
+// `percentile`'s selection must reproduce bit for bit.
+double sorted_reference(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const double rank = p / 100.0 * double(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - double(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+TEST(Stats, PercentileSelectionMatchesSortedReference) {
+  // n = 1, 2, odd and even sizes, with distinct and with heavily
+  // duplicated values, over probes that land on and between ranks.
+  const double probes[] = {0.0, 0.1, 1.0, 10.0, 25.0, 33.3, 50.0, 66.7, 75.0, 90.0, 99.0, 99.9, 100.0};
+  Rng rng(17);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 10u, 101u, 1000u}) {
+    for (const bool duplicates : {false, true}) {
+      std::vector<double> xs(n);
+      for (auto& x : xs) {
+        x = duplicates ? double(rng.uniform_int(-2, 2)) : rng.uniform(-5.0, 5.0);
+      }
+      for (const double p : probes) {
+        const double got = percentile(xs, p);
+        const double want = sorted_reference(xs, p);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "n " << n << " duplicates " << duplicates << " p " << p << ": " << got
+            << " vs " << want;
+      }
+      EXPECT_EQ(median(xs), sorted_reference(xs, 50.0)) << "n " << n;
+    }
+  }
 }
 
 TEST(Stats, PercentilesMatchesSingleCalls) {
