@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Full correctness gate: static lint, Werror build + tests, the determinism
-# analyzer over the exported compilation database, the same suite under
-# AddressSanitizer + UBSan, the parallel sim engine under ThreadSanitizer,
-# then the end-to-end benchmark of the working tree against HEAD.
+# Full correctness gate: the static checker and its fixtures, Werror build +
+# tests, the same suite under AddressSanitizer + UBSan, the parallel sim
+# engine under ThreadSanitizer, then the end-to-end benchmark of the working
+# tree against HEAD.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
@@ -13,18 +13,12 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 echo "== physics_lint =="
 python3 scripts/physics_lint.py "${repo_root}"
+python3 tests/lint/run_lint_fixtures.py
 
 echo "== dev build (Werror) + tests =="
 cmake --preset dev
 cmake --build --preset dev -j "${jobs}"
 ctest --preset dev
-
-echo "== check-analyze (determinism analyzer) =="
-# AST-grounded A1-A5 checks over the compilation database the dev configure
-# exported, plus the seeded-violation fixture suite for the analyzer itself.
-python3 scripts/milback_analyze.py "${repo_root}" \
-    --compdb "${repo_root}/build-dev/compile_commands.json"
-python3 tests/analyze/run_fixture_checks.py
 
 echo "== asan-ubsan build + tests =="
 cmake --preset asan-ubsan

@@ -5,6 +5,6 @@
 
 namespace milback::fix {
 
-double attenuate_db(double level_db, double loss_db);  // analyze-expect: A1
+double attenuate_db(double level_db, double loss_db);  // lint-expect: A1
 
 }  // namespace milback::fix

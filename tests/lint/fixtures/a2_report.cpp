@@ -12,7 +12,7 @@ void export_cell_rows(const std::string& dir) {
   milback::CsvWriter csv(dir, "cell_goodput", {"node", "goodput_bps"});
   std::unordered_map<std::string, double> goodput_by_node;
   goodput_by_node["n0"] = 1.0;
-  for (const auto& kv : goodput_by_node) {  // analyze-expect: A2
+  for (const auto& kv : goodput_by_node) {  // lint-expect: A2
     csv.row({kv.second});
   }
 }

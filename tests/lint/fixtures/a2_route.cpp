@@ -19,7 +19,7 @@ struct MeshReport {
 MeshReport summarize_routes(
     const std::unordered_map<std::uint32_t, std::uint32_t>& next_hop_by_node) {
   MeshReport report;
-  for (const auto& kv : next_hop_by_node) {  // analyze-expect: A2
+  for (const auto& kv : next_hop_by_node) {  // lint-expect: A2
     report.nodes.push_back({kv.first, kv.second});
   }
   return report;

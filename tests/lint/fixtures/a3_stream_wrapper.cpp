@@ -12,7 +12,7 @@ class WrapperCell {
   double sweep(std::size_t n_nodes) const {
     double acc = 0.0;
     for (std::size_t node = 0; node < n_nodes; ++node) {
-      auto bad = event_stream(std::uint64_t{3});  // analyze-expect: A3
+      auto bad = event_stream(std::uint64_t{3});  // lint-expect: A3
       acc = bad.uniform(0.0, 1.0);
       auto good = event_stream(std::uint64_t{node});
       acc += good.uniform(0.0, 1.0);

@@ -8,7 +8,7 @@ namespace milback::cell {
 double aggregate_goodput(const std::vector<double>& per_node_bps) {
   double total_bps = 0.0;
   for (std::size_t i = 0; i < per_node_bps.size(); ++i) {
-    total_bps += per_node_bps[i];  // analyze-expect: A5
+    total_bps += per_node_bps[i];  // lint-expect: A5
   }
   return total_bps;
 }

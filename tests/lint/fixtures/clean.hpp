@@ -1,5 +1,5 @@
-// Fixture: a fully-guarded public API — the analyzer must report nothing
-// for this pair (negative control for A1..A5).
+// Fixture: a fully-guarded public API — physics_lint must report nothing
+// for this pair (negative control for the A checks).
 #pragma once
 
 #include <cstddef>

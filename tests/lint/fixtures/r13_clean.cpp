@@ -1,6 +1,6 @@
 // Clean control for R13, staged as src/milback/fix/: checks outside noexcept
-// bodies, noexcept bodies without checks, and noexcept that ends a
-// declaration or a function type.
+// bodies (a lambda's too), noexcept bodies without checks, and noexcept that
+// ends a declaration or a function type.
 #include "milback/core/contract.hpp"
 
 namespace milback::fix {
@@ -19,5 +19,14 @@ struct Gain {
 };
 
 using Transfer = double (*)(double) noexcept;
+
+double lambdas(double x) {
+  const auto checked = [](double v) {
+    MILBACK_REQUIRE(v > 0.0, "v must be positive");
+    return v;
+  };
+  const auto unchecked = [](double v) noexcept -> double { return 2.0 * v; };
+  return checked(x) + unchecked(x);
+}
 
 }  // namespace milback::fix

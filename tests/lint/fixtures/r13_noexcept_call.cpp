@@ -24,4 +24,10 @@ struct Horn {
   }
 };
 
+int steps_in_beam(double angle_deg) noexcept {  // lint-expect: R13
+  int n = 0;
+  while (checked_gain_dbi(angle_deg + n) > -30.0) ++n;
+  return n;
+}
+
 }  // namespace milback::fix

@@ -10,4 +10,12 @@ double checked_half(double x) noexcept {  // lint-expect: R13
   return 0.5 * x;
 }
 
+double halve_all(double x) {
+  const auto halve = [](double v) noexcept {  // lint-expect: R13
+    require_finite(v, "v");
+    return 0.5 * v;
+  };
+  return halve(x);
+}
+
 }  // namespace milback::fix
