@@ -51,7 +51,9 @@ int main(int argc, char** argv) {
   const auto dl = channel::compute_downlink_budget(chan, pose, antenna::FsaPort::kA,
                                                    pair->first, pair->second, det, sw,
                                                    1e9);
-  std::cout << "Downlink budget (port A):\n" << channel::format_terms(dl.terms)
+  std::cout << "Downlink budget (port A):\n"
+            << channel::format_terms(channel::downlink_budget_terms(
+                   chan, pose, antenna::FsaPort::kA, pair->first, sw))
             << "  signal " << Table::num(dl.signal_dbm, 1) << " dBm | interference "
             << Table::num(dl.interference_dbm, 1) << " dBm | det. noise "
             << Table::num(dl.detector_noise_dbm, 1) << " dBm\n  SINR "
@@ -63,7 +65,9 @@ int main(int argc, char** argv) {
                                                    pair->first, sw, 10e6);
   const auto ul40 = channel::compute_uplink_budget(chan, pose, antenna::FsaPort::kA,
                                                    pair->first, sw, 40e6);
-  std::cout << "Uplink budget (tone A):\n" << channel::format_terms(ul10.terms)
+  std::cout << "Uplink budget (tone A):\n"
+            << channel::format_terms(channel::uplink_budget_terms(
+                   chan, pose, antenna::FsaPort::kA, pair->first, sw))
             << "  SNR @10 Mbps " << Table::num(ul10.snr_db, 1) << " dB | @40 Mbps "
             << Table::num(ul40.snr_db, 1) << " dB\n\n";
 

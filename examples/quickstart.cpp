@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
                                                      antenna::FsaPort::kA,
                                                      dl.carriers.f_a_hz, sw, 10e6);
   std::cout << "Uplink budget breakdown (tone A):\n"
-            << channel::format_terms(budget.terms)
+            << channel::format_terms(channel::uplink_budget_terms(
+                   link.channel(), pose, antenna::FsaPort::kA, dl.carriers.f_a_hz, sw))
             << "  => received " << Table::num(budget.rx_signal_dbm, 1)
             << " dBm against " << Table::num(budget.noise_dbm, 1) << " dBm noise = "
             << Table::num(budget.snr_db, 1) << " dB SNR\n";

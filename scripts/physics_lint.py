@@ -97,7 +97,8 @@ Model checks (waivable):
       (arity >= 2, and when the loop declares induction variables, at least
       one must appear in the key); (c) `.fork()` on an Rng-typed receiver is
       caught where R6's textual rule cannot see it (computed labels in
-      bench/, any fork in the stream-only layers src/milback/{cell,sim}/);
+      bench/ on a line R6 does not report, any fork in the stream-only
+      layers src/milback/{cell,sim}/);
       (d) a function that returns `Rng` by value is a stream-mint wrapper
       (the cell engine's `event_stream(node, seq)` is the archetype) -- call
       sites inside loops inherit (b)'s varying-key rule.
@@ -106,6 +107,9 @@ Model checks (waivable):
       (src/milback/sim/, src/milback/cell/, bench/, or any function that
       names sim::TrialRunner), bypassing `sim::Accumulator`. Fixed-order
       single-threaded accumulation is waivable with a reason.
+A2, A3 and A5 resolve a type through the typedefs and aliases its file
+sees, as R5 and R9 do: those of the file itself and of the headers it
+includes, directly or through other headers.
 
 Waiver grammar (reason string is mandatory; a waiver without a reason, or
 with a key no check owns, is itself a WAIVER finding):
@@ -592,7 +596,7 @@ class Model:
         self.funcs = []           # all functions with bodies (definitions)
         self.lambdas = []         # noexcept lambda bodies, for R13 only
         self.decls = []           # header declarations (A1 universe)
-        self.aliases = {}         # alias name -> (target_spelling, file, line, kind)
+        self.aliases = {}         # alias name -> [(target_spelling, file, line, kind)]
         self.members = {}         # 'Cls::field' -> type spelling
         self.member_decls = []    # (cls, name, raw_type, file, line)
         self.bare_members = {}    # field -> set of type spellings
@@ -600,20 +604,54 @@ class Model:
         self.code = {}            # file -> comment/literal-blanked text
         self.includes = {}        # file -> quoted include paths
         self.names = {}           # simulator file -> ids not after `.`/`->`
+        self._sees = {}           # file -> files it sees (sees() cache)
 
-    def canon(self, spelling, _depth=0):
-        """Resolves typedef/alias chains to a canonical type spelling."""
+    def add_alias(self, name, target, rel, line, kind):
+        self.aliases.setdefault(name, []).append((target, rel, line, kind))
+
+    def sees(self, rel):
+        """The files `rel` sees: itself and every file it includes, directly
+        or through other files. A quoted include names a path under src/ or
+        one relative to the including file."""
+        out = self._sees.get(rel)
+        if out is None:
+            out, todo = {rel}, [rel]
+            while todo:
+                user = todo.pop()
+                for p in self.includes.get(user, ()):
+                    for target in ("src/" + p, (Path(user).parent / p).as_posix()):
+                        if target in self.includes and target not in out:
+                            out.add(target)
+                            todo.append(target)
+            self._sees[rel] = out
+        return out
+
+    def alias_target(self, name, rel):
+        """The target of alias `name` as file `rel` sees it (the declaration
+        scanned last among those `rel` sees), or None."""
+        seen = self.sees(rel)
+        for target, afile, _, _ in reversed(self.aliases.get(name, ())):
+            if afile in seen:
+                return target
+        return None
+
+    def canon(self, spelling, rel, _depth=0):
+        """Resolves typedef/alias chains, as file `rel` sees them, to a
+        canonical type spelling."""
         if not spelling or _depth > 8:
             return spelling or ""
         s = spelling.strip("&*")
-        if s in self.aliases:
-            return self.canon(self.aliases[s][0], _depth + 1)
+        target = self.alias_target(s, rel)
+        if target is not None:
+            return self.canon(target, rel, _depth + 1)
         head = s.split("<", 1)[0]
-        if head != s and head in self.aliases:
-            return self.canon(self.aliases[head][0], _depth + 1) + "<" + s.split("<", 1)[1]
+        target = self.alias_target(head, rel) if head != s else None
+        if target is not None:
+            return self.canon(target, rel, _depth + 1) + "<" + s.split("<", 1)[1]
         tail = head.rsplit("::", 1)[-1]
-        if tail != head and tail in self.aliases:
-            return self.canon(self.aliases[tail][0], _depth + 1)
+        target = self.alias_target(tail, rel) if tail != head else None
+        if target is not None:
+            return self.canon(target, rel, _depth + 1)
         return s
 
 
@@ -684,7 +722,7 @@ class FileParser:
             while k < end and toks[k].val != ";":
                 tgt.append(toks[k])
                 k += 1
-            self.model.aliases[names[0]] = (type_str(tgt), self.rel, toks[i].line, "ns-alias")
+            self.model.add_alias(names[0], type_str(tgt), self.rel, toks[i].line, "ns-alias")
             return k + 1
         return j + 1
 
@@ -743,20 +781,19 @@ class FileParser:
                 continue
             j += 1
         if is_namespace:
-            self.model.aliases.setdefault(
-                "using namespace " + type_str(parts),
-                (type_str(parts), self.rel, line, "using-namespace"))
+            self.model.add_alias("using namespace " + type_str(parts), type_str(parts),
+                                 self.rel, line, "using-namespace")
         elif eq > 0:
             name_toks = parts[:eq]
             name = next((t.val for t in reversed(name_toks) if t.kind == "id"), None)
             if name:
-                self.model.aliases[name] = (type_str(parts[eq + 1:]), self.rel, line, "alias")
+                self.model.add_alias(name, type_str(parts[eq + 1:]), self.rel, line, "alias")
         elif parts:
             # using std::thread;  -> alias 'thread' -> 'std::thread'
             tgt = type_str(parts)
             name = tgt.rsplit("::", 1)[-1]
             if "::" in tgt and name:
-                self.model.aliases.setdefault(name, (tgt, self.rel, line, "using-decl"))
+                self.model.add_alias(name, tgt, self.rel, line, "using-decl")
         return j + 1
 
     def _typedef(self, i, end):
@@ -773,7 +810,7 @@ class FileParser:
             j += 1
         if parts and parts[-1].kind == "id":
             name = parts[-1].val
-            self.model.aliases[name] = (type_str(parts[:-1]), self.rel, line, "typedef")
+            self.model.add_alias(name, type_str(parts[:-1]), self.rel, line, "typedef")
         return j + 1
 
     # --- declarations and function definitions ------------------------------
@@ -1350,7 +1387,7 @@ def resolve_chain_type(model, func, chain, _depth=0):
         else:
             if cur is None:
                 return None
-            cls = class_of(model.canon(cur))
+            cls = class_of(model.canon(cur, func.file))
             cur = model.members.get(f"{cls}::{name}")
             if cur is None:
                 bs = model.bare_members.get(name)
@@ -1384,45 +1421,29 @@ RNG_PTR_WRAP_RE = re.compile(r"(?:shared_ptr|unique_ptr|reference_wrapper)<(?:mi
 # Line rules R1-R11
 # ---------------------------------------------------------------------------
 
-def seen_by(model, rel):
-    """The files that see `rel`: itself and every file that includes it,
-    directly or through other files. A quoted include names a path under
-    src/ or one relative to the including file."""
-    users = {}
-    for user, paths in model.includes.items():
-        for p in paths:
-            for target in ("src/" + p, (Path(user).parent / p).as_posix()):
-                users.setdefault(target, set()).add(user)
-    out, todo = {rel}, [rel]
-    while todo:
-        for user in users.get(todo.pop(), ()):
-            if user not in out:
-                out.add(user)
-                todo.append(user)
-    return out
-
-
 def alias_uses(model):
     """{(rule, file, line): why} for std::chrono (R9) and std::thread /
     std::jthread / std::async (R5) reached through an alias: the alias's own
     declaration, and the first use of its name in each function body of a
     file that sees the declaration."""
     out = {}
-    named = {}  # alias name -> (rule, canonical target, files that see it)
-    for name, (target, afile, aline, kind) in model.aliases.items():
-        canon = model.canon(target) if target != name else target
-        if "std::chrono" in canon:
-            rule = "R9"
-        elif any(canon == t or canon.startswith((t + "<", t + "::")) for t in THREAD_TYPES):
-            rule = "R5"
-        else:
-            continue
-        out[(rule, afile, aline)] = f"{kind} `{name}` resolves to `{canon}`"
-        if kind != "using-namespace":
-            named[name] = (rule, canon, seen_by(model, afile))
+    named = []  # (alias name, rule, canonical target, declaring file)
+    for name, entries in model.aliases.items():
+        for target, afile, aline, kind in entries:
+            canon = model.canon(target, afile) if target != name else target
+            if "std::chrono" in canon:
+                rule = "R9"
+            elif any(canon == t or canon.startswith((t + "<", t + "::"))
+                     for t in THREAD_TYPES):
+                rule = "R5"
+            else:
+                continue
+            out[(rule, afile, aline)] = f"{kind} `{name}` resolves to `{canon}`"
+            if kind != "using-namespace":
+                named.append((name, rule, canon, afile))
     for f in model.funcs:
-        for name, (rule, canon, files) in named.items():
-            if name in f.mentions and f.file in files:
+        for name, rule, canon, afile in named:
+            if name in f.mentions and afile in model.sees(f.file):
                 out.setdefault((rule, f.file, f.mentions[name]),
                                f"`{name}` is an alias of `{canon}`")
     return out
@@ -1663,7 +1684,7 @@ def check_a2(model):
             t = resolve_chain_type(model, f, chain)
             if not t:
                 continue
-            canon = model.canon(t)
+            canon = model.canon(t, f.file)
             if UNORDERED_RE.search(canon):
                 findings.append(Finding(
                     "A2", f.file, lp.line,
@@ -1698,7 +1719,7 @@ def check_a3(model):
             continue
         if f.name in ("stream", "fork"):
             continue
-        ret = model.canon(f.ret_type)
+        ret = model.canon(f.ret_type, f.file)
         if ret.endswith("Rng") and "&" not in f.ret_type and "*" not in f.ret_type:
             stream_wrappers.add(f.name)
     # (a) stored Rng references/pointers escape their scope.
@@ -1707,7 +1728,7 @@ def check_a3(model):
             continue
         if file.startswith("src/milback/util/rng."):
             continue
-        canon = model.canon(raw)
+        canon = model.canon(raw, file)
         if RNG_REF_RE.search(canon) or RNG_PTR_WRAP_RE.search(canon):
             findings.append(Finding(
                 "A3", file, line,
@@ -1719,7 +1740,7 @@ def check_a3(model):
             continue
         if f.file.startswith("src/milback/util/rng."):
             continue
-        ret = model.canon(f.ret_type)
+        ret = model.canon(f.ret_type, f.file)
         if ret.endswith("Rng") and ("&" in f.ret_type or "*" in f.ret_type):
             findings.append(Finding(
                 "A3", f.file, f.line,
@@ -1728,7 +1749,7 @@ def check_a3(model):
         for c in f.calls:
             # (b) Rng::stream keying inside loops.
             if c.name() == "stream" and len(c.chain) >= 3 and c.chain[-2] == "::":
-                head = model.canon(c.chain[-3])
+                head = model.canon(c.chain[-3], f.file)
                 if not head.split("::")[-1] == "Rng":
                     continue
                 if c.loop is None:
@@ -1768,7 +1789,7 @@ def check_a3(model):
                 recv = c.chain[:-2]
                 rtype = resolve_chain_type(model, f, recv)
                 if rtype is not None:
-                    is_rng = model.canon(rtype).split("::")[-1] == "Rng"
+                    is_rng = model.canon(rtype, f.file).split("::")[-1] == "Rng"
                 else:
                     is_rng = recv[-1] in ("rng", "rng_")
                 if not is_rng:
@@ -1780,6 +1801,10 @@ def check_a3(model):
                         " are stream-only layers; derive generators with"
                         " Rng::stream(seed, ids...)"))
                 elif f.file.startswith("bench/"):
+                    # A fork R6 reports on this line is not reported twice.
+                    line = model.code[f.file].split("\n")[c.line - 1]
+                    if FORK_ARITHMETIC.search(line):
+                        continue
                     arg_puncts = {t.val for a in c.args for t in a if t.kind == "p"}
                     if arg_puncts & {"*", "+", "%", "^", "-"}:
                         findings.append(Finding(
@@ -1805,7 +1830,7 @@ def check_a5(model):
             t = resolve_chain_type(model, f, chain)
             if not t:
                 continue
-            canon = model.canon(t)
+            canon = model.canon(t, f.file)
             if canon in ("double", "float"):
                 findings.append(Finding(
                     "A5", f.file, line,

@@ -21,6 +21,8 @@ DualPortFsa::DualPortFsa(const FsaConfig& config) : config_(config) {
   require_positive(config_.element_pattern_q, "element_pattern_q");
   spacing_m_ = wavelength(config_.center_frequency_hz) / 2.0;
   line_delay_s_ = double(config_.mode_number) / config_.center_frequency_hz;
+  peak_gain_dbi_ = array_directivity_db(config_.n_elements) +
+                   config_.element_gain_dbi + config_.efficiency_db;
   MILBACK_ENSURE(spacing_m_ > 0.0 && line_delay_s_ > 0.0,
                  "DualPortFsa: derived geometry must be positive");
 }
@@ -68,23 +70,16 @@ double DualPortFsa::gain_dbi(FsaPort port, double f_hz, double theta_deg) const 
   require_finite(f_hz, "f_hz");
   require_finite(theta_deg, "theta_deg");
   const double af = uniform_array_factor(psi(port, f_hz, theta_deg), config_.n_elements);
-  const double peak_db = array_directivity_db(config_.n_elements) +
-                         config_.element_gain_dbi + config_.efficiency_db;
   const double pattern_db = amp2db(std::max(af, 1e-9)) +
                             element_pattern_db(theta_deg, config_.element_pattern_q);
   // Diffuse scatter floor keeps deep array-factor nulls from predicting
   // unphysical isolation (fabricated boards never null below ~-26 dB).
   const double rel_db = std::max(pattern_db, config_.sidelobe_floor_db);
-  return peak_db + rel_db;
+  return peak_gain_dbi_ + rel_db;
 }
 
 double DualPortFsa::gain_linear(FsaPort port, double f_hz, double theta_deg) const {
   return db2lin(gain_dbi(port, f_hz, theta_deg));
-}
-
-double DualPortFsa::peak_gain_dbi() const noexcept {
-  return array_directivity_db(config_.n_elements) + config_.element_gain_dbi +
-         config_.efficiency_db;
 }
 
 double DualPortFsa::beamwidth_deg(double f_hz) const {

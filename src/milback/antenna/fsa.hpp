@@ -82,7 +82,7 @@ class DualPortFsa {
   double gain_linear(FsaPort port, double f_hz, double theta_deg) const;
 
   /// Peak realized gain [dBi] (at broadside, band center).
-  double peak_gain_dbi() const noexcept;
+  double peak_gain_dbi() const noexcept { return peak_gain_dbi_; }
 
   /// Half-power beamwidth [deg] at frequency `f_hz` (scan-broadened).
   double beamwidth_deg(double f_hz) const;
@@ -113,6 +113,8 @@ class DualPortFsa {
   FsaConfig config_;
   double spacing_m_ = 0.0;
   double line_delay_s_ = 0.0;
+  /// array directivity + element gain + efficiency, fixed by the config.
+  double peak_gain_dbi_ = 0.0;
 };
 
 }  // namespace milback::antenna

@@ -1,7 +1,10 @@
 #include "milback/cell/sdm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
@@ -13,18 +16,42 @@ namespace milback::cell {
 std::vector<std::vector<std::size_t>> sdm_partition(
     std::span<const channel::NodePose> poses, double min_separation_deg) {
   const double sep = require_non_negative(min_separation_deg, "min_separation_deg");
+  const std::size_t n = poses.size();
   // Node j blocks bearing v iff !(|v - a_j| >= sep). IEEE subtraction is
   // monotone in v, so over the sorted distinct bearings that set is one
   // contiguous key range around a_j. A NaN bearing blocks, and is blocked
   // by, everyone; it never becomes a key.
-  std::vector<double> keys;
-  keys.reserve(poses.size());
-  for (const auto& p : poses) {
-    if (!std::isnan(p.azimuth_deg)) keys.push_back(p.azimuth_deg);
+  std::vector<std::pair<double, std::size_t>> sorted;
+  sorted.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isnan(poses[i].azimuth_deg)) sorted.emplace_back(poses[i].azimuth_deg, i);
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  // Each node's key is its rank among the distinct bearings. -0.0 and 0.0
+  // share a key: |±0 - x| is the same for every x.
+  constexpr std::size_t kNoKey = ~std::size_t{0};
+  std::vector<std::size_t> key_of(n, kNoKey);
+  std::vector<double> keys;
+  keys.reserve(sorted.size());
+  for (const auto& [a, i] : sorted) {
+    if (keys.empty() || keys.back() != a) keys.push_back(a);
+    key_of[i] = keys.size() - 1;
+  }
   const std::size_t m = keys.size();
+
+  // Blocking window [lo[p], hi[p]) of key p. Both ends are non-decreasing in
+  // p (the same monotonicity), so one two-pointer pass finds them all.
+  std::vector<std::size_t> lo(m);
+  std::vector<std::size_t> hi(m);
+  for (std::size_t p = 0, l = 0, h = 0; p < m; ++p) {
+    const double a = keys[p];
+    while (l < p && std::abs(keys[l] - a) >= sep) ++l;
+    h = std::max(h, p);
+    while (h < m && !(std::abs(keys[h] - a) >= sep)) ++h;
+    lo[p] = l;
+    hi[p] = h;
+  }
 
   // Bottom-up segment tree over the keys (leaves m..2m-1): tree node v holds
   // the slots that block every key beneath it, in a word-major bitset —
@@ -32,20 +59,18 @@ std::vector<std::vector<std::size_t>> sdm_partition(
   const std::size_t tree = 2 * m;
   std::vector<std::uint64_t> blocked;
   std::size_t words = 0;
-  std::vector<std::vector<std::size_t>> slots;
+  std::size_t n_slots = 0;
+  std::vector<std::size_t> slot_of(n);
 
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    const double a = poses[i].azimuth_deg;
-    std::size_t s = slots.size();
-    std::size_t lo = 0;
-    std::size_t hi = m;
-    if (!std::isnan(a)) {
-      // -0.0 and 0.0 share a key: |±0 - x| is the same for every x.
-      const std::size_t p = std::size_t(
-          std::lower_bound(keys.begin(), keys.end(), a) - keys.begin());
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t p = key_of[i];
+    std::size_t s = n_slots;
+    std::size_t l = 0;
+    std::size_t h = m;
+    if (p != kNoKey) {
       // First fit: the lowest slot missing from the OR of the leaf-to-root
-      // path. Bits at or above slots.size() are never set, so a full path
-      // yields s == slots.size(), a new slot.
+      // path. Bits at or above n_slots are never set, so a full path yields
+      // s == n_slots, a new slot.
       for (std::size_t w = 0; w < words; ++w) {
         const std::uint64_t* row = blocked.data() + w * tree;
         std::uint64_t taken = 0;
@@ -55,32 +80,30 @@ std::vector<std::vector<std::size_t>> sdm_partition(
           break;
         }
       }
-      const auto first = keys.begin();
-      lo = std::size_t(std::partition_point(first, first + std::ptrdiff_t(p),
-                                            [&](double v) {
-                                              return std::abs(v - a) >= sep;
-                                            }) -
-                       first);
-      hi = std::size_t(std::partition_point(first + std::ptrdiff_t(p), keys.end(),
-                                            [&](double v) {
-                                              return !(std::abs(v - a) >= sep);
-                                            }) -
-                       first);
+      l = lo[p];
+      h = hi[p];
     }
-    if (s == slots.size()) {
-      slots.emplace_back();
+    if (s == n_slots) {
+      ++n_slots;
       if (s == 64 * words) blocked.resize(++words * tree, 0);
     }
-    slots[s].push_back(i);
+    slot_of[i] = s;
 
-    // Tag slot s on every key node i blocks: the canonical cover of [lo, hi).
+    // Tag slot s on every key node i blocks: the canonical cover of [l, h).
     std::uint64_t* row = blocked.data() + (s / 64) * tree;
     const std::uint64_t bit = std::uint64_t{1} << (s % 64);
-    for (std::size_t l = lo + m, r = hi + m; l < r; l >>= 1, r >>= 1) {
+    for (l += m, h += m; l < h; l >>= 1, h >>= 1) {
       if (l & 1) row[l++] |= bit;
-      if (r & 1) row[--r] |= bit;
+      if (h & 1) row[--h] |= bit;
     }
   }
+
+  // Slot lists in node order, each reserved to its exact size.
+  std::vector<std::size_t> counts(n_slots, 0);
+  for (const std::size_t s : slot_of) ++counts[s];
+  std::vector<std::vector<std::size_t>> slots(n_slots);
+  for (std::size_t s = 0; s < n_slots; ++s) slots[s].reserve(counts[s]);
+  for (std::size_t i = 0; i < n; ++i) slots[slot_of[i]].push_back(i);
 
   std::size_t placed = 0;
   for (const auto& slot : slots) {

@@ -63,17 +63,23 @@ DownlinkBudget compute_downlink_budget(const BackscatterChannel& channel,
   b.sinr_db = lin2db(p_sig / (p_int + noise_eq_w));
   b.snr_db = lin2db(p_sig / noise_eq_w);
   b.sir_db = lin2db(p_sig / std::max(p_int, 1e-300));
+  return b;
+}
 
+std::vector<BudgetTerm> downlink_budget_terms(const BackscatterChannel& channel,
+                                              const NodePose& pose, antenna::FsaPort port,
+                                              double f_signal_hz, const rf::RfSwitch& sw) {
+  require_valid_pose(pose);
+  require_positive(f_signal_hz, "f_signal_hz");
   const auto& cfg = channel.config();
-  b.terms = {
+  return {
       {"TX power (dBm)", cfg.tx_power_dbm},
       {"AP horn gain", channel.ap_tx_antenna().config().boresight_gain_dbi},
       {"FSPL (one way)", -fspl_db(pose.distance_m, f_signal_hz)},
       {"FSA port gain", channel.fsa().gain_dbi(port, f_signal_hz, pose.orientation_deg)},
-      {"Switch through loss", through_db},
+      {"Switch through loss", lin2db(sw.through_power(rf::SwitchState::kAbsorb))},
       {"Implementation loss", -cfg.implementation_loss_one_way_db},
   };
-  return b;
 }
 
 UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const NodePose& pose,
@@ -90,10 +96,18 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
   const double noise_w = channel.effective_uplink_noise_w(rx_w, b.noise_bandwidth_hz);
   b.noise_dbm = watt2dbm(noise_w);
   b.snr_db = lin2db(rx_w / noise_w);
+  return b;
+}
 
+std::vector<BudgetTerm> uplink_budget_terms(const BackscatterChannel& channel,
+                                            const NodePose& pose, antenna::FsaPort port,
+                                            double f_hz, const rf::RfSwitch& sw) {
+  require_valid_pose(pose);
+  require_positive(f_hz, "f_hz");
   const auto& cfg = channel.config();
+  const double mod_coeff = modulation_power_coeff(sw);
   const double fsa_gain = channel.fsa().gain_dbi(port, f_hz, pose.orientation_deg);
-  b.terms = {
+  return {
       {"TX power (dBm)", cfg.tx_power_dbm},
       {"AP horn TX gain", channel.ap_tx_antenna().config().boresight_gain_dbi},
       {"FSPL (down)", -fspl_db(pose.distance_m, f_hz)},
@@ -104,7 +118,6 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
       {"AP horn RX gain", channel.ap_rx_antenna().config().boresight_gain_dbi},
       {"Implementation loss", -cfg.implementation_loss_two_way_db},
   };
-  return b;
 }
 
 RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePose& pose,

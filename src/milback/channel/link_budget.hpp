@@ -13,7 +13,7 @@
 
 namespace milback::channel {
 
-/// One labelled term of a budget, for human-readable printouts.
+/// One labelled term of a budget breakdown, for human-readable printouts.
 struct BudgetTerm {
   std::string label;  ///< e.g. "FSPL (one way)".
   double value_db;    ///< Contribution in dB (sign already applied).
@@ -37,7 +37,6 @@ struct UplinkBudget {
   double noise_dbm = 0.0;       ///< Effective noise (thermal + residual SI).
   double snr_db = 0.0;          ///< rx_signal / noise.
   double noise_bandwidth_hz = 0.0;  ///< Bandwidth used for the noise floor.
-  std::vector<BudgetTerm> terms;    ///< Printable breakdown.
 };
 
 /// Radar (localization) budget for the node's switched reflection.
@@ -75,6 +74,19 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
 RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePose& pose,
                                  const rf::RfSwitch& sw, double chirp_duration_s,
                                  double beat_sample_rate_hz);
+
+/// Printable breakdown of compute_downlink_budget's `signal_dbm` (the same
+/// arguments): labelled dB terms that sum to it. Kept apart from the budget
+/// so that callers in a loop do not pay for the labels.
+std::vector<BudgetTerm> downlink_budget_terms(const BackscatterChannel& channel,
+                                              const NodePose& pose, antenna::FsaPort port,
+                                              double f_signal_hz, const rf::RfSwitch& sw);
+
+/// Printable breakdown of compute_uplink_budget's `rx_signal_dbm` (the same
+/// arguments): labelled dB terms that sum to it.
+std::vector<BudgetTerm> uplink_budget_terms(const BackscatterChannel& channel,
+                                            const NodePose& pose, antenna::FsaPort port,
+                                            double f_hz, const rf::RfSwitch& sw);
 
 /// Renders budget terms as "label: value dB" lines.
 std::string format_terms(const std::vector<BudgetTerm>& terms);

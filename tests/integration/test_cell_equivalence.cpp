@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -498,6 +499,22 @@ TEST(CellEquivalence, SdmScheduleAndIsolationAreFieldExact) {
   expect_same_slots({0.0, -0.0, 0.0, -0.0}, 0.0);
   expect_same_slots({-180.0, 180.0, -180.0, 180.0, 0.0, 179.0, -179.0}, 20.0);
   expect_same_slots({-180.0, 180.0, -180.0, 180.0}, 60.0);
+  // A NaN bearing blocks, and is blocked by, everyone: it opens its own slot
+  // and no later node joins it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_same_slots({nan}, 20.0);
+  expect_same_slots({nan, nan, nan}, 0.0);
+  expect_same_slots({10.0, nan, 40.0, nan, 70.0, 10.0}, 20.0);
+  expect_same_slots({nan, 0.0, -0.0, nan, 0.0, 20.0, -0.0, -20.0}, 20.0);
+  expect_same_slots({-0.0, nan, 0.0, nan, -0.0}, 0.0);
+  // Infinite bearings: |inf - inf| is NaN, so equal infinities block each
+  // other at any separation; opposite ones and finite ones never do.
+  expect_same_slots({inf, inf, -inf, -inf, 0.0, inf}, 20.0);
+  expect_same_slots({inf, -inf, inf, -inf}, 0.0);
+  expect_same_slots({-inf, 179.0, inf, -180.0, 180.0, inf, -inf}, 60.0);
+  expect_same_slots({inf, nan, -inf, 0.0, -0.0, nan, inf, 5.0}, 10.0);
+  expect_same_slots({inf, 1.0, -inf, 2.0, 3.0, inf}, 1e308);
 }
 
 // --- Statistically matched: engine run vs the reference MAC loop ------------

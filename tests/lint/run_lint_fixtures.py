@@ -84,6 +84,11 @@ STAGE = [
     ("a3_stream_wrapper.cpp", "src/milback/fix/a3_stream_wrapper.cpp"),
     # A5 fires only in the reduction scopes (sim/, cell/, bench/).
     ("a5_sum.cpp", "src/milback/cell/a5_sum.cpp"),
+    # Type aliases resolve per file: the double `Acc` reaches only the file
+    # that includes its header, not the unrelated long `Acc`.
+    ("a5_alias_double.hpp", "src/milback/fix/a5_alias_double.hpp"),
+    ("a5_alias_user.cpp", "src/milback/cell/a5_alias_user.cpp"),
+    ("a5_alias_clean.cpp", "src/milback/cell/a5_alias_clean.cpp"),
     ("clean.hpp", "src/milback/fix/clean.hpp"),
     ("clean.cpp", "src/milback/fix/clean.cpp"),
     ("waived.cpp", "src/milback/cell/waived.cpp"),
