@@ -10,6 +10,7 @@
 // `--benchmark_out=FILE --benchmark_out_format=json` writes a JSON report.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -257,6 +258,26 @@ void BM_Rng_StreamOneGaussian(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Rng_StreamOneGaussian);
+
+// The same draws with the first blocks seeded side by side, as the cell
+// engine's arrival pass does: K fresh streams primed together, one Gaussian
+// each. Time per iteration covers K streams (items = streams).
+void BM_Rng_StreamGaussianPrimed(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  std::uint64_t event = 0;
+  std::vector<Rng> rngs(k);
+  std::vector<Rng::Engine*> engines(k);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < k; ++i) {
+      rngs[i] = Rng::stream(99, event++);
+      engines[i] = &rngs[i].engine();
+    }
+    Rng::Engine::prime(engines);
+    for (auto& r : rngs) benchmark::DoNotOptimize(r.gaussian());
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()) * std::int64_t(k));
+}
+BENCHMARK(BM_Rng_StreamGaussianPrimed)->Arg(1)->Arg(4)->Arg(8);
 
 // TrialRunner region overhead at 1, 2 and 4 workers: one region of no-op
 // tasks (pure hand-off cost) and one of 64 ~1 us tasks (the cell sweep's

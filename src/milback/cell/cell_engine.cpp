@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -272,6 +273,7 @@ std::size_t CellEngine::population() const noexcept {
 
 std::size_t CellEngine::memory_bytes() const noexcept {
   return sizeof(*this) + nodes_.allocated_bytes() + queue_.allocated_bytes() +
+         arrivals_.capacity() * sizeof(std::uint32_t) +
          (mesh_ ? mesh_->allocated_bytes() : 0);
 }
 
@@ -348,21 +350,77 @@ void CellEngine::dispatch_join(const Event& e) {
   wake_service(e.time_s);
 }
 
-void CellEngine::dispatch_arrival(const Event& e) {
-  if (!nodes_.alive[e.node]) return;  // left before the arrival landed
-  const double period_s = e.value;
-  const double mean_bits = nodes_.arrival_rate_bps[e.node] * period_s;
-  auto rng = event_stream(std::uint64_t{e.node}, e.seq);
-  const double burst = nodes_.burstiness[e.node];
-  const double jitter =
-      burst > 0.0 ? std::max(0.0, 1.0 + burst * rng.gaussian(0.0, 0.5)) : 1.0;
-  const double bits = mean_bits * jitter;
-  if (bits <= 0.0) return;
-  nodes_.push_chunk(e.node, bits, e.time_s);
-  nodes_.queued_bits[e.node] += bits;
-  nodes_.offered_bits[e.node] += bits;
-  nodes_.peak_queue_bits[e.node] =
-      std::max(nodes_.peak_queue_bits[e.node], nodes_.queued_bits[e.node]);
+void CellEngine::schedule_arrivals(const std::vector<std::size_t>& rows,
+                                   double time_s, double period_s) {
+  MILBACK_REQUIRE(arrivals_.empty(),
+                  "schedule_arrivals: a sweep's arrivals are still pending");
+  MILBACK_REQUIRE(std::isfinite(time_s) && time_s >= 0.0,
+                  "schedule_arrivals: sweep time must be finite and >= 0");
+  MILBACK_REQUIRE(nodes_.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "schedule_arrivals: node index exceeds the arrival list's range");
+  if (rows.size() > arrivals_.capacity()) {
+    // ~12.5% headroom, as the event heap: the list is part of the measured
+    // bytes-per-node.
+    arrivals_.reserve(
+        std::max(rows.size(), arrivals_.capacity() + arrivals_.capacity() / 8 + 16));
+  }
+  for (const auto i : rows) {
+    if (nodes_.arrival_rate_bps[i] <= 0.0) continue;
+    arrivals_.push_back(static_cast<std::uint32_t>(i));
+  }
+  arrival_seq0_ = queue_.reserve_seqs(arrivals_.size());
+  arrival_time_s_ = time_s;
+  arrival_period_s_ = period_s;
+}
+
+void CellEngine::dispatch_arrivals(double time_s) {
+  if (arrivals_.empty()) return;
+  MILBACK_ASSERT(time_s == arrival_time_s_);
+  const obs::ProfileScope profile(
+      cell_profile().dispatch_ns[std::size_t(EventKind::kArrival)]);
+  const std::size_t n = arrivals_.size();
+  report_.events_dispatched += n;
+  obs_->ev_arrival.add(n);
+
+  // A bursty arrival draws one Gaussian from its own stream. Gather the
+  // next kLanes bursty ones, seed their streams side by side, draw, then
+  // apply every arrival up to the last of them in list order.
+  constexpr std::size_t kLanes = Rng::Engine::kPrimeLanes;
+  std::array<Rng, kLanes> rngs;
+  std::array<Rng::Engine*, kLanes> engines{};
+  std::array<std::size_t, kLanes> at{};  // list positions of the lanes
+  std::array<double, kLanes> jitter{};
+  std::size_t scanned = 0;
+  std::size_t applied = 0;
+  while (applied < n) {
+    std::size_t lanes = 0;
+    for (; scanned < n && lanes < kLanes; ++scanned) {
+      const std::size_t i = arrivals_[scanned];
+      if (!nodes_.alive[i] || nodes_.burstiness[i] <= 0.0) continue;
+      rngs[lanes] = event_stream(std::uint64_t{i}, arrival_seq0_ + scanned);
+      engines[lanes] = &rngs[lanes].engine();
+      at[lanes++] = scanned;
+    }
+    Rng::Engine::prime({engines.data(), lanes});
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const double burst = nodes_.burstiness[arrivals_[at[k]]];
+      jitter[k] = std::max(0.0, 1.0 + burst * rngs[k].gaussian(0.0, 0.5));
+    }
+    for (std::size_t k = 0; applied < scanned; ++applied) {
+      const std::size_t i = arrivals_[applied];
+      if (!nodes_.alive[i]) continue;  // left before the arrival landed
+      const double mean_bits = nodes_.arrival_rate_bps[i] * arrival_period_s_;
+      const bool bursty = k < lanes && at[k] == applied;
+      const double bits = mean_bits * (bursty ? jitter[k++] : 1.0);
+      if (bits <= 0.0) continue;
+      nodes_.push_chunk(i, bits, time_s);
+      nodes_.queued_bits[i] += bits;
+      nodes_.offered_bits[i] += bits;
+      nodes_.peak_queue_bits[i] =
+          std::max(nodes_.peak_queue_bits[i], nodes_.queued_bits[i]);
+    }
+  }
+  arrivals_.clear();
 }
 
 double CellEngine::slot_period_s(
@@ -526,14 +584,7 @@ void CellEngine::dispatch_service(const Event& e) {
 
   // Next sweep and its arrivals (current-period estimate for the window).
   if (service_done_s < duration_s_) {
-    for (const auto i : alive) {
-      if (nodes_.arrival_rate_bps[i] <= 0.0) continue;
-      queue_.push(Event{.time_s = service_done_s,
-                        .priority = kPriorityArrival,
-                        .kind = EventKind::kArrival,
-                        .node = i,
-                        .value = period_s});
-    }
+    schedule_arrivals(alive, service_done_s, period_s);
     wake_service(service_done_s);
   }
 }
@@ -630,9 +681,9 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
   // Bootstrap the first sweep. Arrivals for a sweep land before it (same
   // time, lower priority), so the first window needs a period estimate up
   // front: the pinned period, else a budget probe of the initial population.
+  const auto alive = alive_indices();
   double hint_s = config_.service_period_s;
   if (hint_s <= 0.0) {
-    const auto alive = alive_indices();
     std::vector<channel::NodePose> poses;
     poses.reserve(alive.size());
     for (const auto i : alive) {
@@ -644,20 +695,16 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
         sdm_partition(poses, config_.network.sdm_min_separation_deg), alive);
   }
   if (hint_s > 0.0) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (!nodes_.alive[i] || nodes_.arrival_rate_bps[i] <= 0.0) continue;
-      queue_.push(Event{.time_s = 0.0,
-                        .priority = kPriorityArrival,
-                        .kind = EventKind::kArrival,
-                        .node = i,
-                        .value = hint_s});
-    }
+    schedule_arrivals(alive, 0.0, hint_s);
     wake_service(0.0);
   }
   obs_->runs.add();
 }
 
 void CellEngine::dispatch(const Event& e) {
+  // A sweep's arrivals share its time and dispatch just before it, after
+  // that time's churn.
+  if (e.kind == EventKind::kService) dispatch_arrivals(e.time_s);
   const obs::ProfileScope profile(cell_profile().dispatch_ns[std::size_t(e.kind)]);
   report_.events_dispatched += 1;
   switch (e.kind) {
@@ -678,9 +725,8 @@ void CellEngine::dispatch(const Event& e) {
       nodes_.pose[e.node] = e.pose;
       if (nodes_.alive[e.node]) wake_service(e.time_s);
       break;
-    case EventKind::kArrival:
-      obs_->ev_arrival.add();
-      dispatch_arrival(e);
+    case EventKind::kArrival:  // never queued: see dispatch_arrivals
+      MILBACK_ASSERT(e.kind != EventKind::kArrival);
       break;
     case EventKind::kService:
       obs_->ev_service.add();
@@ -703,12 +749,12 @@ void CellEngine::dispatch(const Event& e) {
       if (population() > 0) wake_service(e.time_s);
       break;
   }
-  // Post-dispatch backlog of the event queue. Standalone engines run their
-  // event loop on one thread, so the last-write value is deterministic;
-  // sharded cells dispatch on TrialRunner workers, where a gauge write
-  // would race flush order — the MultiCellEngine publishes per-cell depth
-  // gauges from its (serial) epoch barrier instead.
-  if (config_.cell_index < 0) obs_->queue_depth.set(double(queue_.size()));
+  // Post-dispatch backlog, pending arrivals included. Standalone engines
+  // run their event loop on one thread, so the last-write value is
+  // deterministic; sharded cells dispatch on TrialRunner workers, where a
+  // gauge write would race flush order — the MultiCellEngine publishes
+  // per-cell depth gauges from its (serial) epoch barrier instead.
+  if (config_.cell_index < 0) obs_->queue_depth.set(double(pending_events()));
 }
 
 void CellEngine::advance_to(double time_s) {

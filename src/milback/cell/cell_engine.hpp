@@ -11,16 +11,18 @@
 // Determinism: run(duration, seed) is a pure function of the scenario and
 // the seed. Every random draw comes from Rng::stream(seed, node, event.seq)
 // — keyed by the event's queue-stamped sequence number, never by a shared
-// generator — and the per-sweep fan-out runs on sim::TrialRunner under its
-// thread-count-invariance contract, so the CellReport is bit-identical with
+// generator; a sweep's arrivals run as one pass on a block of seqs reserved
+// from the queue — and the per-sweep fan-out runs on sim::TrialRunner under
+// its thread-count-invariance contract, so the CellReport is bit-identical with
 // 1 worker or N (tests/integration/test_cell_thread_invariance.cpp). When
 // the engine is one shard of a MultiCellEngine (config.cell_index >= 0) the
 // keying widens to Rng::stream(seed, cell, node, event.seq) so sibling
 // cells sharing a seed stay decorrelated.
 //
-// Storage is struct-of-arrays (node_soa.hpp) over pooled chains and the
-// event queue is slab-pooled (event_queue.hpp): a steady-state run makes
-// zero event allocations and per-node state fits a fixed byte budget
+// Storage is struct-of-arrays (node_soa.hpp) over pooled chains, the event
+// queue is slab-pooled (event_queue.hpp) and holds no per-node arrival
+// events: a steady-state run makes zero event allocations and per-node
+// state fits a fixed byte budget
 // (bench/e2e campus_100k reports the measured outcome.bytes_per_node).
 //
 // tests/integration/test_cell_equivalence.cpp pins the engine against
@@ -258,12 +260,12 @@ class CellEngine {
   const core::MilBackLink& link() const noexcept { return link_; }
   const CellConfig& config() const noexcept { return config_; }
   std::size_t node_count() const noexcept { return nodes_.size(); }
-  /// Pre-sizes the node columns and the event heap for `n` rows (large
+  /// Pre-sizes the node columns and the arrival list for `n` rows (large
   /// fleets avoid capacity growth bursts during build-up; the steady state
-  /// pends about one arrival event per node).
+  /// pends about one arrival per node).
   void reserve_nodes(std::size_t n) {
     nodes_.reserve(n);
-    queue_.reserve(n + n / 8 + 16);
+    arrivals_.reserve(n);
   }
   NodeId node_id(std::size_t i) const;
   const channel::NodePose& node_pose(std::size_t i) const;
@@ -273,10 +275,14 @@ class CellEngine {
   double node_join_time_s(std::size_t i) const;
   /// Nodes currently alive.
   std::size_t population() const noexcept;
-  /// Pending events (epoch drivers use this to detect an idle cell).
-  std::size_t pending_events() const noexcept { return queue_.size(); }
-  /// Bytes held by node columns, pooled chains and the event queue —
-  /// the simulation state outcome.bytes_per_node divides by population.
+  /// Pending events, the next sweep's arrivals included (epoch drivers use
+  /// this to detect an idle cell).
+  std::size_t pending_events() const noexcept {
+    return queue_.size() + arrivals_.size();
+  }
+  /// Bytes held by node columns, pooled chains, the event queue and the
+  /// arrival list — the simulation state outcome.bytes_per_node divides by
+  /// population.
   std::size_t memory_bytes() const noexcept;
 
  private:
@@ -296,7 +302,16 @@ class CellEngine {
   void register_node_metrics(std::size_t i);
   void dispatch(const Event& e);
   void dispatch_join(const Event& e);
-  void dispatch_arrival(const Event& e);
+  /// Lists the arrivals of the sweep at `time_s`: one per row of `rows`
+  /// with a positive arrival rate, over a window of `period_s`, on a block
+  /// of reserved seqs — the seqs one kArrival push per row would take.
+  void schedule_arrivals(const std::vector<std::size_t>& rows, double time_s,
+                         double period_s);
+  /// Runs the listed arrivals as one pass at their sweep's `time_s`, where
+  /// their events would dispatch (after that time's churn, before the
+  /// service), each as its own event would: alive check, rate read now,
+  /// jitter from event_stream(node, seq).
+  void dispatch_arrivals(double time_s);
   void dispatch_service(const Event& e);
   /// Mesh leg of one service sweep: rebuild routes when the topology is
   /// dirty, ingest dark nodes' backlog toward their first relay, advance
@@ -309,6 +324,11 @@ class CellEngine {
   core::MilBackLink link_;
   NodeSoA nodes_;
   EventQueue queue_;
+  std::vector<std::uint32_t> arrivals_;  ///< Rows with a pending arrival,
+                                         ///< in seq order (schedule_arrivals).
+  std::uint64_t arrival_seq0_ = 0;       ///< Seq of arrivals_[0].
+  double arrival_time_s_ = 0.0;          ///< The pending arrivals' sweep time.
+  double arrival_period_s_ = 0.0;        ///< Their arrival window.
   ServiceObserver observer_;
   const CellObs* obs_;       ///< Label-scoped cell-wide metric handles.
   bool service_scheduled_ = false;

@@ -54,6 +54,14 @@ std::uint64_t EventQueue::push(const Event& e) {
   return seq;
 }
 
+std::uint64_t EventQueue::reserve_seqs(std::size_t n) {
+  MILBACK_REQUIRE(n <= std::uint64_t{kSeqMask} + 1 - next_seq_,
+                  "EventQueue::reserve_seqs: seq space exhausted (2^30 events)");
+  const std::uint64_t first = next_seq_;
+  next_seq_ += n;
+  return first;
+}
+
 double EventQueue::next_time_s() const {
   MILBACK_REQUIRE(!heap_.empty(), "EventQueue::next_time_s: queue is empty");
   return heap_.front().time_s;

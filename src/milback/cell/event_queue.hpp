@@ -13,7 +13,9 @@
 // The seq stamp is also the determinism key for event randomness: handlers
 // derive their draws as Rng::stream(seed, node, event.seq) — or, sharded,
 // Rng::stream(seed, cell, node, event.seq) — so a run is a pure function of
-// (scenario, seed) regardless of worker count.
+// (scenario, seed) regardless of worker count. Work that runs outside the
+// heap (a sweep's arrivals) reserves a block of seqs instead of pushing, so
+// its keys are the seqs its pushes would have taken.
 //
 // Storage is pooled: the heap orders 16-byte handles (the priority packed
 // into the top bits of a 32-bit seq word), 16-byte event payloads live in a
@@ -42,7 +44,9 @@ enum class EventKind : std::uint8_t {
   kJoin,           ///< Node enters the cell (carries its pose via the spec).
   kLeave,          ///< Node departs; its backlog freezes.
   kMove,           ///< Node pose update (mobility waypoint).
-  kArrival,        ///< Traffic arrival at one node's uplink queue.
+  kArrival,        ///< Traffic arrival at one node's uplink queue (the
+                   ///< engine runs these as one pass per sweep on reserved
+                   ///< seqs; the kind names their counter and span).
   kService,        ///< One SDM sweep: every slot visited once.
   kBlockageStart,  ///< Blockage episode begins (value = one-way loss dB).
   kBlockageEnd,    ///< Blockage episode ends.
@@ -67,8 +71,7 @@ struct Event {
   EventKind kind = EventKind::kService;  ///< What to do.
   std::size_t node = kCellWide;          ///< Target node (kCellWide if none).
   channel::NodePose pose{};              ///< kMove payload.
-  double value = 0.0;                    ///< kBlockageStart: loss [dB];
-                                         ///< kArrival: round period [s].
+  double value = 0.0;                    ///< kBlockageStart: loss [dB].
   std::uint64_t seq = 0;                 ///< Stamped by EventQueue::push.
 };
 
@@ -82,6 +85,12 @@ class EventQueue {
   /// Requires a finite, non-negative time and a node index that is either
   /// Event::kCellWide or a real (sub-sentinel) node slot.
   std::uint64_t push(const Event& e);
+
+  /// Reserves the next `n` seqs for events the caller runs itself instead
+  /// of queueing (the cell engine's arrival pass) and returns the first:
+  /// exactly the seqs n pushes would stamp, in order, under the same 2^30
+  /// lifetime cap. The next push stamps the seq after the block.
+  std::uint64_t reserve_seqs(std::size_t n);
 
   /// Whether any events remain.
   bool empty() const noexcept { return heap_.empty(); }
@@ -108,10 +117,6 @@ class EventQueue {
   /// Payload slots ever allocated (monotone; steady-state churn keeps this
   /// flat — the regression handle for the zero-allocation property).
   std::size_t pooled_slots() const noexcept { return payloads_.capacity(); }
-
-  /// Pre-sizes the heap for `n` pending events (the engine reserves one
-  /// arrival slot per node so fleet build-up never doubles the heap).
-  void reserve(std::size_t n) { heap_.reserve(n); }
 
  private:
   /// Heap entry: the full ordering key plus a slot into the payload pool.

@@ -149,10 +149,11 @@ double probe_service_rate_bps(const channel::BackscatterChannel& channel,
   require_finite(pose.orientation_deg, "pose.orientation_deg");
   const auto pair = channel.fsa().carrier_pair_for_angle(pose.orientation_deg);
   if (!pair) return 0.0;
-  rf::RfSwitch sw{rf::RfSwitchConfig{}};
-  const auto budget = channel::compute_uplink_budget(channel, pose,
-                                                     antenna::FsaPort::kA, pair->first,
-                                                     sw, 10e6);
+  // The probe's default switch is fixed, so its coefficient is too.
+  static const double kModCoeff =
+      channel::modulation_power_coeff(rf::RfSwitch{rf::RfSwitchConfig{}});
+  const auto budget = channel::compute_uplink_budget_at_coeff(
+      channel, pose, antenna::FsaPort::kA, pair->first, kModCoeff, 10e6);
   return core::service_rate_bps(rate, budget.snr_db);
 }
 

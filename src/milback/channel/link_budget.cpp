@@ -85,11 +85,20 @@ std::vector<BudgetTerm> downlink_budget_terms(const BackscatterChannel& channel,
 UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const NodePose& pose,
                                    antenna::FsaPort port, double f_hz,
                                    const rf::RfSwitch& sw, double bit_rate_bps) {
+  return compute_uplink_budget_at_coeff(channel, pose, port, f_hz,
+                                        modulation_power_coeff(sw), bit_rate_bps);
+}
+
+UplinkBudget compute_uplink_budget_at_coeff(const BackscatterChannel& channel,
+                                            const NodePose& pose, antenna::FsaPort port,
+                                            double f_hz, double mod_coeff,
+                                            double bit_rate_bps) {
   require_valid_pose(pose);
   require_positive(f_hz, "f_hz");
+  MILBACK_REQUIRE(mod_coeff >= 0.0 && mod_coeff <= 1.0,
+                  "compute_uplink_budget_at_coeff: mod_coeff must be in [0, 1]");
   require_positive(bit_rate_bps, "bit_rate_bps");
   UplinkBudget b;
-  const double mod_coeff = modulation_power_coeff(sw);
   b.rx_signal_dbm = channel.backscatter_power_dbm(port, f_hz, pose, mod_coeff);
   b.noise_bandwidth_hz = bit_rate_bps;
   const double rx_w = dbm2watt(b.rx_signal_dbm);

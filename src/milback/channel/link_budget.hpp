@@ -69,6 +69,14 @@ UplinkBudget compute_uplink_budget(const BackscatterChannel& channel, const Node
                                    antenna::FsaPort port, double f_hz,
                                    const rf::RfSwitch& sw, double bit_rate_bps);
 
+/// compute_uplink_budget with the switch's modulation_power_coeff (in
+/// [0, 1]) given instead of the switch, for callers that probe many poses
+/// through one switch and compute the coefficient once. Same arithmetic.
+UplinkBudget compute_uplink_budget_at_coeff(const BackscatterChannel& channel,
+                                            const NodePose& pose, antenna::FsaPort port,
+                                            double f_hz, double mod_coeff,
+                                            double bit_rate_bps);
+
 /// Computes the radar budget for a chirp of `chirp_duration_s` with the beat
 /// signal sampled at `beat_sample_rate_hz`.
 RadarBudget compute_radar_budget(const BackscatterChannel& channel, const NodePose& pose,

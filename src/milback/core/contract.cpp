@@ -70,35 +70,30 @@ std::string describe(const char* name, double v, const char* requirement) {
   return os.str();
 }
 
-[[noreturn]] void violate_guard(const std::string& predicate, const std::string& message,
-                                const std::source_location& loc) {
+[[noreturn, gnu::cold]] void violate_guard(const std::string& predicate,
+                                           const std::string& message,
+                                           const std::source_location& loc) {
   contract::violate("precondition", predicate.c_str(), message, loc.file_name(),
                     int(loc.line()));
 }
 
 }  // namespace
 
-double require_finite(double v, const char* name, std::source_location loc) {
-  if (!std::isfinite(v)) {
-    violate_guard(std::string("is_finite(") + name + ")", describe(name, v, "finite"),
-                  loc);
-  }
-  return v;
+namespace contract {
+
+void finite_violated(double v, const char* name, const std::source_location& loc) {
+  violate_guard(std::string("is_finite(") + name + ")", describe(name, v, "finite"), loc);
 }
 
-double require_positive(double v, const char* name, std::source_location loc) {
-  if (!std::isfinite(v) || v <= 0.0) {
-    violate_guard(std::string(name) + " > 0", describe(name, v, "finite and > 0"), loc);
-  }
-  return v;
+void positive_violated(double v, const char* name, const std::source_location& loc) {
+  violate_guard(std::string(name) + " > 0", describe(name, v, "finite and > 0"), loc);
 }
 
-double require_non_negative(double v, const char* name, std::source_location loc) {
-  if (!std::isfinite(v) || v < 0.0) {
-    violate_guard(std::string(name) + " >= 0", describe(name, v, "finite and >= 0"), loc);
-  }
-  return v;
+void non_negative_violated(double v, const char* name, const std::source_location& loc) {
+  violate_guard(std::string(name) + " >= 0", describe(name, v, "finite and >= 0"), loc);
 }
+
+}  // namespace contract
 
 // milback-analyze: no-contract(guard primitive: reports via violate_guard rather than recursing)
 double require_in_range(double v, double lo, double hi, const char* name,

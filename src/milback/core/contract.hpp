@@ -24,6 +24,7 @@
 // aborts — a violated contract never continues silently.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <source_location>
 #include <stdexcept>
@@ -115,17 +116,46 @@ class HandlerGuard {
 // and consume in one expression:
 //   config_.bandwidth_hz = require_positive(config.bandwidth_hz, "bandwidth_hz");
 
+namespace contract {
+
+/// Out-of-line, cold failure paths of the inline guards below: build the
+/// message and route it through violate(). Never return.
+[[noreturn, gnu::cold]] void finite_violated(double v, const char* name,
+                                             const std::source_location& loc);
+[[noreturn, gnu::cold]] void positive_violated(double v, const char* name,
+                                               const std::source_location& loc);
+[[noreturn, gnu::cold]] void non_negative_violated(double v, const char* name,
+                                                   const std::source_location& loc);
+
+}  // namespace contract
+
+// The three hot guards run on every budget probe, so their test is inline;
+// only a failure leaves the caller.
+
 /// Requires `v` to be finite (no NaN/inf). `name` labels the quantity.
-double require_finite(double v, const char* name,
-                      std::source_location loc = std::source_location::current());
+inline double require_finite(double v, const char* name,
+                             std::source_location loc = std::source_location::current()) {
+  if (!std::isfinite(v)) [[unlikely]] contract::finite_violated(v, name, loc);
+  return v;
+}
 
 /// Requires `v` to be finite and strictly positive.
-double require_positive(double v, const char* name,
-                        std::source_location loc = std::source_location::current());
+inline double require_positive(double v, const char* name,
+                               std::source_location loc = std::source_location::current()) {
+  if (!std::isfinite(v) || v <= 0.0) [[unlikely]] {
+    contract::positive_violated(v, name, loc);
+  }
+  return v;
+}
 
 /// Requires `v` to be finite and >= 0.
-double require_non_negative(double v, const char* name,
-                            std::source_location loc = std::source_location::current());
+inline double require_non_negative(double v, const char* name,
+                                   std::source_location loc = std::source_location::current()) {
+  if (!std::isfinite(v) || v < 0.0) [[unlikely]] {
+    contract::non_negative_violated(v, name, loc);
+  }
+  return v;
+}
 
 /// Requires `v` to be finite and inside [lo, hi].
 double require_in_range(double v, double lo, double hi, const char* name,

@@ -105,11 +105,11 @@ void Rng::Engine::refill() {
     idx_ = 0;
     return;
   }
-  // First block: double the twisted prefix (starting at 4 outputs), seeding
-  // only the words it reads. Locals, not members, in the seed loop: the
-  // state words share the members' type, so a store to x_ would otherwise
-  // force a reload of the loop bound every step.
-  const std::size_t end = std::min(kN, std::max<std::size_t>(4, 2 * end_));
+  // First block: double the twisted prefix (starting at kFirstEnd outputs),
+  // seeding only the words it reads. Locals, not members, in the seed loop:
+  // the state words share the members' type, so a store to x_ would
+  // otherwise force a reload of the loop bound every step.
+  const std::size_t end = std::min(kN, std::max(kFirstEnd, 2 * end_));
   const std::size_t need = std::min(kN, end + kM);
   std::uint64_t prev = x_[seeded_ - 1];
   for (std::size_t i = seeded_; i < need; ++i) {
@@ -126,6 +126,56 @@ void Rng::Engine::refill() {
   if (k < end) x_[kN - 1] = twist_word(x_[kN - 1], x_[0], x_[kM - 1]);
   for (k = end_; k < end; ++k) out_[k] = temper(x_[k]);
   end_ = end;
+}
+
+template <std::size_t W>
+void Rng::Engine::prime_lanes(Engine* const* engines) {
+  std::array<Engine*, W> e;
+  std::array<std::uint64_t, W> prev;
+  for (std::size_t w = 0; w < W; ++w) {
+    e[w] = engines[w];
+    MILBACK_REQUIRE(e[w]->fresh(), "Rng::Engine::prime: engine already drew or was primed");
+    for (std::size_t v = 0; v < w; ++v) {
+      MILBACK_REQUIRE(e[v] != e[w], "Rng::Engine::prime: engine listed twice");
+    }
+    prev[w] = e[w]->x_[0];
+  }
+  // refill()'s first block, lane by lane at each step: seed words
+  // [1, kFirstEnd + kM), then twist and temper outputs [0, kFirstEnd). The
+  // lane loop is unrolled so each lane's word lives in a register; rolled,
+  // prev stays an array in memory and every step waits on a store and a
+  // reload.
+  constexpr std::size_t kNeed = kFirstEnd + kM;
+  for (std::size_t i = 1; i < kNeed; ++i) {
+#pragma GCC unroll 4
+    for (std::size_t w = 0; w < W; ++w) {
+      prev[w] = 6364136223846793005ULL * (prev[w] ^ (prev[w] >> 62)) + i;
+      e[w]->x_[i] = prev[w];
+    }
+  }
+  for (std::size_t w = 0; w < W; ++w) {
+    Engine& g = *e[w];
+    for (std::size_t k = 0; k < kFirstEnd; ++k) {
+      g.x_[k] = twist_word(g.x_[k], g.x_[k + 1], g.x_[k + kM]);
+      g.out_[k] = temper(g.x_[k]);
+    }
+    g.seeded_ = kNeed;
+    g.end_ = kFirstEnd;
+  }
+}
+
+void Rng::Engine::prime(std::span<Engine* const> engines) {
+  std::size_t k = 0;
+  for (; k + kPrimeLanes <= engines.size(); k += kPrimeLanes) {
+    prime_lanes<kPrimeLanes>(engines.data() + k);
+  }
+  static_assert(kPrimeLanes == 4, "the tail below covers 1..3 leftover engines");
+  switch (engines.size() - k) {
+    case 3: prime_lanes<3>(engines.data() + k); break;
+    case 2: prime_lanes<2>(engines.data() + k); break;
+    case 1: prime_lanes<1>(engines.data() + k); break;
+    default: break;
+  }
 }
 
 double Rng::phase() { return uniform(-kPi, kPi); }

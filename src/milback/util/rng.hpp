@@ -20,6 +20,16 @@
 // object is built per call. Two 312-word arrays make an Rng ~5 KB; it lives
 // only on the stack (built per trial, event or burst from `stream`), never
 // as a persistent member.
+//
+// Priming. A stream that takes one draw spends almost all its time in the
+// first block's seed recurrence: 159 serial multiply-xor steps, each waiting
+// on the one before. `Engine::prime` seeds the first block of several fresh
+// engines at once, running their recurrences interleaved (kPrimeLanes at a
+// time) so the steps of different streams overlap in the pipeline. Each
+// engine ends in exactly the state its own first draw leaves it in (seed
+// words [0, 160), outputs [0, 4) twisted and tempered), so every draw after
+// it is unchanged; a draw past output 4 takes the ordinary lazy path. The
+// cell engine primes the jitter streams of a sweep's bursty arrivals.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +38,7 @@
 #include <complex>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -73,11 +84,30 @@ class Rng {
       return out_[idx_++];
     }
 
+    /// Engines `prime` seeds side by side.
+    static constexpr std::size_t kPrimeLanes = 4;
+
+    /// Seeds the first block of every engine in `engines`, kPrimeLanes at a
+    /// time with the seed recurrences interleaved, leaving each exactly as
+    /// its own first draw would (see the header comment). Each engine must
+    /// be fresh (no draw taken, not primed) and listed once; any count is
+    /// valid, zero included.
+    // milback-analyze: no-contract(prime_lanes checks each engine fresh and distinct just before its group is seeded)
+    static void prime(std::span<Engine* const> engines);
+
    private:
     friend class Rng;  // the bulk kernels read the tempered block in place
 
     static constexpr std::size_t kN = 312;  // state words (one block of outputs)
     static constexpr std::size_t kM = 156;  // twist offset
+    static constexpr std::size_t kFirstEnd = 4;  // outputs of the first refill
+
+    /// Whether no draw has touched the engine yet.
+    bool fresh() const noexcept { return idx_ == 0 && end_ == 0 && seeded_ == 1; }
+
+    /// prime's kernel: seeds `W` distinct fresh engines side by side.
+    template <std::size_t W>
+    static void prime_lanes(Engine* const* engines);
 
     /// Makes outputs [idx_, end_) available: the next doubling of the
     /// first block's twisted prefix, or a full twist once the block is spent.

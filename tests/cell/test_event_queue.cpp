@@ -2,6 +2,7 @@
 // cell engine's determinism foundation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "milback/cell/event_queue.hpp"
@@ -62,6 +63,33 @@ TEST(EventQueue, PushStampsMonotonicSeq) {
   EXPECT_EQ(q.push(e), 1u);
   EXPECT_EQ(q.pop().seq, 0u);
   EXPECT_EQ(q.pop().seq, 1u);
+}
+
+TEST(EventQueue, ReservedSeqsAreTheSeqsPushesWouldTake) {
+  EventQueue q;
+  EXPECT_EQ(q.push(at(1.0, kPriorityChurn)), 0u);
+  EXPECT_EQ(q.reserve_seqs(5), 1u);
+  EXPECT_EQ(q.push(at(1.0, kPriorityChurn)), 6u);  // the seq after the block
+  EXPECT_EQ(q.reserve_seqs(0), 7u);                // an empty block takes none
+  EXPECT_EQ(q.push(at(0.5, kPriorityService)), 7u);
+  EXPECT_EQ(q.size(), 3u);  // a reservation queues nothing
+  EXPECT_EQ(q.pop().seq, 7u);
+  EXPECT_EQ(q.pop().seq, 0u);
+  EXPECT_EQ(q.pop().seq, 6u);
+}
+
+TEST(EventQueue, SeqReservationAcross2To30Throws) {
+  // Reached by reservation alone: no event is pushed to climb the seq space.
+  constexpr std::uint64_t kSeqSpace = std::uint64_t{1} << 30;
+  EventQueue q;
+  EXPECT_EQ(q.reserve_seqs(kSeqSpace - 3), 0u);
+  EXPECT_THROW(q.reserve_seqs(4), ContractViolation);  // would end past 2^30
+  EXPECT_EQ(q.reserve_seqs(2), kSeqSpace - 3);        // a failed call took none
+  EXPECT_EQ(q.push(at(1.0, kPriorityChurn)), kSeqSpace - 1);  // the last seq
+  EXPECT_THROW(q.push(at(2.0, kPriorityChurn)), ContractViolation);
+  EXPECT_THROW(q.reserve_seqs(1), ContractViolation);
+  EXPECT_EQ(q.reserve_seqs(0), kSeqSpace);
+  EXPECT_EQ(q.pop().seq, kSeqSpace - 1);
 }
 
 TEST(EventQueue, RejectsNonFiniteOrNegativeTime) {

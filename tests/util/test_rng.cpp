@@ -6,6 +6,7 @@
 #include <limits>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -419,6 +420,63 @@ TEST(RngEngine, InterleavedDistributionsMatchStdEngine) {
     }
     EXPECT_EQ(a.engine()(), b());
   }
+}
+
+TEST(RngEngine, PrimedEnginesMatchLazilySeededOnes) {
+  // Every group width prime runs (full groups of kPrimeLanes and each tail),
+  // compared word for word through the first block's lazy doublings, the
+  // block edge (312, 313) and into the second block (700).
+  for (std::size_t k = 0; k <= 9; ++k) {
+    for (const std::size_t draws : {4, 5, 8, 312, 313, 700}) {
+      SCOPED_TRACE("k " + std::to_string(k) + ", draws " + std::to_string(draws));
+      std::vector<Rng> primed, lazy;
+      for (std::size_t i = 0; i < k; ++i) {
+        primed.push_back(Rng::stream(17, k, draws, i));
+        lazy.push_back(Rng::stream(17, k, draws, i));
+      }
+      std::vector<Rng::Engine*> engines;
+      for (auto& r : primed) engines.push_back(&r.engine());
+      Rng::Engine::prime(engines);
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t d = 0; d < draws; ++d) {
+          ASSERT_EQ(primed[i].engine()(), lazy[i].engine()())
+              << "engine " << i << " word " << d;
+        }
+      }
+    }
+    // The cell engine's use: one Gaussian per primed stream, then more (a
+    // rejection past word 4 takes the lazy path).
+    std::vector<Rng> primed, lazy;
+    for (std::size_t i = 0; i < k; ++i) {
+      primed.push_back(Rng::stream(23, k, i));
+      lazy.push_back(Rng::stream(23, k, i));
+    }
+    std::vector<Rng::Engine*> engines;
+    for (auto& r : primed) engines.push_back(&r.engine());
+    Rng::Engine::prime(engines);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (int g = 0; g < 200; ++g) {
+        ASSERT_EQ(primed[i].gaussian(0.0, 0.5), lazy[i].gaussian(0.0, 0.5)) << "engine " << i;
+      }
+    }
+  }
+}
+
+TEST(RngEngine, PrimeRejectsEnginesThatAreNotFresh) {
+  Rng drawn = Rng::stream(5, 1);
+  drawn.engine()();
+  Rng fresh = Rng::stream(5, 2);
+  std::vector<Rng::Engine*> engines{&fresh.engine(), &drawn.engine()};
+  EXPECT_THROW(Rng::Engine::prime(engines), ContractViolation);
+
+  Rng once = Rng::stream(5, 3);
+  std::vector<Rng::Engine*> one{&once.engine()};
+  Rng::Engine::prime(one);
+  EXPECT_THROW(Rng::Engine::prime(one), ContractViolation);  // already primed
+
+  Rng twice = Rng::stream(5, 4);
+  std::vector<Rng::Engine*> dup{&twice.engine(), &twice.engine()};
+  EXPECT_THROW(Rng::Engine::prime(dup), ContractViolation);  // listed twice
 }
 
 // FNV-1a over the bytes of a buffer of doubles or words.
