@@ -66,6 +66,14 @@ Round run_sdm_round(const core::MilBackLink& link, const NodeSoA& nodes,
   return round;
 }
 
+// A pose the SDM partition and the budget probes can serve: in front of the
+// AP, with a finite bearing and facing (add_node and schedule_move).
+void require_valid_pose(const channel::NodePose& pose) {
+  require_positive(pose.distance_m, "pose.distance_m");
+  require_finite(pose.azimuth_deg, "pose.azimuth_deg");
+  require_finite(pose.orientation_deg, "pose.orientation_deg");
+}
+
 }  // namespace
 
 // Cell-wide metric handles, interned once per label. A standalone engine
@@ -181,19 +189,16 @@ void CellEngine::set_mesh(mesh::MeshConfig config) {
 std::size_t CellEngine::add_node(std::string id, const core::TrafficSpec& spec,
                                  double join_time_s) {
   MILBACK_REQUIRE(!ran_, "CellEngine::add_node: engine already ran");
-  require_positive(spec.pose.distance_m, "pose.distance_m");
-  require_finite(spec.pose.azimuth_deg, "pose.azimuth_deg");
-  require_finite(spec.pose.orientation_deg, "pose.orientation_deg");
+  require_valid_pose(spec.pose);
+  require_non_negative(spec.arrival_rate_bps, "arrival_rate_bps");
+  require_non_negative(spec.burstiness, "burstiness");
   require_finite(join_time_s, "join_time_s");
   const NodeId nid = IdTable::global().intern(id);
   const std::size_t index =
       nodes_.add(nid, spec, std::max(join_time_s, 0.0), join_time_s <= 0.0);
   register_node_metrics(index);
   if (join_time_s > 0.0) {
-    queue_.push(Event{.time_s = join_time_s,
-                      .priority = kPriorityChurn,
-                      .kind = EventKind::kJoin,
-                      .node = index});
+    queue_.push(Event{.time_s = join_time_s, .kind = EventKind::kJoin, .node = index});
   }
   return index;
 }
@@ -217,32 +222,21 @@ void CellEngine::register_node_metrics(std::size_t i) {
 
 void CellEngine::schedule_leave(std::size_t node, double time_s) {
   MILBACK_REQUIRE(node < nodes_.size(), "schedule_leave: node out of range");
-  queue_.push(Event{.time_s = time_s,
-                    .priority = kPriorityChurn,
-                    .kind = EventKind::kLeave,
-                    .node = node});
+  queue_.push(Event{.time_s = time_s, .kind = EventKind::kLeave, .node = node});
 }
 
 void CellEngine::schedule_move(std::size_t node, double time_s,
                                const channel::NodePose& pose) {
   MILBACK_REQUIRE(node < nodes_.size(), "schedule_move: node out of range");
-  queue_.push(Event{.time_s = time_s,
-                    .priority = kPriorityChurn,
-                    .kind = EventKind::kMove,
-                    .node = node,
-                    .pose = pose});
+  require_valid_pose(pose);
+  queue_.push(Event{.time_s = time_s, .kind = EventKind::kMove, .node = node, .pose = pose});
 }
 
 void CellEngine::schedule_blockage(double start_s, double end_s, double loss_db) {
   MILBACK_REQUIRE(end_s > start_s, "schedule_blockage: end must follow start");
   require_non_negative(loss_db, "blockage loss_db");
-  queue_.push(Event{.time_s = start_s,
-                    .priority = kPriorityChurn,
-                    .kind = EventKind::kBlockageStart,
-                    .value = loss_db});
-  queue_.push(Event{.time_s = end_s,
-                    .priority = kPriorityChurn,
-                    .kind = EventKind::kBlockageEnd});
+  queue_.push(Event{.time_s = start_s, .kind = EventKind::kBlockageStart, .value = loss_db});
+  queue_.push(Event{.time_s = end_s, .kind = EventKind::kBlockageEnd});
 }
 
 NodeId CellEngine::node_id(std::size_t i) const {
@@ -326,10 +320,7 @@ void CellEngine::set_external_interference_db(double loss_db) {
 
 void CellEngine::wake_service(double time_s) {
   if (service_scheduled_) return;
-  queue_.push(Event{.time_s = time_s,
-                    .priority = kPriorityService,
-                    .kind = EventKind::kService,
-                    .node = Event::kCellWide});
+  queue_.push(Event{.time_s = time_s, .kind = EventKind::kService});
   service_scheduled_ = true;
 }
 
@@ -678,8 +669,8 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
   }
   peak_population_ = population();
 
-  // Bootstrap the first sweep. Arrivals for a sweep land before it (same
-  // time, lower priority), so the first window needs a period estimate up
+  // Bootstrap the first sweep. Arrivals for a sweep land before it (one
+  // pass as the sweep starts), so the first window needs a period estimate up
   // front: the pinned period, else a budget probe of the initial population.
   const auto alive = alive_indices();
   double hint_s = config_.service_period_s;
@@ -761,7 +752,7 @@ void CellEngine::advance_to(double time_s) {
   MILBACK_REQUIRE(running_, "CellEngine::advance_to: begin() first");
   require_finite(time_s, "time_s");
   const double limit = std::min(time_s, duration_s_);
-  while (!queue_.empty() && queue_.next_time_s() < limit) {
+  while (!queue_.empty() && queue_.top().time_s < limit) {
     dispatch(queue_.pop());
   }
 }

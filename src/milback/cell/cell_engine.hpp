@@ -2,11 +2,12 @@
 // backscatter nodes.
 //
 // The engine is the one multi-node API. Node churn (join/leave/move),
-// traffic arrivals, blockage episodes and SDM service sweeps are all events
-// on a single queue ordered by (time, priority, seq); see event_queue.hpp
-// for the ordering contract. A static population can also be served one
-// waveform-level SDM round at a time (run_uplink_round/run_downlink_round),
-// and each node can run a full AdaptiveSession (CellConfig::run_sessions).
+// blockage episodes and SDM service sweeps are events on a single queue
+// ordered by (time, rank, seq), and each sweep's traffic arrivals run as one
+// pass on seqs reserved from it; see event_queue.hpp for the ordering
+// contract. A static population can also be served one waveform-level SDM
+// round at a time (run_uplink_round/run_downlink_round), and each node can
+// run a full AdaptiveSession (CellConfig::run_sessions).
 //
 // Determinism: run(duration, seed) is a pure function of the scenario and
 // the seed. Every random draw comes from Rng::stream(seed, node, event.seq)
@@ -19,11 +20,10 @@
 // keying widens to Rng::stream(seed, cell, node, event.seq) so sibling
 // cells sharing a seed stay decorrelated.
 //
-// Storage is struct-of-arrays (node_soa.hpp) over pooled chains, the event
-// queue is slab-pooled (event_queue.hpp) and holds no per-node arrival
-// events: a steady-state run makes zero event allocations and per-node
-// state fits a fixed byte budget
-// (bench/e2e campus_100k reports the measured outcome.bytes_per_node).
+// Storage is struct-of-arrays (node_soa.hpp) over pooled chains; the event
+// queue (event_queue.hpp) holds no per-node arrival events, so its depth
+// follows the scheduled churn, not the population (bench/e2e campus_100k
+// reports the measured outcome.bytes_per_node).
 //
 // tests/integration/test_cell_equivalence.cpp pins the engine against
 // reference loops of the original per-round and per-MAC-run service.
@@ -153,16 +153,18 @@ class CellEngine {
   ~CellEngine();
 
   /// Registers a node. The pose needs a positive distance and finite
-  /// bearing and orientation. Nodes with `join_time_s` <= 0 are present from
-  /// the start; later joins enter the cell as kJoin events. Returns the
-  /// node's index (stable for the engine's lifetime).
+  /// bearing and orientation; the arrival rate and burstiness must be
+  /// finite and >= 0. Nodes with `join_time_s` <= 0 are present from the
+  /// start; later joins enter the cell as kJoin events. Returns the node's
+  /// index (stable for the engine's lifetime).
   std::size_t add_node(std::string id, const core::TrafficSpec& spec,
                        double join_time_s = 0.0);
 
   /// Schedules the node's departure (its backlog freezes at that instant).
   void schedule_leave(std::size_t node, double time_s);
 
-  /// Schedules a pose update (mobility waypoint).
+  /// Schedules a pose update (mobility waypoint). The pose is checked as
+  /// add_node checks it.
   void schedule_move(std::size_t node, double time_s,
                      const channel::NodePose& pose);
 

@@ -106,9 +106,6 @@ std::size_t MultiCellEngine::add_node(std::string id, const GlobalPose& pose,
                                       double arrival_rate_bps, double burstiness,
                                       double join_time_s) {
   MILBACK_REQUIRE(!ran_, "MultiCellEngine::add_node: engine already ran");
-  require_finite(arrival_rate_bps, "arrival_rate_bps");
-  require_non_negative(arrival_rate_bps, "arrival_rate_bps");
-  require_non_negative(burstiness, "burstiness");
   require_finite(join_time_s, "join_time_s");
   MILBACK_REQUIRE(nodes_.size() < kNone, "add_node: node table full");
   const std::size_t home = nearest_cell(pose.x_m, pose.y_m);

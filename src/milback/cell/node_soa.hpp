@@ -1,12 +1,12 @@
 // Struct-of-arrays node state for the cell engine.
 //
-// PR 4 stored one `NodeState` struct per node: a heap-owned id string, a
-// `std::deque<Chunk>` queue (one allocation per ~512 chunks, pointer-chasing
-// iteration), a `std::vector<double>` of latency samples, all interleaved so
-// a service sweep touching only poses and rates dragged the whole struct
-// through cache. At the city-scale regime ISSUE 7 targets (16 cells x 10k
-// nodes) that layout is the bottleneck — and the per-node allocations defeat
-// the pooled event queue's zero-allocation property.
+// The first engine stored one `NodeState` struct per node: a heap-owned id
+// string, a `std::deque<Chunk>` queue (one allocation per ~512 chunks,
+// pointer-chasing iteration), a `std::vector<double>` of latency samples,
+// all interleaved so a service sweep touching only poses and rates dragged
+// the whole struct through cache. At city scale (16 cells x 10k nodes) that
+// layout is the bottleneck, and it costs one allocation per node per
+// growing queue.
 //
 // `NodeSoA` stores each field as its own contiguous column, indexed by the
 // node slot the engine hands out. Variable-length per-node state (the
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "milback/cell/id_table.hpp"
-#include "milback/cell/slab_pool.hpp"
+#include "milback/cell/chain_pool.hpp"
 #include "milback/channel/backscatter_channel.hpp"
 #include "milback/core/round_types.hpp"
 #include "milback/core/session.hpp"

@@ -28,7 +28,6 @@ struct DownlinkBudget {
                                   ///< detector decision variable.
   double snr_db = 0.0;            ///< Noise-only ratio (ignoring the other tone).
   double sir_db = 0.0;            ///< Interference-only ratio.
-  std::vector<BudgetTerm> terms;  ///< Printable breakdown.
 };
 
 /// Uplink (node -> AP) budget for one tone.

@@ -189,6 +189,19 @@ TEST(CellEngine, ScheduleValidatesNodeIndex) {
                milback::ContractViolation);
   EXPECT_THROW(engine.schedule_blockage(0.2, 0.1, 20.0),
                milback::ContractViolation);
+  // A move takes add_node's pose checks: a pose the sweep cannot serve is
+  // refused when scheduled, not on the sweep after it lands.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(engine.schedule_move(0, 0.1, {0.0, 0.0, 12.0}),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_move(0, 0.1, {-1.0, 0.0, 12.0}),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_move(0, 0.1, {2.0, nan, 12.0}),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_move(0, 0.1, {2.0, 0.0, nan}),
+               milback::ContractViolation);
+  engine.schedule_move(0, 0.1, {2.5, 5.0, 12.0});
+  EXPECT_EQ(engine.pending_events(), 1u);
 }
 
 TEST(CellEngine, AddNodeRejectsDegeneratePoses) {
@@ -202,6 +215,20 @@ TEST(CellEngine, AddNodeRejectsDegeneratePoses) {
                milback::ContractViolation);
   EXPECT_THROW(engine.add_node("no-facing", {.pose = {2.0, 10.0, nan}}),
                milback::ContractViolation);
+  // The traffic spec is checked on entry too: a NaN or infinite rate would
+  // throw mid-run, and NaN burstiness would silently offer 0 bits.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double rate : {nan, inf, -1.0}) {
+    EXPECT_THROW(engine.add_node("bad-rate", spec(2.0, 10.0, rate)),
+                 milback::ContractViolation)
+        << rate;
+  }
+  for (const double burstiness : {nan, -0.5}) {
+    auto traffic = spec(2.0, 10.0);
+    traffic.burstiness = burstiness;
+    EXPECT_THROW(engine.add_node("bad-burst", traffic), milback::ContractViolation)
+        << burstiness;
+  }
   EXPECT_EQ(engine.node_count(), 0u);
   EXPECT_EQ(engine.add_node("ok", spec(2.0, 10.0)), 0u);
 }

@@ -1,9 +1,6 @@
-// Pooled-event churn property: the slab-backed EventQueue recycles payload
-// slots through a free list, and that reuse must be invisible to the
-// ordering contract — under sustained interleaved push/pop churn the pop
-// sequence must match a naive reference queue exactly, and the pool must
-// stop growing once the live depth stops growing (the zero-steady-state-
-// allocation property the cell engine relies on).
+// Heap churn property: under sustained interleaved push/pop churn the
+// EventQueue's pop sequence must match a naive reference queue exactly —
+// same events, same seqs, same (time, rank, seq) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +12,8 @@
 namespace milback::cell {
 namespace {
 
-/// Naive reference: stores whole events, re-sorts on every pop. Shares no
-/// code with EventQueue beyond the Event struct.
+/// Naive reference: stores whole events, scans for the minimum on every
+/// pop. Shares no code with EventQueue beyond the Event struct.
 class ReferenceQueue {
  public:
   std::uint64_t push(Event e) {
@@ -29,7 +26,7 @@ class ReferenceQueue {
     auto it = std::min_element(
         events_.begin(), events_.end(), [](const Event& a, const Event& b) {
           if (a.time_s != b.time_s) return a.time_s < b.time_s;
-          if (a.priority != b.priority) return a.priority < b.priority;
+          if (rank(a) != rank(b)) return rank(a) < rank(b);
           return a.seq < b.seq;
         });
     Event e = *it;
@@ -38,16 +35,18 @@ class ReferenceQueue {
   }
 
  private:
+  /// A sweep runs after every other kind at equal time.
+  static int rank(const Event& e) { return e.kind == EventKind::kService ? 1 : 0; }
+
   std::vector<Event> events_;
   std::uint64_t next_seq_ = 0;
 };
 
 Event random_event(Rng& rng) {
   Event e;
-  // Coarse time grid on purpose: collisions exercise the priority and seq
+  // Coarse time grid on purpose: collisions exercise the rank and seq
   // tie-breakers, not just the time key.
   e.time_s = 0.001 * double(rng.uniform_int(0, 40));
-  e.priority = int(rng.uniform_int(kPriorityChurn, kPriorityService));
   const int kind = int(rng.uniform_int(0, 6));
   e.kind = static_cast<EventKind>(kind);
   e.node = (kind <= 3) ? std::size_t(rng.uniform_int(0, 9)) : Event::kCellWide;
@@ -61,7 +60,6 @@ Event random_event(Rng& rng) {
 
 void expect_events_equal(const Event& a, const Event& b) {
   EXPECT_DOUBLE_EQ(a.time_s, b.time_s);
-  EXPECT_EQ(a.priority, b.priority);
   EXPECT_EQ(a.kind, b.kind);
   EXPECT_EQ(a.node, b.node);
   EXPECT_EQ(a.seq, b.seq);
@@ -77,7 +75,7 @@ TEST(EventPool, ChurnPreservesTotalOrderAgainstReference) {
   Rng rng(2024);
   EventQueue queue;
   ReferenceQueue reference;
-  // Warm-up: build depth so the churn phase has a populated free list.
+  // Warm-up: build depth so the churn phase sifts through a real heap.
   for (int i = 0; i < 64; ++i) {
     const Event e = random_event(rng);
     queue.push(e);
@@ -101,36 +99,12 @@ TEST(EventPool, ChurnPreservesTotalOrderAgainstReference) {
   EXPECT_TRUE(reference.empty());
 }
 
-TEST(EventPool, SteadyStateChurnAllocatesNothing) {
-  Rng rng(7);
-  EventQueue queue;
-  for (int i = 0; i < 128; ++i) queue.push(random_event(rng));
-  // First churn phase: the pools climb to their high-water marks (payload
-  // slots track queue depth, pose slots track the worst-case number of
-  // simultaneously-live kMove events).
-  for (int i = 0; i < 4096; ++i) {
-    queue.push(random_event(rng));
-    queue.pop();
-  }
-  const std::size_t slots = queue.pooled_slots();
-  const std::size_t bytes = queue.allocated_bytes();
-  // Second, equally long phase at the same depth and event mix: every slot
-  // comes off a free list — the high-water mark and the reserved bytes must
-  // not move.
-  for (int i = 0; i < 4096; ++i) {
-    queue.push(random_event(rng));
-    queue.pop();
-  }
-  EXPECT_EQ(queue.pooled_slots(), slots);
-  EXPECT_EQ(queue.allocated_bytes(), bytes);
-}
-
 TEST(EventPool, DrainAfterDeepChurnMatchesSortedOrder) {
   Rng rng(99);
   EventQueue queue;
   ReferenceQueue reference;
-  // Several full fill/drain cycles: every cycle reuses slots freed by the
-  // previous one, with all pops deferred so the heap sees maximum depth.
+  // Several full fill/drain cycles, with all pops deferred so the heap sees
+  // maximum depth.
   for (int cycle = 0; cycle < 5; ++cycle) {
     for (int i = 0; i < 200; ++i) {
       const Event e = random_event(rng);
