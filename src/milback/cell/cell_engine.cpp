@@ -76,13 +76,12 @@ void require_valid_pose(const channel::NodePose& pose) {
 
 }  // namespace
 
-// Cell-wide metric handles, interned once per label. A standalone engine
-// (cell_index < 0) uses the unlabeled "cell.*" names — byte-identical
-// exports with PR 4/5. A sharded engine labels its metrics "cell.c<k>.*" so
+// Cell-wide metric handles, interned once per CellConfig::metric_prefix:
+// "cell." by default, "cell.c<k>." for shard k of a MultiCellEngine, so
 // sibling cells running on different TrialRunner workers never contend for
 // (or double-count into) one metric. Everything here is kSim: counters and
-// histograms merge exactly across threads, and the one gauge is written
-// only from deterministic single-writer contexts (see dispatch()).
+// histograms merge exactly across threads, and the one gauge has one writer
+// at a time in a fixed order (see dispatch()).
 struct CellObs {
   obs::Counter ev_join, ev_leave, ev_move, ev_arrival, ev_service;
   obs::Counter ev_blockage_start, ev_blockage_end;
@@ -121,18 +120,14 @@ CellObs make_cell_obs(const std::string& prefix) {
   return o;
 }
 
-// Handles per label, interned lazily. std::map: node-based, so the
-// references engines hold stay valid as new labels appear.
-const CellObs& cell_obs(std::int64_t cell_index) {
+// Handles per prefix, interned lazily. std::map: node-based, so the
+// references engines hold stay valid as new prefixes appear.
+const CellObs& cell_obs(const std::string& prefix) {
   static std::mutex mutex;
-  static std::map<std::int64_t, CellObs> cache;
+  static std::map<std::string, CellObs, std::less<>> cache;
   std::lock_guard lock(mutex);
-  auto it = cache.find(cell_index);
-  if (it == cache.end()) {
-    const std::string prefix =
-        cell_index < 0 ? "cell." : "cell.c" + std::to_string(cell_index) + ".";
-    it = cache.emplace(cell_index, make_cell_obs(prefix)).first;
-  }
+  auto it = cache.find(prefix);
+  if (it == cache.end()) it = cache.emplace(prefix, make_cell_obs(prefix)).first;
   return it->second;
 }
 
@@ -168,7 +163,7 @@ const CellProfile& cell_profile() {
 CellEngine::CellEngine(channel::BackscatterChannel channel, CellConfig config)
     : config_(config),
       link_(std::move(channel), config.network.link),
-      obs_(&cell_obs(config.cell_index)),
+      obs_(&cell_obs(config.metric_prefix)),
       payload_bits_(double(config.payload_symbols) * 2.0) {}
 
 // Out of line so mesh::MeshRuntime is complete where unique_ptr needs it.
@@ -182,8 +177,7 @@ void CellEngine::set_mesh(mesh::MeshConfig config) {
     mesh_.reset();
     return;
   }
-  mesh_ = std::make_unique<mesh::MeshRuntime>(std::move(config),
-                                              config_.cell_index);
+  mesh_ = std::make_unique<mesh::MeshRuntime>(std::move(config));
 }
 
 std::size_t CellEngine::add_node(std::string id, const core::TrafficSpec& spec,
@@ -222,18 +216,24 @@ void CellEngine::register_node_metrics(std::size_t i) {
 
 void CellEngine::schedule_leave(std::size_t node, double time_s) {
   MILBACK_REQUIRE(node < nodes_.size(), "schedule_leave: node out of range");
+  MILBACK_REQUIRE(!ran_ || time_s >= clock_s_,
+                  "schedule_leave: time is before the engine's clock");
   queue_.push(Event{.time_s = time_s, .kind = EventKind::kLeave, .node = node});
 }
 
 void CellEngine::schedule_move(std::size_t node, double time_s,
                                const channel::NodePose& pose) {
   MILBACK_REQUIRE(node < nodes_.size(), "schedule_move: node out of range");
+  MILBACK_REQUIRE(!ran_ || time_s >= clock_s_,
+                  "schedule_move: time is before the engine's clock");
   require_valid_pose(pose);
   queue_.push(Event{.time_s = time_s, .kind = EventKind::kMove, .node = node, .pose = pose});
 }
 
 void CellEngine::schedule_blockage(double start_s, double end_s, double loss_db) {
   MILBACK_REQUIRE(end_s > start_s, "schedule_blockage: end must follow start");
+  MILBACK_REQUIRE(!ran_ || start_s >= clock_s_,
+                  "schedule_blockage: start is before the engine's clock");
   require_non_negative(loss_db, "blockage loss_db");
   queue_.push(Event{.time_s = start_s, .kind = EventKind::kBlockageStart, .value = loss_db});
   queue_.push(Event{.time_s = end_s, .kind = EventKind::kBlockageEnd});
@@ -326,11 +326,6 @@ void CellEngine::wake_service(double time_s) {
 
 Rng CellEngine::event_stream(std::uint64_t node, std::uint64_t event_seq) const {
   MILBACK_REQUIRE(running_, "event_stream: only meaningful mid-run");
-  if (config_.cell_index >= 0) {
-    // Sharded: widen the key with the cell index so sibling cells sharing
-    // one seed draw decorrelated streams.
-    return Rng::stream(seed_, std::uint64_t(config_.cell_index), node, event_seq);
-  }
   return Rng::stream(seed_, node, event_seq);
 }
 
@@ -453,8 +448,8 @@ void CellEngine::dispatch_service(const Event& e) {
   }
 
   // Rate recomputation fans out on the TrialRunner: each trial touches only
-  // its own node and derives randomness from (seed[, cell], node, event
-  // seq), so the sweep is thread-count invariant.
+  // its own node and derives randomness from (seed, node, event seq), so
+  // the sweep is thread-count invariant.
   const sim::TrialRunner runner(config_.sweep_threads);
   std::vector<core::SessionStep> steps;
   if (config_.run_sessions) {
@@ -740,12 +735,12 @@ void CellEngine::dispatch(const Event& e) {
       if (population() > 0) wake_service(e.time_s);
       break;
   }
-  // Post-dispatch backlog, pending arrivals included. Standalone engines
-  // run their event loop on one thread, so the last-write value is
-  // deterministic; sharded cells dispatch on TrialRunner workers, where a
-  // gauge write would race flush order — the MultiCellEngine publishes
-  // per-cell depth gauges from its (serial) epoch barrier instead.
-  if (config_.cell_index < 0) obs_->queue_depth.set(double(pending_events()));
+  // Post-dispatch backlog, pending arrivals included. The gauge has one
+  // writer at a time in a fixed order, so its last value is deterministic:
+  // an engine's event loop is serial, each shard of a MultiCellEngine writes
+  // only its own prefixed gauge, and the serial epoch barrier that follows
+  // every advance_to writes that gauge last.
+  obs_->queue_depth.set(double(pending_events()));
 }
 
 void CellEngine::advance_to(double time_s) {
@@ -755,6 +750,7 @@ void CellEngine::advance_to(double time_s) {
   while (!queue_.empty() && queue_.top().time_s < limit) {
     dispatch(queue_.pop());
   }
+  clock_s_ = std::max(clock_s_, limit);
 }
 
 CellReport CellEngine::finish() {

@@ -15,10 +15,11 @@
 // generator; a sweep's arrivals run as one pass on a block of seqs reserved
 // from the queue — and the per-sweep fan-out runs on sim::TrialRunner under
 // its thread-count-invariance contract, so the CellReport is bit-identical with
-// 1 worker or N (tests/integration/test_cell_thread_invariance.cpp). When
-// the engine is one shard of a MultiCellEngine (config.cell_index >= 0) the
-// keying widens to Rng::stream(seed, cell, node, event.seq) so sibling
-// cells sharing a seed stay decorrelated.
+// 1 worker or N (tests/integration/test_cell_thread_invariance.cpp). A
+// shard of a MultiCellEngine is this same engine, begun with the seed
+// Rng::stream_seed(seed, cell): its draws are Rng::stream(seed, cell, node,
+// event.seq), so sibling cells sharing one network seed stay decorrelated
+// with no shard-specific code here.
 //
 // Storage is struct-of-arrays (node_soa.hpp) over pooled chains; the event
 // queue (event_queue.hpp) holds no per-node arrival events, so its depth
@@ -69,12 +70,11 @@ struct CellConfig {
                                       ///< budget probe. Requires a pinned
                                       ///< service_period_s.
   core::SessionConfig session{};      ///< Per-node session tuning (run_sessions).
-  std::int64_t cell_index = -1;       ///< >= 0: this engine is one shard of a
-                                      ///< MultiCellEngine — draws are keyed
-                                      ///< (seed, cell, node, seq) and cell-wide
-                                      ///< metrics are labeled cell.c<k>.*;
-                                      ///< < 0: standalone (PR 4 behavior,
-                                      ///< bit-identical).
+  std::string metric_prefix = "cell.";  ///< Prefix of the cell-wide metric
+                                      ///< names (<prefix>sweeps, ...); a
+                                      ///< MultiCellEngine gives shard k
+                                      ///< "cell.c<k>." so sibling cells never
+                                      ///< share a metric.
   int sweep_threads = 0;              ///< TrialRunner workers for the per-sweep
                                       ///< fan-out: 0 = MILBACK_SIM_THREADS /
                                       ///< hardware default; >= 1 pins. The
@@ -161,6 +161,9 @@ class CellEngine {
                        double join_time_s = 0.0);
 
   /// Schedules the node's departure (its backlog freezes at that instant).
+  /// Once the run has begun, this and every schedule_* call below need a
+  /// time at or after the last advance_to limit: the engine has already
+  /// dispatched everything before it.
   void schedule_leave(std::size_t node, double time_s);
 
   /// Schedules a pose update (mobility waypoint). The pose is checked as
@@ -298,8 +301,8 @@ class CellEngine {
                        const std::vector<std::size_t>& alive) const;
   /// Schedules a service sweep at `time_s` unless one is already pending.
   void wake_service(double time_s);
-  /// Per-event randomness: (seed, node, seq), widened with the cell index
-  /// when sharded. The stream is pure — identical at any worker count.
+  /// Per-event randomness: Rng::stream(seed, node, seq). The stream is
+  /// pure — identical at any worker count.
   Rng event_stream(std::uint64_t node, std::uint64_t event_seq) const;
   void register_node_metrics(std::size_t i);
   void dispatch(const Event& e);
@@ -341,6 +344,8 @@ class CellEngine {
   double last_period_s_ = 0.0;
   std::size_t peak_population_ = 0;
   double duration_s_ = 0.0;
+  double clock_s_ = 0.0;     ///< Last advance_to limit: everything before it
+                             ///< has been dispatched.
   std::uint64_t seed_ = 0;
   double blockage_db_ = 0.0;
   double external_db_ = 0.0;

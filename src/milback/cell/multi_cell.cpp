@@ -38,6 +38,15 @@ const MultiObs& multi_obs() {
   return instance;
 }
 
+// A plan pose the driver can store: the node record and the directives hold
+// float coordinates, so a finite double that overflows float is rejected
+// here rather than turning into inf mid-run.
+void require_float_pose(const GlobalPose& pose) {
+  require_finite(float(pose.x_m), "pose.x_m (as float)");
+  require_finite(float(pose.y_m), "pose.y_m (as float)");
+  require_finite(float(pose.orientation_deg), "pose.orientation_deg (as float)");
+}
+
 }  // namespace
 
 MultiCellEngine::MultiCellEngine(const channel::BackscatterChannel& prototype,
@@ -57,16 +66,17 @@ MultiCellEngine::MultiCellEngine(const channel::BackscatterChannel& prototype,
     require_finite(config_.aps[c].x_m, "ap.x_m");
     require_finite(config_.aps[c].y_m, "ap.y_m");
     CellConfig cfg = config_.cell;
-    cfg.cell_index = static_cast<std::int64_t>(c);
+    cfg.metric_prefix = "cell.c" + std::to_string(c) + ".";
     // One worker per shard: parallelism is across cells, and nesting a
     // thread pool per sweep inside the per-epoch fan-out would oversubscribe.
     cfg.sweep_threads = 1;
-    engines_.push_back(std::make_unique<CellEngine>(prototype, cfg));
-    const std::string label = "cell.c" + std::to_string(c) + ".";
-    // Per-cell coupling gauges, written only from the serial epoch barrier
-    // (sharded cells skip their own queue_depth gauge; see CellEngine).
-    interference_gauges_.push_back(registry.gauge(label + "interference_db"));
-    depth_gauges_.push_back(registry.gauge(label + "queue_depth"));
+    // Per-cell coupling gauges, written from the serial epoch barrier; the
+    // shard writes its own queue_depth after each dispatch, and the barrier's
+    // write is the last one of every epoch.
+    interference_gauges_.push_back(
+        registry.gauge(cfg.metric_prefix + "interference_db"));
+    depth_gauges_.push_back(registry.gauge(cfg.metric_prefix + "queue_depth"));
+    engines_.push_back(std::make_unique<CellEngine>(prototype, std::move(cfg)));
   }
 }
 
@@ -107,6 +117,7 @@ std::size_t MultiCellEngine::add_node(std::string id, const GlobalPose& pose,
                                       double join_time_s) {
   MILBACK_REQUIRE(!ran_, "MultiCellEngine::add_node: engine already ran");
   require_finite(join_time_s, "join_time_s");
+  require_float_pose(pose);
   MILBACK_REQUIRE(nodes_.size() < kNone, "add_node: node table full");
   const std::size_t home = nearest_cell(pose.x_m, pose.y_m);
   const core::TrafficSpec spec{local_pose(home, pose), arrival_rate_bps,
@@ -134,9 +145,7 @@ void MultiCellEngine::schedule_waypoint(std::size_t node, double time_s,
   MILBACK_REQUIRE(node < nodes_.size(), "schedule_waypoint: node out of range");
   require_finite(time_s, "time_s");
   require_non_negative(time_s, "time_s");
-  require_finite(pose.x_m, "pose.x_m");
-  require_finite(pose.y_m, "pose.y_m");
-  require_finite(pose.orientation_deg, "pose.orientation_deg");
+  require_float_pose(pose);
   // Prepend to the node's chain (O(1), no tail); run() sorts each chain
   // into (time, insertion) order before the epoch loop starts.
   auto& n = nodes_[node];
@@ -295,7 +304,11 @@ MultiCellReport MultiCellEngine::run(double duration_s, std::uint64_t seed) {
       n.dir_head = chain.front();
     }
   }
-  for (auto& e : engines_) e->begin(duration_s, seed);
+  // Shard c draws Rng::stream(seed, c, ...): its seed continues the key
+  // chain past the cell index.
+  for (std::size_t c = 0; c < engines_.size(); ++c) {
+    engines_[c]->begin(duration_s, Rng::stream_seed(seed, std::uint64_t{c}));
+  }
   std::size_t initial_population = 0;
   for (auto& e : engines_) initial_population += e->population();
   peak_population_ = initial_population;

@@ -22,11 +22,16 @@
 //     floor; the aggregate is folded into each cell's link budget as extra
 //     one-way path loss for the next epoch.
 //
+// A shard is a plain CellEngine: the driver gives cell c the metric prefix
+// "cell.c<c>." and begins it with the seed Rng::stream_seed(seed, c), so its
+// draws are Rng::stream(seed, c, node, event_seq). A one-AP network's shard
+// is therefore bit for bit the standalone cell given that prefix and seed
+// (MultiCell.OneApShardIsAStandaloneCell).
+//
 // Determinism: the barrier runs on the driver thread in cell-index then
-// node-index order, every in-cell draw is keyed
-// Rng::stream(seed, cell, node, event_seq), and nothing crosses cells
-// except at barriers — so MultiCellReport (and the obs export) is
-// bit-identical at any MILBACK_SIM_THREADS
+// node-index order, every in-cell draw is keyed by (seed, cell), and
+// nothing crosses cells except at barriers — so MultiCellReport (and the
+// obs export) is bit-identical at any MILBACK_SIM_THREADS
 // (tests/integration/test_multi_cell_thread_invariance.cpp).
 //
 // Geometry: APs sit on a 2D floor plan, all sharing one prototype channel.
@@ -61,7 +66,7 @@ struct GlobalPose {
 
 /// Multi-cell tuning.
 struct MultiCellConfig {
-  CellConfig cell{};               ///< Per-shard tuning (cell_index and
+  CellConfig cell{};               ///< Per-shard tuning (metric_prefix and
                                    ///< sweep_threads are overwritten).
   std::vector<ApSite> aps;         ///< One cell per AP; at least one.
   double epoch_s = 0.02;           ///< Barrier interval [s].
@@ -112,15 +117,17 @@ class MultiCellEngine {
                   MultiCellConfig config);
 
   /// Registers a roaming node. Its home cell is the nearest AP to `pose`;
-  /// `join_time_s` <= 0 means present from the start. Returns the node's
-  /// global index (stable for the engine's lifetime).
+  /// `join_time_s` <= 0 means present from the start. The pose's
+  /// coordinates must stay finite as float (the driver stores them so).
+  /// Returns the node's global index (stable for the engine's lifetime).
   std::size_t add_node(std::string id, const GlobalPose& pose,
                        double arrival_rate_bps, double burstiness = 1.0,
                        double join_time_s = 0.0);
 
   /// Schedules a mobility waypoint on the deployment plan. Waypoints are
   /// applied inside the serving cell at their exact time; handoff (if the
-  /// move left coverage) resolves at the next epoch barrier.
+  /// move left coverage) resolves at the next epoch barrier. The pose is
+  /// checked as add_node checks it.
   void schedule_waypoint(std::size_t node, double time_s,
                          const GlobalPose& pose);
 
@@ -133,15 +140,6 @@ class MultiCellEngine {
   /// (corridor wall at a fixed offset from every AP). Call before run().
   void set_multipath(const channel::MultipathConfig& multipath) {
     for (auto& e : engines_) e->set_multipath(multipath);
-  }
-
-  /// Installs the same relay-mesh configuration on every shard. Like
-  /// set_multipath, the config is interpreted per cell: anchor node indices
-  /// are cell-local (indices that never join a given shard are ignored
-  /// there), and each shard discovers routes over its own population only —
-  /// relays never span cells. Call before run().
-  void set_mesh(const mesh::MeshConfig& config) {
-    for (auto& e : engines_) e->set_mesh(config);
   }
 
   /// Runs `duration_s` of network time. Single-shot, like CellEngine::run;
@@ -224,7 +222,7 @@ class MultiCellEngine {
   MultiCellConfig config_;
   std::vector<std::unique_ptr<CellEngine>> engines_;
   /// Per-cell coupling gauges (cell.c<k>.interference_db / .queue_depth),
-  /// written only from the serial epoch barrier.
+  /// written from the serial epoch barrier.
   std::vector<obs::Gauge> interference_gauges_;
   std::vector<obs::Gauge> depth_gauges_;
   std::vector<GlobalNode> nodes_;

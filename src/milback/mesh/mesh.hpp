@@ -12,10 +12,11 @@
 // It owns the pure topology math (neighbor table, deterministic routing,
 // anchor fusion) plus the store-and-forward relay state (`MeshRuntime`);
 // the cell engine drives it from the service sweep and owns all SoA
-// bookkeeping. Install via `CellEngine::set_mesh` / `MultiCellEngine::
-// set_mesh` (mirroring `set_multipath`); with no mesh installed the engine
-// never touches this layer and behaves bit-identically to the pre-mesh
-// build (tests/integration/test_mesh.cpp, MeshEquivalence).
+// bookkeeping. Install via `CellEngine::set_mesh` (mirroring
+// `set_multipath`); with no mesh installed the engine never touches this
+// layer and behaves bit-identically to the pre-mesh build
+// (tests/integration/test_mesh.cpp, MeshEquivalence). Relays never span
+// cells, and a MultiCellEngine installs no mesh on its shards.
 //
 // Determinism: every structure here is a pure function of (topology,
 // config, sim time). Route selection is lexicographic over
@@ -23,7 +24,7 @@
 // order (ordered containers only; analyzer check A2 enforces this for
 // anything feeding MeshReport). The only stochastic entry point is the
 // optional AP radar fix for <=1-hop nodes, keyed
-// Rng::stream(seed, kMeshStreamTag[, cell], node).
+// Rng::stream(seed, kMeshStreamTag, node) on the engine's seed.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,7 @@ inline constexpr std::uint64_t kMeshStreamTag = 0x6d657368ULL;  // "mesh"
 /// An anchor: a node whose plan position is surveyed at deployment time
 /// (the Location-Based_WSN design — fixed reference points the rest of the
 /// mesh ranges against by hop count). Coordinates are in the serving AP's
-/// frame; in a MultiCellEngine the index is cell-local.
+/// frame.
 struct MeshAnchor {
   std::uint32_t node = 0;  ///< Engine node index.
   double x_m = 0.0;        ///< Surveyed plan position.

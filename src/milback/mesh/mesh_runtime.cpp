@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
-#include <string>
 
 #include "milback/ap/localizer.hpp"
 #include "milback/core/contract.hpp"
@@ -24,13 +21,9 @@ constexpr obs::HistogramSpec kHopSpec{1.0, 1.4, 24};
 /// float dust from repeated partial takes).
 constexpr double kBitsEps = 1e-9;
 
-}  // namespace
-
-// Mesh metric handles, interned once per label exactly like CellObs: a
-// standalone engine (cell_index < 0) uses "mesh.*", a sharded engine
-// "mesh.c<k>.*" so sibling cells never double-count into one metric. All
-// kSim: pure functions of (scenario, seed), exported byte-identically at
-// any MILBACK_SIM_THREADS (ObsThreadInvariance.MeshChurnExportsAre-
+// Mesh metric handles ("mesh.*"), interned once per process. All kSim:
+// pure functions of (scenario, seed), exported byte-identically at any
+// MILBACK_SIM_THREADS (ObsThreadInvariance.MeshChurnExportsAre-
 // ByteIdentical).
 struct MeshObs {
   obs::Counter route_discovery, reroute, relay_forward, orphan_nodes;
@@ -38,41 +31,24 @@ struct MeshObs {
   std::uint32_t discover_span = 0;
 };
 
-namespace {
-
-MeshObs make_mesh_obs(const std::string& prefix) {
-  auto& r = obs::Registry::global();
-  MeshObs o;
-  o.route_discovery = r.counter(prefix + "route_discovery");
-  o.reroute = r.counter(prefix + "reroute");
-  o.relay_forward = r.counter(prefix + "relay_forward");
-  o.orphan_nodes = r.counter(prefix + "orphan_nodes");
-  o.hop_count = r.histogram(prefix + "hop_count", kHopSpec);
-  o.discover_span = r.trace_name(prefix + "discover");
-  return o;
-}
-
-// std::map: node-based, so the references runtimes hold stay valid as new
-// labels appear (and iteration order never feeds any report).
-const MeshObs& mesh_obs(std::int64_t cell_index) {
-  static std::mutex mutex;
-  static std::map<std::int64_t, MeshObs> cache;
-  std::lock_guard lock(mutex);
-  auto it = cache.find(cell_index);
-  if (it == cache.end()) {
-    const std::string prefix =
-        cell_index < 0 ? "mesh." : "mesh.c" + std::to_string(cell_index) + ".";
-    it = cache.emplace(cell_index, make_mesh_obs(prefix)).first;
-  }
-  return it->second;
+const MeshObs& mesh_obs() {
+  static const MeshObs instance = [] {
+    auto& r = obs::Registry::global();
+    MeshObs o;
+    o.route_discovery = r.counter("mesh.route_discovery");
+    o.reroute = r.counter("mesh.reroute");
+    o.relay_forward = r.counter("mesh.relay_forward");
+    o.orphan_nodes = r.counter("mesh.orphan_nodes");
+    o.hop_count = r.histogram("mesh.hop_count", kHopSpec);
+    o.discover_span = r.trace_name("mesh.discover");
+    return o;
+  }();
+  return instance;
 }
 
 }  // namespace
 
-MeshRuntime::MeshRuntime(MeshConfig config, std::int64_t cell_index)
-    : config_(std::move(config)),
-      cell_index_(cell_index),
-      obs_(&mesh_obs(cell_index)) {
+MeshRuntime::MeshRuntime(MeshConfig config) : config_(std::move(config)) {
   require_positive(config_.carrier_hz, "mesh carrier_hz");
   require_finite(config_.relay_snr_at_1m_db, "relay_snr_at_1m_db");
   require_finite(config_.relay_min_snr_db, "relay_min_snr_db");
@@ -83,10 +59,13 @@ MeshRuntime::MeshRuntime(MeshConfig config, std::int64_t cell_index)
     require_finite(a.x_m, "anchor x_m");
     require_finite(a.y_m, "anchor y_m");
   }
+  // Intern the names on install: an export lists every registered metric,
+  // so an installed mesh shows its zeros even if it never records.
+  mesh_obs();
 }
 
 std::uint32_t MeshRuntime::discover_trace_id() const noexcept {
-  return obs_->discover_span;
+  return mesh_obs().discover_span;
 }
 
 void MeshRuntime::ensure_sized(std::size_t n) {
@@ -132,13 +111,13 @@ void MeshRuntime::rebuild(const channel::MultipathConfig& scene,
     if (h == 0) continue;
     ++connected_;
     max_hop_count_ = std::max(max_hop_count_, std::size_t(h));
-    obs_->hop_count.record(double(h));
+    mesh_obs().hop_count.record(double(h));
   }
   ++discoveries_;
-  obs_->route_discovery.add();
+  mesh_obs().route_discovery.add();
   if (built_) {
     ++reroutes_;
-    obs_->reroute.add();
+    mesh_obs().reroute.add();
   }
   built_ = true;
   dirty_ = false;
@@ -172,13 +151,13 @@ double MeshRuntime::ingest(std::size_t origin, double bits, double arrival_s) {
   in_flight_bits_[origin] += accepted;
   relayed_bits_total_ += accepted;
   ++forwards_;
-  obs_->relay_forward.add();
+  mesh_obs().relay_forward.add();
   return accepted;
 }
 
 void MeshRuntime::note_orphans(std::size_t count) {
   orphan_sweeps_ += count;
-  if (count > 0) obs_->orphan_nodes.add(count);
+  if (count > 0) mesh_obs().orphan_nodes.add(count);
 }
 
 const std::vector<MeshRuntime::Delivery>& MeshRuntime::flush(
@@ -220,7 +199,7 @@ const std::vector<MeshRuntime::Delivery>& MeshRuntime::flush(
         in_flight_bits_[c.origin] -= take;
         origin_bits_[c.origin] += take;
         ++forwards_;
-        obs_->relay_forward.add();
+        mesh_obs().relay_forward.add();
         const bool completed = c.bits <= kBitsEps;
         deliveries_.push_back({c.origin, take, c.arrival_s, completed});
         if (completed) {
@@ -249,7 +228,7 @@ const std::vector<MeshRuntime::Delivery>& MeshRuntime::flush(
         relayed_bits_[r] += take;
         relayed_bits_total_ += take;
         ++forwards_;
-        obs_->relay_forward.add();
+        mesh_obs().relay_forward.add();
         if (c.bits <= kBitsEps) ++q.head;
       }
     }
@@ -306,9 +285,7 @@ MeshReport MeshRuntime::finalize(const channel::BackscatterChannel& channel,
     neighbors_.links.clear();
   }
 
-  // Anchors whose index never joined this cell are ignored: a shared
-  // MeshConfig fans out to every MultiCellEngine shard, and anchor indices
-  // are cell-local.
+  // Anchors whose index is not a node of this cell are ignored.
   std::vector<MeshAnchor> anchors;
   for (const MeshAnchor& a : config_.anchors) {
     if (a.node < n) anchors.push_back(a);
@@ -338,11 +315,8 @@ MeshReport MeshRuntime::finalize(const channel::BackscatterChannel& channel,
 
     if (config_.localize_direct && alive[i] && route.hop_count == 1) {
       // AP-direct nodes get the paper's full radar fix; the stream key
-      // makes the draw independent of event order and sibling cells.
-      auto rng = cell_index_ >= 0
-                     ? Rng::stream(seed, kMeshStreamTag,
-                                   std::uint64_t(cell_index_), std::uint64_t(i))
-                     : Rng::stream(seed, kMeshStreamTag, std::uint64_t(i));
+      // makes the draw independent of event order.
+      auto rng = Rng::stream(seed, kMeshStreamTag, std::uint64_t(i));
       const ap::LocalizationResult fix =
           localizer.localize(channel, poses[i], rng);
       if (fix.detected) {

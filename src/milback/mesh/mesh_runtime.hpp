@@ -35,8 +35,6 @@
 
 namespace milback::mesh {
 
-struct MeshObs;
-
 class MeshRuntime {
  public:
   /// One relay-queue drain step's outcome, handed back to the engine so it
@@ -48,9 +46,8 @@ class MeshRuntime {
     bool completed = false;  ///< The chunk fully drained (close latency).
   };
 
-  /// Builds the runtime. `cell_index` < 0 labels metrics "mesh.*";
-  /// >= 0 labels them "mesh.c<k>.*" (one shard of a MultiCellEngine).
-  MeshRuntime(MeshConfig config, std::int64_t cell_index);
+  /// Builds the runtime; its metrics are the process-wide "mesh.*".
+  explicit MeshRuntime(MeshConfig config);
 
   const MeshConfig& config() const noexcept { return config_; }
 
@@ -108,8 +105,8 @@ class MeshRuntime {
 
   /// Seals the MeshReport: routes, per-node relay stats, anchor-fused
   /// positions, and — for <=1-hop nodes when configured — the AP's full
-  /// radar localization, keyed Rng::stream(seed, kMeshStreamTag[, cell],
-  /// node). Serial; call once from CellEngine::finish().
+  /// radar localization, keyed Rng::stream(seed, kMeshStreamTag, node).
+  /// Serial; call once from CellEngine::finish().
   MeshReport finalize(const channel::BackscatterChannel& channel,
                       std::span<const channel::NodePose> poses,
                       std::span<const std::uint8_t> alive, std::uint64_t seed);
@@ -139,8 +136,6 @@ class MeshRuntime {
   double capacity_left_bits(std::uint32_t dst) const noexcept;
 
   MeshConfig config_;
-  std::int64_t cell_index_ = -1;
-  const MeshObs* obs_;
   NeighborTable neighbors_;
   RouteTable routes_;
   std::vector<RelayQueue> queues_;

@@ -83,19 +83,11 @@ Central& central() {
 // order in which sinks flush — the thread-invariance guarantee.
 // ---------------------------------------------------------------------------
 
-struct SinkHist {
-  HistogramSpec spec{};
-  std::uint64_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  std::vector<std::uint64_t> counts;
-};
-
 struct ThreadSink {
   // Keyed by metric id; ids are dense so flat vectors indexed by id work, but
   // a map keeps sparse per-thread footprints small.
   std::map<std::uint32_t, std::uint64_t> counters;
-  std::map<std::uint32_t, SinkHist> hists;
+  std::map<std::uint32_t, HistogramSnapshot> hists;
   std::vector<TraceRecord> traces;
   // Generation stamp: Registry::reset() bumps the central generation; sinks
   // from before the reset discard their pending values instead of merging
@@ -115,17 +107,7 @@ struct ThreadSink {
       }
       for (const auto& [id, h] : hists) {
         MILBACK_REQUIRE(id < c.entries.size(), "obs: histogram id out of range");
-        Entry& e = c.entries[id];
-        if (e.hist.counts.empty()) e.hist.counts.assign(h.counts.size(), 0);
-        MILBACK_REQUIRE(e.hist.counts.size() == h.counts.size(),
-                        "obs: histogram bucket-count mismatch on merge");
-        if (h.count > 0) {
-          e.hist.min = e.hist.count == 0 ? h.min : std::min(e.hist.min, h.min);
-          e.hist.max = e.hist.count == 0 ? h.max : std::max(e.hist.max, h.max);
-        }
-        e.hist.count += h.count;
-        for (std::size_t i = 0; i < h.counts.size(); ++i)
-          e.hist.counts[i] += h.counts[i];
+        c.entries[id].hist = merge(c.entries[id].hist, h);
       }
       c.trace_records.insert(c.trace_records.end(), traces.begin(), traces.end());
     }
@@ -256,29 +238,20 @@ void set_enabled(bool metrics, bool trace) {
 
 namespace detail {
 
-bool metrics_enabled_slow() noexcept { return obs::metrics_enabled(); }
-bool trace_enabled_slow() noexcept { return obs::trace_enabled(); }
-
 void sink_counter_add(std::uint32_t id, std::uint64_t n) {
   sink().counters[id] += n;
 }
 
 void sink_hist_record(std::uint32_t id, const HistogramSpec& spec, double x) {
-  SinkHist& h = sink().hists[id];
-  if (h.counts.empty()) {
-    h.spec = spec;
-    h.counts.assign(spec.buckets + 2, 0);
-  }
-  h.min = h.count == 0 ? x : std::min(h.min, x);
-  h.max = h.count == 0 ? x : std::max(h.max, x);
-  ++h.count;
-  ++h.counts[bucket_index(spec, x)];
+  HistogramSnapshot& h = sink().hists[id];
+  if (h.counts.empty()) h.spec = spec;
+  h.record(x);
 }
 
 void sink_gauge_set(std::uint32_t id, double value) {
-  // Gauges are last-write-wins; they are documented single-threaded
-  // (deterministic context only), so writing through the central store
-  // directly keeps "last" well defined without per-thread ordering rules.
+  // Gauges are last-write-wins with one writer at a time (see Gauge), so
+  // writing through the central store directly keeps "last" well defined
+  // without per-thread ordering rules.
   Central& c = central();
   std::lock_guard<std::mutex> lock(c.mu);
   MILBACK_REQUIRE(id < c.entries.size(), "obs: gauge id out of range");

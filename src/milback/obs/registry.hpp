@@ -23,8 +23,8 @@
 // (scenario, seed) and appear in the deterministic exports the
 // thread-invariance tests compare; kRuntime metrics (worker utilization,
 // wall-clock profiles) are scheduling-dependent by nature and are exported
-// separately. Gauges are kSim but must only be set from deterministic
-// single-threaded context (e.g. the cell engine's event loop).
+// separately. Gauges are kSim but each one must have a single writer at a
+// time, in an order fixed by the scenario (e.g. one cell engine's event loop).
 #pragma once
 
 #include <cstddef>
@@ -86,11 +86,6 @@ namespace detail {
 
 inline constexpr std::uint32_t kInvalidId = 0xffffffffu;
 
-/// Global enable flags. Relaxed loads on the hot path; initialised from the
-/// MILBACK_METRICS_DIR / MILBACK_TRACE_DIR environment before main.
-bool metrics_enabled_slow() noexcept;
-bool trace_enabled_slow() noexcept;
-
 // Out-of-line sink operations — only reached when telemetry is enabled.
 void sink_counter_add(std::uint32_t id, std::uint64_t n);
 void sink_hist_record(std::uint32_t id, const HistogramSpec& spec, double x);
@@ -131,9 +126,11 @@ class Counter {
   std::uint32_t id_ = detail::kInvalidId;
 };
 
-/// Last-written-value gauge. Set it only from deterministic single-threaded
-/// context (e.g. the event loop): concurrent setters would race for the
-/// "last" value and break export determinism.
+/// Last-written-value gauge. Give each gauge one writer at a time, in an
+/// order fixed by the scenario: a serial event loop, or parallel tasks that
+/// each set only their own gauge, joined before anyone else sets it.
+/// Concurrent setters of one gauge would race for the "last" value and break
+/// export determinism.
 class Gauge {
  public:
   Gauge() = default;

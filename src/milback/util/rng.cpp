@@ -276,6 +276,16 @@ std::uint64_t Rng::mix64(std::uint64_t z) noexcept {
   return z ^ (z >> 31);
 }
 
+std::uint64_t Rng::unmix64(std::uint64_t z) noexcept {
+  // Each xorshift undone by re-applying it until the shifted bits run out,
+  // each multiply by the constant's inverse mod 2^64.
+  z ^= (z >> 31) ^ (z >> 62);
+  z *= 0x319642b2d24d8ec3ULL;
+  z ^= (z >> 27) ^ (z >> 54);
+  z *= 0x96de1b173f119089ULL;
+  return z ^ (z >> 30) ^ (z >> 60);
+}
+
 Rng Rng::fork(std::uint64_t label) {
   // SplitMix64-style mixing of a fresh draw with the label so that forks with
   // different labels are decorrelated even if requested in a different order.

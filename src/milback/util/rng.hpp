@@ -212,11 +212,18 @@ class Rng {
   template <typename... Ids>
   // milback-analyze: no-contract(total by construction; any (seed, ids...) tuple is a valid stream key)
   static Rng stream(std::uint64_t seed, Ids... ids) {
-    static_assert((std::is_integral_v<Ids> && ...),
-                  "stream ids must be integers (cast floats explicitly)");
-    std::uint64_t h = mix64(seed ^ kStreamSalt);
-    ((h = mix64(h ^ (static_cast<std::uint64_t>(ids) + kGolden))), ...);
-    return Rng(h);
+    return Rng(stream_chain(seed, ids...));
+  }
+
+  /// The seed that continues stream's hash chain past a key prefix:
+  /// stream(stream_seed(s, a...), b...) == stream(s, a..., b...) for every
+  /// prefix a... and suffix b..., and stream_seed(s) == s. A simulation
+  /// begun with stream_seed(seed, c) draws exactly the streams its parent
+  /// would key (seed, c, ...) — how a MultiCellEngine seeds its shards.
+  template <typename... Ids>
+  // milback-analyze: no-contract(total by construction; any (seed, ids...) tuple is a valid stream key)
+  static std::uint64_t stream_seed(std::uint64_t seed, Ids... ids) {
+    return unmix64(stream_chain(seed, ids...)) ^ kStreamSalt;
   }
 
   /// Underlying engine access (for std distributions not wrapped here).
@@ -227,6 +234,20 @@ class Rng {
   static constexpr std::uint64_t kStreamSalt = 0x6d696c2d73696dULL;  // "mil-sim"
   /// Golden-ratio increment (same constant SplitMix64 uses to step).
   static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
+  /// The SplitMix64 hash chain of (seed, ids...) behind stream and
+  /// stream_seed: the salted seed, then one mix per id.
+  template <typename... Ids>
+  static std::uint64_t stream_chain(std::uint64_t seed, Ids... ids) {
+    static_assert((std::is_integral_v<Ids> && ...),
+                  "stream ids must be integers (cast floats explicitly)");
+    std::uint64_t h = mix64(seed ^ kStreamSalt);
+    ((h = mix64(h ^ (static_cast<std::uint64_t>(ids) + kGolden))), ...);
+    return h;
+  }
+
+  /// Inverse of mix64 (unmix64(mix64(z)) == z).
+  static std::uint64_t unmix64(std::uint64_t z) noexcept;
 
   struct PolarBuf;  // accepted polar points of one pass (rng.cpp)
 

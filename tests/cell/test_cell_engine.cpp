@@ -204,6 +204,32 @@ TEST(CellEngine, ScheduleValidatesNodeIndex) {
   EXPECT_EQ(engine.pending_events(), 1u);
 }
 
+TEST(CellEngine, ScheduleRejectsTimesBeforeTheClock) {
+  // Mid-run, the engine has dispatched everything before the last
+  // advance_to limit: a directive dated before it would rewrite history
+  // (a leave at 0.1 reported for a node served until 0.5).
+  auto engine = make_engine();
+  engine.add_node("a", spec(2.0, 0.0));
+  engine.add_node("b", spec(3.0, 15.0));
+  engine.begin(1.0, 5);
+  engine.advance_to(0.5);
+  EXPECT_THROW(engine.schedule_leave(0, 0.1), milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_move(1, 0.4, {2.5, 10.0, 12.0}),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_blockage(0.2, 0.8, 10.0),
+               milback::ContractViolation);
+  // A later, smaller limit does not wind the clock back.
+  engine.advance_to(0.3);
+  EXPECT_THROW(engine.schedule_leave(0, 0.4), milback::ContractViolation);
+  // At or after the clock is still the future.
+  engine.schedule_leave(0, 0.5);
+  engine.schedule_move(1, 0.6, {2.5, 10.0, 12.0});
+  engine.schedule_blockage(0.7, 0.8, 10.0);
+  const auto report = engine.finish();
+  EXPECT_DOUBLE_EQ(report.nodes[0].leave_time_s, 0.5);
+  EXPECT_EQ(report.nodes[1].leave_time_s, -1.0);
+}
+
 TEST(CellEngine, AddNodeRejectsDegeneratePoses) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   auto engine = make_engine();

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 #include "milback/cell/multi_cell.hpp"
+#include "milback/core/contract.hpp"
+#include "milback/obs/exporters.hpp"
+#include "milback/obs/registry.hpp"
 
 namespace milback::cell {
 namespace {
@@ -150,6 +155,143 @@ TEST(MultiCell, SameSeedSameReport) {
     EXPECT_DOUBLE_EQ(a.nodes[i].delivered_bits, b.nodes[i].delivered_bits);
     EXPECT_EQ(a.nodes[i].rounds_served, b.nodes[i].rounds_served);
   }
+}
+
+TEST(MultiCell, RejectsPlanCoordinatesThatOverflowFloat) {
+  // The driver stores plan coordinates as float: a finite double beyond
+  // float range would become inf and throw mid-run, so it is refused when
+  // the node or waypoint is registered.
+  auto engine = make_engine(two_cell_config());
+  EXPECT_THROW(engine.add_node("far-x", {1e39, 0.0, 0.0}, 40e3),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.add_node("far-y", {2.0, -1e39, 0.0}, 40e3),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.add_node("wound", {2.0, 0.0, 1e39}, 40e3),
+               milback::ContractViolation);
+  const std::size_t n = engine.add_node("ok", {2.0, 0.0, 0.0}, 40e3);
+  EXPECT_THROW(engine.schedule_waypoint(n, 0.05, {1e39, 0.0, 0.0}),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_waypoint(n, 0.05, {2.0, 1e39, 0.0}),
+               milback::ContractViolation);
+  EXPECT_THROW(engine.schedule_waypoint(n, 0.05, {2.0, 0.0, -1e39}),
+               milback::ContractViolation);
+  // Nothing was half-registered: the run goes through with the one node.
+  const MultiCellReport report = engine.run(0.05, 1);
+  EXPECT_EQ(report.nodes.size(), 1u);
+}
+
+/// The deterministic export lines of `prefix`'s cell metrics and of the
+/// per-node metrics, minus the barrier-only interference gauge.
+std::string cell_export(std::string_view prefix) {
+  std::istringstream in(obs::metrics_jsonl(/*include_runtime=*/false));
+  const std::string interference = std::string(prefix) + "interference_db";
+  constexpr std::string_view kHead = "{\"name\":\"";
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.starts_with(kHead)) continue;
+    const std::string_view rest = std::string_view(line).substr(kHead.size());
+    const std::string_view name = rest.substr(0, rest.find('"'));
+    if (name == interference) continue;
+    if (name.starts_with(prefix) || name.starts_with("cell.node.shard-")) {
+      out += line + "\n";
+    }
+  }
+  return out;
+}
+
+TEST(MultiCell, OneApShardIsAStandaloneCell) {
+  // A shard is a plain CellEngine: with one AP there is no handoff and no
+  // interference, so shard 0 must be, bit for bit, the standalone engine
+  // given the same local poses, the shard's metric prefix and the seed
+  // Rng::stream_seed(seed, 0). The epoch is no multiple of the sweep period,
+  // so barriers fall inside sweeps.
+  constexpr double kHorizonS = 0.2;
+  constexpr std::uint64_t kSeed = 2718;
+  MultiCellConfig cfg;
+  cfg.aps = {{0.0, 0.0}};
+  cfg.coverage_radius_m = 40.0;
+  cfg.epoch_s = 0.0137;
+  cfg.cell.service_period_s = 0.005;
+
+  struct NodeSpec {
+    std::string id;
+    GlobalPose pose;
+    double rate_bps;
+    double burstiness;
+    double join_s;
+  };
+  std::vector<NodeSpec> specs;
+  for (std::size_t i = 0; i < 40; ++i) {
+    specs.push_back(NodeSpec{
+        "shard-" + std::to_string(i),
+        {1.5 + 0.1 * double(i % 25), -1.5 + 0.08 * double(i % 37),
+         -10.0 + 0.5 * double(i % 41)},
+        i % 9 == 8 ? 0.0 : 20e3 + 3e3 * double(i % 7),  // zero-rate nodes
+        i % 3 == 0 ? 0.0 : 1.0,                          // non-bursty nodes
+        i % 5 == 4 ? 0.01 + 0.003 * double(i) : 0.0});   // staggered joins
+  }
+
+  obs::Registry::global().reset();
+  obs::set_enabled(true, false);
+  auto multi = make_engine(cfg);
+  for (const auto& n : specs) {
+    multi.add_node(n.id, n.pose, n.rate_bps, n.burstiness, n.join_s);
+  }
+  const MultiCellReport sharded = multi.run(kHorizonS, kSeed);
+  const std::string sharded_export = cell_export("cell.c0.");
+
+  obs::Registry::global().reset();
+  CellConfig cell_cfg = cfg.cell;
+  cell_cfg.metric_prefix = "cell.c0.";
+  cell_cfg.sweep_threads = 1;
+  Rng env(5);
+  CellEngine standalone(channel::BackscatterChannel::make_default(
+                            channel::Environment::indoor_office(env)),
+                        cell_cfg);
+  for (const auto& n : specs) {
+    standalone.add_node(
+        n.id, core::TrafficSpec{multi.local_pose(0, n.pose), n.rate_bps, n.burstiness},
+        n.join_s);
+  }
+  standalone.begin(kHorizonS, Rng::stream_seed(kSeed, 0));
+  const CellReport alone = standalone.finish();
+  const std::string standalone_export = cell_export("cell.c0.");
+  obs::Registry::global().reset();
+  obs::set_enabled(false, false);
+
+  ASSERT_EQ(sharded.cells.size(), 1u);
+  const CellReport& shard = sharded.cells[0];
+  EXPECT_GT(shard.service_rounds, 20u);
+  EXPECT_EQ(shard.service_rounds, alone.service_rounds);
+  EXPECT_EQ(shard.duration_s, alone.duration_s);
+  EXPECT_EQ(shard.events_dispatched, alone.events_dispatched);
+  EXPECT_EQ(shard.peak_population, alone.peak_population);
+  EXPECT_EQ(shard.final_population, alone.final_population);
+  EXPECT_EQ(shard.aggregate_goodput_bps, alone.aggregate_goodput_bps);
+  EXPECT_EQ(shard.cell_capacity_bps, alone.cell_capacity_bps);
+  EXPECT_EQ(shard.stable, alone.stable);
+  EXPECT_EQ(shard.mesh.nodes.size(), alone.mesh.nodes.size());
+  ASSERT_EQ(shard.nodes.size(), alone.nodes.size());
+  for (std::size_t i = 0; i < shard.nodes.size(); ++i) {
+    const CellNodeReport& a = shard.nodes[i];
+    const CellNodeReport& b = alone.nodes[i];
+    SCOPED_TRACE(a.id);
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.join_time_s, b.join_time_s);
+    EXPECT_EQ(a.leave_time_s, b.leave_time_s);
+    EXPECT_EQ(a.offered_bits, b.offered_bits);
+    EXPECT_EQ(a.delivered_bits, b.delivered_bits);
+    EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
+    EXPECT_EQ(a.p50_latency_s, b.p50_latency_s);
+    EXPECT_EQ(a.p95_latency_s, b.p95_latency_s);
+    EXPECT_EQ(a.peak_queue_bits, b.peak_queue_bits);
+    EXPECT_EQ(a.final_queue_bits, b.final_queue_bits);
+    EXPECT_EQ(a.service_rate_bps, b.service_rate_bps);
+    EXPECT_EQ(a.rounds_served, b.rounds_served);
+  }
+  EXPECT_NE(sharded_export.find("\"cell.c0.queue_depth\""), std::string::npos);
+  EXPECT_NE(sharded_export.find("\"cell.node.shard-0.latency_s\""), std::string::npos);
+  EXPECT_EQ(sharded_export, standalone_export);
 }
 
 }  // namespace

@@ -354,6 +354,43 @@ TEST(Rng, StreamsAcrossSweepGridArePairwiseDistinct) {
   EXPECT_EQ(seen.size(), points * trials);
 }
 
+TEST(Rng, StreamSeedIsAKeyPrefix) {
+  // stream(stream_seed(s, a...), b...) == stream(s, a..., b...) for 0 to 3
+  // prefix ids and 0 to 2 suffix ids: a simulation seeded with the prefix
+  // draws exactly the streams of the longer key.
+  const auto same = [](Rng a, Rng b) {
+    for (int i = 0; i < 8; ++i) {
+      if (a.engine()() != b.engine()()) return false;
+    }
+    return true;
+  };
+  for (const std::uint64_t s : {0ULL, 1ULL, 42ULL, 0x6d696c2d73696dULL, ~0ULL}) {
+    const std::uint64_t a = s * 7 + 3, b = ~s, c = 12345;
+    EXPECT_EQ(Rng::stream_seed(s), s);
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s)), Rng::stream(s)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s), 9), Rng::stream(s, 9)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s), 9, 8), Rng::stream(s, 9, 8)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s, a)), Rng::stream(s, a)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s, a), 9), Rng::stream(s, a, 9)));
+    EXPECT_TRUE(
+        same(Rng::stream(Rng::stream_seed(s, a), 9, 8), Rng::stream(s, a, 9, 8)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s, a, b)), Rng::stream(s, a, b)));
+    EXPECT_TRUE(
+        same(Rng::stream(Rng::stream_seed(s, a, b), 9), Rng::stream(s, a, b, 9)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s, a, b), 9, 8),
+                     Rng::stream(s, a, b, 9, 8)));
+    EXPECT_TRUE(
+        same(Rng::stream(Rng::stream_seed(s, a, b, c)), Rng::stream(s, a, b, c)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s, a, b, c), 9),
+                     Rng::stream(s, a, b, c, 9)));
+    EXPECT_TRUE(same(Rng::stream(Rng::stream_seed(s, a, b, c), 9, 8),
+                     Rng::stream(s, a, b, c, 9, 8)));
+    // A prefix seed is itself a new key, not the old seed reused.
+    EXPECT_NE(Rng::stream_seed(s, a), s);
+    EXPECT_NE(Rng::stream_seed(s, a), Rng::stream_seed(s, a + 1));
+  }
+}
+
 // The stream key derivation of Rng::stream(seed, id), restated so the test
 // pins both the derivation and the engine behind it.
 std::uint64_t stream_key(std::uint64_t seed, std::uint64_t id) {
