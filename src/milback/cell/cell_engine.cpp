@@ -267,7 +267,8 @@ std::size_t CellEngine::population() const noexcept {
 
 std::size_t CellEngine::memory_bytes() const noexcept {
   return sizeof(*this) + nodes_.allocated_bytes() + queue_.allocated_bytes() +
-         arrivals_.capacity() * sizeof(std::uint32_t) +
+         (arrivals_.capacity() + slot_start_.capacity() + slot_members_.capacity()) *
+             sizeof(std::uint32_t) +
          (mesh_ ? mesh_->allocated_bytes() : 0);
 }
 
@@ -305,6 +306,7 @@ void CellEngine::apply_channel_loss() {
 }
 
 void CellEngine::set_multipath(channel::MultipathConfig multipath) {
+  MILBACK_REQUIRE(!ran_, "CellEngine::set_multipath: install before begin()");
   for (auto& s : nodes_.session) {
     if (s) s->link().channel().set_multipath(multipath);
   }
@@ -314,7 +316,9 @@ void CellEngine::set_multipath(channel::MultipathConfig multipath) {
 void CellEngine::set_external_interference_db(double loss_db) {
   require_finite(loss_db, "external interference loss_db");
   require_non_negative(loss_db, "external interference loss_db");
+  if (loss_db == external_db_) return;
   external_db_ = loss_db;
+  sweep_dirty_ = true;
   apply_channel_loss();
 }
 
@@ -331,6 +335,7 @@ Rng CellEngine::event_stream(std::uint64_t node, std::uint64_t event_seq) const 
 
 void CellEngine::dispatch_join(const Event& e) {
   nodes_.alive[e.node] = 1;
+  sweep_dirty_ = true;
   ensure_session(e.node);
   peak_population_ = std::max(peak_population_, population());
   wake_service(e.time_s);
@@ -409,14 +414,12 @@ void CellEngine::dispatch_arrivals(double time_s) {
   arrivals_.clear();
 }
 
-double CellEngine::slot_period_s(
-    const std::vector<std::vector<std::size_t>>& slots,
-    const std::vector<std::size_t>& alive) const {
+double CellEngine::slot_period_s(const std::vector<std::size_t>& alive) const {
   double period_s = 0.0;
-  for (const auto& slot : slots) {
+  for (std::size_t s = 0; s + 1 < slot_start_.size(); ++s) {
     double slot_time_s = 0.0;
-    for (const auto k : slot) {
-      const double rate_bps = nodes_.rate_bps[alive[k]];
+    for (auto m = slot_start_[s]; m < slot_start_[s + 1]; ++m) {
+      const double rate_bps = nodes_.rate_bps[alive[slot_members_[m]]];
       if (rate_bps <= 0.0) continue;
       const auto timing = core::compute_timing(
           core::PacketConfig{.preamble = {},
@@ -430,6 +433,39 @@ double CellEngine::slot_period_s(
   return period_s;
 }
 
+void CellEngine::recompute_sweep(const std::vector<std::size_t>& alive) {
+  MILBACK_REQUIRE(alive.size() <= std::numeric_limits<std::uint32_t>::max(),
+                  "recompute_sweep: population exceeds the slot list's range");
+  if (!config_.run_sessions) {
+    // Rate recomputation fans out on the TrialRunner: each trial touches
+    // only its own node and reads the frozen channel, so the sweep is
+    // thread-count invariant.
+    const sim::TrialRunner runner(config_.sweep_threads);
+    const auto rates = runner.map<double>(alive.size(), [&](std::size_t k) {
+      return probe_service_rate_bps(link_.channel(), nodes_.pose[alive[k]],
+                                    config_.rate);
+    });
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      nodes_.rate_bps[alive[k]] = rates[k];
+    }
+  }
+
+  std::vector<channel::NodePose> poses;
+  poses.reserve(alive.size());
+  for (const auto i : alive) poses.push_back(nodes_.pose[i]);
+  const auto slots = sdm_partition(poses, config_.network.sdm_min_separation_deg);
+  slot_start_.clear();
+  slot_start_.reserve(slots.size() + 1);
+  slot_start_.push_back(0);
+  slot_members_.clear();
+  slot_members_.reserve(alive.size());
+  for (const auto& slot : slots) {
+    for (const auto k : slot) slot_members_.push_back(static_cast<std::uint32_t>(k));
+    slot_start_.push_back(static_cast<std::uint32_t>(slot_members_.size()));
+  }
+  sweep_dirty_ = false;
+}
+
 void CellEngine::dispatch_service(const Event& e) {
   service_scheduled_ = false;
   const auto alive = alive_indices();
@@ -439,20 +475,16 @@ void CellEngine::dispatch_service(const Event& e) {
   // evaluated at the sweep time, and every worker sees the same frozen
   // geometry (thread-count invariant by construction).
   link_.channel().set_path_time_s(e.time_s);
+  std::vector<core::SessionStep> steps;
   if (config_.run_sessions) {
     for (const auto i : alive) {
       if (nodes_.session[i]) {
         nodes_.session[i]->link().channel().set_path_time_s(e.time_s);
       }
     }
-  }
-
-  // Rate recomputation fans out on the TrialRunner: each trial touches only
-  // its own node and derives randomness from (seed, node, event seq), so
-  // the sweep is thread-count invariant.
-  const sim::TrialRunner runner(config_.sweep_threads);
-  std::vector<core::SessionStep> steps;
-  if (config_.run_sessions) {
+    // Each session steps on its own node and draws from (seed, node, event
+    // seq), so the fan-out is thread-count invariant.
+    const sim::TrialRunner runner(config_.sweep_threads);
     steps = runner.map<core::SessionStep>(alive.size(), [&](std::size_t k) {
       auto rng = event_stream(std::uint64_t{alive[k]}, e.seq);
       return nodes_.session[alive[k]]->step(nodes_.pose[alive[k]], rng);
@@ -469,26 +501,27 @@ void CellEngine::dispatch_service(const Event& e) {
         }
       }
     }
-  } else {
-    const auto rates = runner.map<double>(alive.size(), [&](std::size_t k) {
-      return probe_service_rate_bps(link_.channel(), nodes_.pose[alive[k]],
-                                    config_.rate);
-    });
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      nodes_.rate_bps[alive[k]] = rates[k];
-    }
   }
 
-  // SDM schedule over the settled population; period = one visit to every
-  // slot, each slot lasting as long as its slowest member's packet.
-  std::vector<channel::NodePose> poses;
-  poses.reserve(alive.size());
-  for (const auto i : alive) poses.push_back(nodes_.pose[i]);
-  const auto slots =
-      sdm_partition(poses, config_.network.sdm_min_separation_deg);
+  // Sweep memo. The probes read only the alive poses and the channel's
+  // losses, walls and blockers at the path time; the partition reads only
+  // the alive poses, in index order. Everything that changes those (or the
+  // alive list) marks sweep_dirty_, so a clean sweep without sessions or
+  // blockers (the one input that moves with the clock) keeps the last rates
+  // and slots: the bits a recompute would give.
+  const bool reuse = !sweep_dirty_ && !config_.run_sessions &&
+                     link_.channel().multipath().blockers.empty();
+  if (reuse) {
+    MILBACK_ASSERT(slot_members_.size() == alive.size());
+  } else {
+    recompute_sweep(alive);
+  }
+
+  // Period = one visit to every slot, each slot lasting as long as its
+  // slowest member's packet.
   const double period_s = config_.service_period_s > 0.0
                               ? config_.service_period_s
-                              : slot_period_s(slots, alive);
+                              : slot_period_s(alive);
   if (period_s <= 0.0) return;  // nobody servable; churn re-wakes the sweep
 
   const std::size_t round = report_.service_rounds;
@@ -518,8 +551,9 @@ void CellEngine::dispatch_service(const Event& e) {
   // Drain: one packet per reachable node per sweep, slot-major.
   std::vector<double> drained(alive.size(), 0.0);
   const double service_done_s = e.time_s + period_s;
-  for (const auto& slot : slots) {
-    for (const auto k : slot) {
+  for (std::size_t s = 0; s + 1 < slot_start_.size(); ++s) {
+    for (auto m = slot_start_[s]; m < slot_start_[s + 1]; ++m) {
+      const std::size_t k = slot_members_[m];
       const std::size_t i = alive[k];
       if (nodes_.rate_bps[i] <= 0.0) continue;
       nodes_.rounds_served[i] += 1;
@@ -550,6 +584,12 @@ void CellEngine::dispatch_service(const Event& e) {
   sweep_span.end(service_done_s);
 
   if (observer_) {
+    std::vector<std::size_t> slot_of(alive.size(), 0);
+    for (std::size_t s = 0; s + 1 < slot_start_.size(); ++s) {
+      for (auto m = slot_start_[s]; m < slot_start_[s + 1]; ++m) {
+        slot_of[slot_members_[m]] = s;
+      }
+    }
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const std::size_t i = alive[k];
       ServiceObservation obs;
@@ -558,6 +598,7 @@ void CellEngine::dispatch_service(const Event& e) {
       obs.node = i;
       obs.id = nodes_.id[i];
       obs.rate_bps = nodes_.rate_bps[i];
+      obs.slot = slot_of[k];
       obs.drained_bits = drained[k];
       obs.queued_bits = nodes_.queued_bits[i];
       if (config_.run_sessions) {
@@ -667,18 +708,12 @@ void CellEngine::begin(double duration_s, std::uint64_t seed) {
   // Bootstrap the first sweep. Arrivals for a sweep land before it (one
   // pass as the sweep starts), so the first window needs a period estimate up
   // front: the pinned period, else a budget probe of the initial population.
+  // That probe leaves the rates and slots the first sweep would compute.
   const auto alive = alive_indices();
   double hint_s = config_.service_period_s;
   if (hint_s <= 0.0) {
-    std::vector<channel::NodePose> poses;
-    poses.reserve(alive.size());
-    for (const auto i : alive) {
-      nodes_.rate_bps[i] =
-          probe_service_rate_bps(link_.channel(), nodes_.pose[i], config_.rate);
-      poses.push_back(nodes_.pose[i]);
-    }
-    hint_s = slot_period_s(
-        sdm_partition(poses, config_.network.sdm_min_separation_deg), alive);
+    recompute_sweep(alive);
+    hint_s = slot_period_s(alive);
   }
   if (hint_s > 0.0) {
     schedule_arrivals(alive, 0.0, hint_s);
@@ -702,12 +737,14 @@ void CellEngine::dispatch(const Event& e) {
     case EventKind::kLeave:
       obs_->ev_leave.add();
       if (mesh_) mesh_->mark_dirty();
+      sweep_dirty_ = true;
       nodes_.alive[e.node] = 0;
       nodes_.leave_time_s[e.node] = e.time_s;
       break;
     case EventKind::kMove:
       obs_->ev_move.add();
       if (mesh_) mesh_->mark_dirty();
+      sweep_dirty_ = true;
       nodes_.pose[e.node] = e.pose;
       if (nodes_.alive[e.node]) wake_service(e.time_s);
       break;
@@ -724,6 +761,7 @@ void CellEngine::dispatch(const Event& e) {
       blockage_span_ = obs::Span(obs_->blockage_span, e.time_s,
                                  obs::trace_lane(obs::kLaneCell, 1));
       blockage_db_ = e.value;
+      sweep_dirty_ = true;
       apply_channel_loss();
       break;
     case EventKind::kBlockageEnd:
@@ -731,6 +769,7 @@ void CellEngine::dispatch(const Event& e) {
       if (mesh_) mesh_->mark_dirty();
       blockage_span_.end(e.time_s);
       blockage_db_ = 0.0;
+      sweep_dirty_ = true;
       apply_channel_loss();
       if (population() > 0) wake_service(e.time_s);
       break;
@@ -820,6 +859,7 @@ CarriedNode CellEngine::detach_node(std::size_t node, double time_s) {
   nodes_.alive[node] = 0;
   nodes_.leave_time_s[node] = time_s;
   if (mesh_) mesh_->mark_dirty();
+  sweep_dirty_ = true;
   obs_->ev_handoff_out.add();
   return out;
 }
@@ -838,6 +878,7 @@ std::size_t CellEngine::attach_node(const CarriedNode& carried, double time_s) {
   nodes_.peak_queue_bits[index] = carried.queued_bits;
   peak_population_ = std::max(peak_population_, population());
   if (mesh_) mesh_->mark_dirty();
+  sweep_dirty_ = true;
   obs_->ev_handoff_in.add();
   wake_service(time_s);
   return index;

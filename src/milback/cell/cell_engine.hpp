@@ -26,6 +26,12 @@
 // follows the scheduled churn, not the population (bench/e2e campus_100k
 // reports the measured outcome.bytes_per_node).
 //
+// Sweep memo: a service sweep re-probes every alive node and re-partitions
+// the SDM slots only when something those read has changed since the last
+// sweep (churn, handoff, blockage or interference); otherwise it
+// reuses the last rates and slots, which are then the same bits a
+// recompute would give (DESIGN.md §6; SweepMemo tests).
+//
 // tests/integration/test_cell_equivalence.cpp pins the engine against
 // reference loops of the original per-round and per-MAC-run service.
 #pragma once
@@ -89,6 +95,7 @@ struct ServiceObservation {
   std::size_t node = 0;         ///< Node index (engine-wide, stable).
   NodeId id{};                  ///< Interned node identifier (id.view() for text).
   double rate_bps = 0.0;        ///< Service rate chosen this sweep (0 = skipped).
+  std::size_t slot = 0;         ///< The node's SDM slot this sweep (0-based).
   double drained_bits = 0.0;    ///< Queue bits drained this sweep.
   double queued_bits = 0.0;     ///< Backlog after the sweep.
   bool has_session = false;     ///< Whether `session` is meaningful.
@@ -180,8 +187,9 @@ class CellEngine {
   void schedule_blockage(double start_s, double end_s, double loss_db);
 
   /// Installs the scene geometry (walls + moving blockers) on the cell's
-  /// channel and every live session's channel copy. Call before begin();
-  /// the per-sweep path clock is advanced by the service dispatcher.
+  /// channel and every live session's channel copy. Call before begin()
+  /// (throws ContractViolation after); the per-sweep path clock is advanced
+  /// by the service dispatcher. Any blocker keeps every sweep re-probing.
   void set_multipath(channel::MultipathConfig multipath);
 
   /// Installs (or, with `config.enabled == false`, uninstalls) the
@@ -232,7 +240,8 @@ class CellEngine {
 
   /// Extra one-way path loss [dB] from co-channel sibling cells, applied on
   /// top of any active blockage episode through the same channel fold. The
-  /// MultiCellEngine recomputes this at every epoch barrier.
+  /// MultiCellEngine recomputes this at every epoch barrier; an unchanged
+  /// value changes nothing, so the next sweep may reuse the last rates.
   void set_external_interference_db(double loss_db);
 
   /// --- Static-population one-shots ---------------------------------------
@@ -285,20 +294,22 @@ class CellEngine {
   std::size_t pending_events() const noexcept {
     return queue_.size() + arrivals_.size();
   }
-  /// Bytes held by node columns, pooled chains, the event queue and the
-  /// arrival list — the simulation state outcome.bytes_per_node divides by
-  /// population.
+  /// Bytes held by node columns, pooled chains, the event queue, the
+  /// arrival list and the kept SDM slots — the simulation state
+  /// outcome.bytes_per_node divides by population.
   std::size_t memory_bytes() const noexcept;
 
  private:
   std::vector<std::size_t> alive_indices() const;
   void ensure_session(std::size_t i);
   void apply_channel_loss();
-  /// Service period of an SDM schedule over the `alive` rows: each slot
+  /// Service period of the kept SDM slots over the `alive` rows: each slot
   /// lasts as long as its slowest member's packet at the current rates,
   /// summed slot-major.
-  double slot_period_s(const std::vector<std::vector<std::size_t>>& slots,
-                       const std::vector<std::size_t>& alive) const;
+  double slot_period_s(const std::vector<std::size_t>& alive) const;
+  /// Re-probes the `alive` rows' rates and re-partitions them into the kept
+  /// slots (slot_start_/slot_members_), at the channel's current path time.
+  void recompute_sweep(const std::vector<std::size_t>& alive);
   /// Schedules a service sweep at `time_s` unless one is already pending.
   void wake_service(double time_s);
   /// Per-event randomness: Rng::stream(seed, node, seq). The stream is
@@ -334,6 +345,18 @@ class CellEngine {
   std::uint64_t arrival_seq0_ = 0;       ///< Seq of arrivals_[0].
   double arrival_time_s_ = 0.0;          ///< The pending arrivals' sweep time.
   double arrival_period_s_ = 0.0;        ///< Their arrival window.
+  /// The last sweep's SDM slots in CSR form: slot s holds the positions
+  /// slot_members_[slot_start_[s] .. slot_start_[s + 1]) of that sweep's
+  /// alive list, which a clean sweep's alive list equals.
+  std::vector<std::uint32_t> slot_start_;
+  std::vector<std::uint32_t> slot_members_;
+  /// Set by everything that changes what a sweep's probes or partition
+  /// read (join, leave, move, handoff, blockage, a changed interference);
+  /// cleared by the sweep that recomputes. The scene needs no mark:
+  /// set_multipath runs only before begin(), while the flag is still set.
+  /// While clear, and with sessions off and no blockers in the scene, a
+  /// sweep reuses nodes_.rate_bps and the slots.
+  bool sweep_dirty_ = true;
   ServiceObserver observer_;
   const CellObs* obs_;       ///< Label-scoped cell-wide metric handles.
   bool service_scheduled_ = false;

@@ -166,6 +166,21 @@ void MultiCellEngine::schedule_leave(std::size_t node, double time_s) {
   n.dir_head = static_cast<std::uint32_t>(directives_.size() - 1);
 }
 
+void MultiCellEngine::set_multipath(const channel::MultipathConfig& multipath) {
+  MILBACK_REQUIRE(!ran_, "MultiCellEngine::set_multipath: install before run()");
+  for (auto& e : engines_) e->set_multipath(multipath);
+}
+
+void MultiCellEngine::set_observer(std::size_t c, CellEngine::ServiceObserver observer) {
+  MILBACK_REQUIRE(c < engines_.size(), "set_observer: cell out of range");
+  engines_[c]->set_observer(std::move(observer));
+}
+
+const CellEngine& MultiCellEngine::cell(std::size_t c) const {
+  MILBACK_REQUIRE(c < engines_.size(), "cell: index out of range");
+  return *engines_[c];
+}
+
 std::size_t MultiCellEngine::node_cell(std::size_t node) const {
   MILBACK_REQUIRE(node < nodes_.size(), "node_cell: node out of range");
   return nodes_[node].cell;

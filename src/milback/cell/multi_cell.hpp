@@ -137,10 +137,18 @@ class MultiCellEngine {
   /// Installs the same scene geometry (walls + moving blockers) on every
   /// shard's channel. Wall coordinates are interpreted in each cell's own
   /// AP-centric frame — the common case is a shared floor-plan motif
-  /// (corridor wall at a fixed offset from every AP). Call before run().
-  void set_multipath(const channel::MultipathConfig& multipath) {
-    for (auto& e : engines_) e->set_multipath(multipath);
-  }
+  /// (corridor wall at a fixed offset from every AP). Call before run()
+  /// (throws ContractViolation after).
+  void set_multipath(const channel::MultipathConfig& multipath);
+
+  /// Installs cell `c`'s per-service observer (CellEngine::set_observer).
+  /// Cells dispatch as parallel TrialRunner tasks, so observers of
+  /// different cells may run concurrently; each is called only from its own
+  /// cell's serial event loop, in that cell's node-index order.
+  void set_observer(std::size_t c, CellEngine::ServiceObserver observer);
+
+  /// Cell `c`'s engine, read-only (its channel, configuration and rows).
+  const CellEngine& cell(std::size_t c) const;
 
   /// Runs `duration_s` of network time. Single-shot, like CellEngine::run;
   /// the report is a pure function of (scenario, seed) at any worker count.

@@ -151,6 +151,23 @@ TEST(CellEngine, RunIsSingleShot) {
                milback::ContractViolation);
 }
 
+TEST(CellEngine, SetMultipathAfterBeginThrows) {
+  // The scene is fixed for a run: the sweep memo assumes it, as set_mesh's
+  // callers already must.
+  auto engine = make_engine();
+  engine.add_node("a", spec(2.0, 0.0));
+  engine.set_multipath(channel::MultipathConfig::office_walls(3));
+  engine.begin(0.05, 1);
+  EXPECT_THROW(engine.set_multipath({}), milback::ContractViolation);
+  engine.finish();
+  EXPECT_THROW(engine.set_multipath({}), milback::ContractViolation);
+
+  auto ran = make_engine();
+  ran.add_node("a", spec(2.0, 0.0));
+  ran.run(0.05, 1);
+  EXPECT_THROW(ran.set_multipath({}), milback::ContractViolation);
+}
+
 TEST(CellEngine, DeterministicGivenSeed) {
   const auto scenario = [](CellEngine& engine) {
     const auto a = engine.add_node("a", spec(2.0, -25.0));

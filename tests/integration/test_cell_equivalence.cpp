@@ -22,6 +22,13 @@
 //     caller's shared generator, so traffic-dependent quantities
 //     (offered/delivered bits, latencies) agree in distribution, not
 //     bit-for-bit.
+//
+//   * Every service sweep's rates and slots (SweepMemo) are FIELD-EXACT
+//     against a from-scratch recompute at that sweep — the budget probe on
+//     the engine's channel as it stands then, and the greedy reference
+//     partition of the alive poses — through churn, blockage, handoff and
+//     interference changes, whether the sweep recomputed or reused the last
+//     sweep's rates and slots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,9 +39,11 @@
 #include <vector>
 
 #include "milback/cell/cell_engine.hpp"
+#include "milback/cell/multi_cell.hpp"
 #include "milback/channel/link_budget.hpp"
 #include "milback/core/ber.hpp"
 #include "milback/core/packet.hpp"
+#include "milback/obs/registry.hpp"
 #include "milback/rf/envelope_detector.hpp"
 #include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
@@ -56,6 +65,31 @@ struct NetworkNode {
   channel::NodePose pose{};  ///< Ground-truth pose (the simulation's truth).
 };
 
+/// The original greedy SDM partition: each node, in index order, joins the
+/// first slot whose members all sit at least the separation away in bearing.
+std::vector<std::vector<std::size_t>> greedy_sdm_slots(
+    const std::vector<NetworkNode>& nodes, const NetworkConfig& config) {
+  std::vector<std::vector<std::size_t>> slots;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    bool placed = false;
+    for (auto& slot : slots) {
+      const bool compatible =
+          std::all_of(slot.begin(), slot.end(), [&](std::size_t j) {
+            return std::abs(nodes[i].pose.azimuth_deg -
+                            nodes[j].pose.azimuth_deg) >=
+                   config.sdm_min_separation_deg;
+          });
+      if (compatible) {
+        slot.push_back(i);
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) slots.push_back({i});
+  }
+  return slots;
+}
+
 struct LegacyNetwork {
   NetworkConfig config;
   MilBackLink link;
@@ -65,25 +99,7 @@ struct LegacyNetwork {
       : config(cfg), link(std::move(channel), cfg.link) {}
 
   std::vector<std::vector<std::size_t>> sdm_slots() const {
-    std::vector<std::vector<std::size_t>> slots;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      bool placed = false;
-      for (auto& slot : slots) {
-        const bool compatible =
-            std::all_of(slot.begin(), slot.end(), [&](std::size_t j) {
-              return std::abs(nodes[i].pose.azimuth_deg -
-                              nodes[j].pose.azimuth_deg) >=
-                     config.sdm_min_separation_deg;
-            });
-        if (compatible) {
-          slot.push_back(i);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) slots.push_back({i});
-    }
-    return slots;
+    return greedy_sdm_slots(nodes, config);
   }
 
   double isolation_db(std::size_t i, std::size_t j) const {
@@ -578,6 +594,224 @@ TEST(CellEquivalence, MacTrafficQuantitiesAreStatisticallyMatched) {
               0.15 * want.nodes[0].mean_latency_s);
   EXPECT_NEAR(got.aggregate_goodput_bps, want.aggregate_goodput_bps,
               0.10 * want.aggregate_goodput_bps);
+}
+
+// --- Sweep memo: every sweep against a from-scratch recompute ---------------
+
+/// Observes one cell's sweeps and checks each against a recompute: every
+/// alive node's rate against probe_service_rate_bps on the engine's channel
+/// at that sweep (the observer runs inside the sweep, so the channel still
+/// holds the sweep's path time and losses), and the slots against the greedy
+/// reference partition of the alive poses. With `count_probes`, it also
+/// records each sweep's TrialRunner tasks (the per-node probe or session
+/// fan-out; the engine must pin sweep_threads = 1 so they run, and count,
+/// on the observing thread).
+class SweepCheck {
+ public:
+  SweepCheck(const cell::CellEngine& engine, bool check_rates, bool count_probes)
+      : engine_(engine), check_rates_(check_rates), count_probes_(count_probes) {}
+
+  void observe(const cell::ServiceObservation& o) {
+    if (!alive_.empty() && o.round != round_) close_sweep();
+    if (alive_.empty() && count_probes_) {
+      const std::uint64_t tasks = obs::Registry::global().counter_value("sim.tasks");
+      tasks_.push_back(tasks - last_tasks_);
+      last_tasks_ = tasks;
+    }
+    round_ = o.round;
+    const channel::NodePose& pose = engine_.node_pose(o.node);
+    if (check_rates_) {
+      EXPECT_EQ(o.rate_bps, cell::probe_service_rate_bps(engine_.link().channel(),
+                                                         pose, engine_.config().rate))
+          << "sweep " << o.round << ", node " << o.node;
+    }
+    alive_.push_back(NetworkNode{"", pose});
+    slot_of_.push_back(o.slot);
+  }
+
+  /// Checks the last sweep; returns the number of sweeps checked.
+  std::size_t finish() {
+    if (!alive_.empty()) close_sweep();
+    return population_.size();
+  }
+
+  /// Per sweep: TrialRunner tasks since the previous sweep (count_probes).
+  const std::vector<std::uint64_t>& tasks() const { return tasks_; }
+  /// Per sweep: nodes alive.
+  const std::vector<std::size_t>& population() const { return population_; }
+
+ private:
+  void close_sweep() {
+    std::vector<std::vector<std::size_t>> got;
+    for (std::size_t k = 0; k < slot_of_.size(); ++k) {
+      if (slot_of_[k] >= got.size()) got.resize(slot_of_[k] + 1);
+      got[slot_of_[k]].push_back(k);
+    }
+    EXPECT_EQ(got, greedy_sdm_slots(alive_, engine_.config().network))
+        << "sweep " << round_;
+    population_.push_back(alive_.size());
+    alive_.clear();
+    slot_of_.clear();
+  }
+
+  const cell::CellEngine& engine_;
+  bool check_rates_;
+  bool count_probes_;
+  std::size_t round_ = 0;
+  std::vector<NetworkNode> alive_;    ///< This sweep's alive poses so far.
+  std::vector<std::size_t> slot_of_;  ///< Their slots.
+  std::vector<std::size_t> population_;
+  std::vector<std::uint64_t> tasks_;
+  std::uint64_t last_tasks_ = 0;
+};
+
+/// Metrics on for one test (the probe count reads sim.tasks), zeroed on
+/// entry and exit.
+class ScopedMetrics {
+ public:
+  ScopedMetrics() {
+    obs::Registry::global().reset();
+    obs::set_enabled(true, false);
+  }
+  ~ScopedMetrics() {
+    obs::Registry::global().reset();
+    obs::set_enabled(false, false);
+  }
+};
+
+/// 24 nodes in front of a walled office, so a blockage episode leaves
+/// reflected paths: joins, leaves and moves (range and bearing) fall between
+/// and on sweeps, and a blockage episode spans several.
+cell::CellEngine build_churn_cell(cell::CellConfig cfg,
+                                  channel::MultipathConfig scene) {
+  cell::CellEngine engine(make_channel(), cfg);
+  engine.set_multipath(std::move(scene));
+  for (std::size_t i = 0; i < 24; ++i) {
+    const channel::NodePose pose{1.5 + 0.45 * double(i % 13), -45.0 + 3.7 * double(i),
+                                 -15.0 + 1.3 * double(i % 17)};
+    const double join_s = i % 6 == 1 ? 0.02 * double(1 + i % 4) : 0.0;
+    engine.add_node("memo-" + std::to_string(i),
+                    TrafficSpec{.pose = pose,
+                                .arrival_rate_bps = 40e3 + 10e3 * double(i % 3),
+                                .burstiness = i % 2 == 0 ? 0.5 : 0.0},
+                    join_s);
+    if (i % 7 == 3) engine.schedule_leave(i, 0.05 + 0.013 * double(i % 5));
+    if (i % 4 == 2) {
+      engine.schedule_move(i, 0.03 + 0.011 * double(i % 5),
+                           {pose.distance_m + 2.5, pose.azimuth_deg + 4.0,
+                            pose.orientation_deg - 6.0});
+    }
+  }
+  engine.schedule_blockage(0.06, 0.1, 10.0);
+  return engine;
+}
+
+TEST(SweepMemo, StandaloneSweepsMatchARecompute) {
+  const ScopedMetrics metrics;
+  // Derived period (begin() probes; churn falls between sweeps) and a
+  // pinned one.
+  for (const double period_s : {0.0, 0.004}) {
+    SCOPED_TRACE(period_s);
+    cell::CellConfig cfg;
+    cfg.service_period_s = period_s;
+    cfg.sweep_threads = 1;
+    auto engine = build_churn_cell(cfg, channel::MultipathConfig::office_walls(21, 5));
+    SweepCheck check(engine, /*check_rates=*/true, /*count_probes=*/true);
+    engine.set_observer([&](const cell::ServiceObservation& o) { check.observe(o); });
+    const auto report = engine.run(0.15, 11);
+    const std::size_t sweeps = check.finish();
+    ASSERT_EQ(sweeps, report.service_rounds);
+    EXPECT_GT(sweeps, 20u);
+    EXPECT_LT(report.final_population, report.peak_population);
+    // Most sweeps reuse; the ones after a change re-probe every alive node.
+    std::size_t reused = 0;
+    for (std::size_t s = 0; s < sweeps; ++s) {
+      if (check.tasks()[s] == 0) {
+        ++reused;
+      } else if (s > 0) {
+        EXPECT_EQ(check.tasks()[s], check.population()[s]) << "sweep " << s;
+      }
+    }
+    EXPECT_GT(reused, sweeps / 2);
+    EXPECT_LT(reused, sweeps);
+  }
+}
+
+TEST(SweepMemo, TwoCellHandoffAndInterferenceMatchARecompute) {
+  // Co-channel cells 20 m apart. The roamer crosses from cell 0 to cell 1
+  // in the epoch where a late node joins cell 0, so cell 0's population,
+  // and with it cell 1's interference, is unchanged at that barrier: cell 1
+  // changes only by the attach. Later, six cell-0 nodes leave at once, so
+  // cell 1 changes only by its interference.
+  cell::MultiCellConfig cfg;
+  cfg.aps = {{0.0, 0.0}, {20.0, 0.0}};
+  cfg.coverage_radius_m = 9.0;
+  cfg.epoch_s = 0.01;
+  cfg.interference_node_db = -10.0;
+  Rng env(5);
+  cell::MultiCellEngine engine(
+      channel::BackscatterChannel::make_default(channel::Environment::indoor_office(env)),
+      std::move(cfg));
+  engine.set_multipath(channel::MultipathConfig::office_walls(21, 5));
+  for (std::size_t i = 0; i < 32; ++i) {
+    const double ax = i % 2 == 0 ? 0.0 : 20.0;
+    engine.add_node("memo-mc-" + std::to_string(i),
+                    {ax + (i % 2 == 0 ? 1.0 : -1.0) * (1.2 + 0.3 * double(i % 11)),
+                     -3.0 + 0.37 * double(i % 17), -12.0 + 1.5 * double(i % 13)},
+                    30e3);
+  }
+  const std::size_t roamer = engine.add_node("memo-mc-roamer", {2.0, 0.5, 4.0}, 30e3);
+  engine.schedule_waypoint(roamer, 0.043, {17.5, 0.8, 4.0});
+  engine.add_node("memo-mc-late", {2.5, -1.0, 6.0}, 30e3, 1.0, 0.045);
+  for (std::size_t i = 0; i < 12; i += 2) engine.schedule_leave(i, 0.085);
+
+  std::vector<SweepCheck> checks;
+  checks.reserve(engine.cell_count());
+  for (std::size_t c = 0; c < engine.cell_count(); ++c) {
+    checks.emplace_back(engine.cell(c), /*check_rates=*/true, /*count_probes=*/false);
+    engine.set_observer(c, [&checks, c](const cell::ServiceObservation& o) {
+      checks[c].observe(o);
+    });
+  }
+  const auto report = engine.run(0.15, 23);
+  ASSERT_EQ(report.handoffs, 1u);
+  EXPECT_GT(report.max_interference_db, 0.0);
+  for (std::size_t c = 0; c < engine.cell_count(); ++c) {
+    EXPECT_EQ(checks[c].finish(), report.cells[c].service_rounds) << "cell " << c;
+  }
+}
+
+TEST(SweepMemo, BlockerScenesAndSessionCellsProbeEverySweep) {
+  const ScopedMetrics metrics;
+  // A blocker moves the path set with the clock, and a session steps every
+  // sweep: neither may reuse, so every sweep runs one task per alive node.
+  channel::MultipathConfig scene = channel::MultipathConfig::office_walls(21, 5);
+  scene.blockers.push_back({.x_m = 3.0, .y_m = -6.0, .vx_mps = 0.0, .vy_mps = 60.0,
+                            .radius_m = 0.5, .penetration_loss_db = 30.0});
+  cell::CellConfig cfg;
+  cfg.sweep_threads = 1;
+  cell::CellConfig session_cfg = cfg;
+  session_cfg.run_sessions = true;
+  session_cfg.service_period_s = 0.004;
+  struct Case {
+    const char* name;
+    cell::CellConfig cfg;
+    channel::MultipathConfig scene;
+  };
+  for (const Case& c : {Case{"blocker", cfg, scene},
+                        Case{"session", session_cfg, channel::MultipathConfig{}}}) {
+    SCOPED_TRACE(c.name);
+    auto engine = build_churn_cell(c.cfg, c.scene);
+    SweepCheck check(engine, /*check_rates=*/!c.cfg.run_sessions, /*count_probes=*/true);
+    engine.set_observer([&](const cell::ServiceObservation& o) { check.observe(o); });
+    engine.run(0.15, 11);
+    const std::size_t sweeps = check.finish();
+    EXPECT_GT(sweeps, 20u);
+    // begin()'s probe lands in the first sweep's count (derived period).
+    for (std::size_t s = 1; s < sweeps; ++s) {
+      EXPECT_EQ(check.tasks()[s], check.population()[s]) << "sweep " << s;
+    }
+  }
 }
 
 }  // namespace

@@ -122,6 +122,16 @@ TEST(MultiCell, CoChannelCellsRaiseEachOthersNoiseFloor) {
   EXPECT_LE(shared.aggregate_goodput_bps, isolated.aggregate_goodput_bps);
 }
 
+TEST(MultiCell, SetMultipathAfterRunThrows) {
+  auto engine = make_engine(two_cell_config());
+  engine.add_node("a", {2.0, 1.0, 0.0}, 40e3);
+  engine.set_multipath(channel::MultipathConfig::office_walls(3));
+  engine.run(0.04, 1);
+  EXPECT_THROW(engine.set_multipath({}), milback::ContractViolation);
+  EXPECT_THROW(engine.set_observer(2, {}), milback::ContractViolation);
+  EXPECT_THROW(engine.cell(2), milback::ContractViolation);
+}
+
 TEST(MultiCell, ScheduledLeaveRetiresTheNode) {
   auto engine = make_engine(two_cell_config());
   const std::size_t n = engine.add_node("leaver", {3.0, 0.0, 0.0}, 40e3);
