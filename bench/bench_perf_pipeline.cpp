@@ -259,25 +259,22 @@ void BM_Rng_StreamOneGaussian(benchmark::State& state) {
 }
 BENCHMARK(BM_Rng_StreamOneGaussian);
 
-// The same draws with the first blocks seeded side by side, as the cell
-// engine's arrival pass does: K fresh streams primed together, one Gaussian
-// each. Time per iteration covers K streams (items = streams).
-void BM_Rng_StreamGaussianPrimed(benchmark::State& state) {
+// The same draws in a batch, as the cell engine's arrival pass takes them:
+// K stream keys, one Gaussian each from Rng::first_gaussians (items = keys).
+void BM_Rng_FirstGaussians(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   std::uint64_t event = 0;
-  std::vector<Rng> rngs(k);
-  std::vector<Rng::Engine*> engines(k);
+  std::vector<std::uint64_t> keys(k);
+  std::vector<double> out(k);
   for (auto _ : state) {
-    for (std::size_t i = 0; i < k; ++i) {
-      rngs[i] = Rng::stream(99, event++);
-      engines[i] = &rngs[i].engine();
-    }
-    Rng::Engine::prime(engines);
-    for (auto& r : rngs) benchmark::DoNotOptimize(r.gaussian());
+    for (auto& key : keys) key = Rng::stream_key(99, event++);
+    Rng::first_gaussians(keys, 0.0, 1.0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) * std::int64_t(k));
 }
-BENCHMARK(BM_Rng_StreamGaussianPrimed)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_Rng_FirstGaussians)->Arg(1)->Arg(64)->Arg(4000);
 
 // TrialRunner region overhead at 1, 2 and 4 workers: one region of no-op
 // tasks (pure hand-off cost) and one of 64 ~1 us tasks (the cell sweep's

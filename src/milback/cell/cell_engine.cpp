@@ -328,9 +328,13 @@ void CellEngine::wake_service(double time_s) {
   service_scheduled_ = true;
 }
 
-Rng CellEngine::event_stream(std::uint64_t node, std::uint64_t event_seq) const {
+std::uint64_t CellEngine::event_key(std::uint64_t node, std::uint64_t event_seq) const {
   MILBACK_REQUIRE(running_, "event_stream: only meaningful mid-run");
-  return Rng::stream(seed_, node, event_seq);
+  return Rng::stream_key(seed_, node, event_seq);
+}
+
+Rng CellEngine::event_stream(std::uint64_t node, std::uint64_t event_seq) const {
+  return Rng(event_key(node, event_seq));
 }
 
 void CellEngine::dispatch_join(const Event& e) {
@@ -374,35 +378,33 @@ void CellEngine::dispatch_arrivals(double time_s) {
   obs_->ev_arrival.add(n);
 
   // A bursty arrival draws one Gaussian from its own stream. Gather the
-  // next kLanes bursty ones, seed their streams side by side, draw, then
-  // apply every arrival up to the last of them in list order.
-  constexpr std::size_t kLanes = Rng::Engine::kPrimeLanes;
-  std::array<Rng, kLanes> rngs;
-  std::array<Rng::Engine*, kLanes> engines{};
-  std::array<std::size_t, kLanes> at{};  // list positions of the lanes
-  std::array<double, kLanes> jitter{};
+  // next kBlock bursty ones' stream keys (one block of first_gaussians'
+  // widest kernel), draw their Gaussians in one batch, then apply every
+  // arrival up to the last of them in list order.
+  constexpr std::size_t kBlock = 64;
+  std::array<std::uint64_t, kBlock> keys{};
+  std::array<std::size_t, kBlock> at{};  // list positions of the draws
+  std::array<double, kBlock> draws{};
   std::size_t scanned = 0;
   std::size_t applied = 0;
   while (applied < n) {
     std::size_t lanes = 0;
-    for (; scanned < n && lanes < kLanes; ++scanned) {
+    for (; scanned < n && lanes < kBlock; ++scanned) {
       const std::size_t i = arrivals_[scanned];
       if (!nodes_.alive[i] || nodes_.burstiness[i] <= 0.0) continue;
-      rngs[lanes] = event_stream(std::uint64_t{i}, arrival_seq0_ + scanned);
-      engines[lanes] = &rngs[lanes].engine();
+      keys[lanes] = event_key(std::uint64_t{i}, arrival_seq0_ + scanned);
       at[lanes++] = scanned;
     }
-    Rng::Engine::prime({engines.data(), lanes});
-    for (std::size_t k = 0; k < lanes; ++k) {
-      const double burst = nodes_.burstiness[arrivals_[at[k]]];
-      jitter[k] = std::max(0.0, 1.0 + burst * rngs[k].gaussian(0.0, 0.5));
-    }
+    Rng::first_gaussians({keys.data(), lanes}, 0.0, 0.5, {draws.data(), lanes});
     for (std::size_t k = 0; applied < scanned; ++applied) {
       const std::size_t i = arrivals_[applied];
       if (!nodes_.alive[i]) continue;  // left before the arrival landed
       const double mean_bits = nodes_.arrival_rate_bps[i] * arrival_period_s_;
-      const bool bursty = k < lanes && at[k] == applied;
-      const double bits = mean_bits * (bursty ? jitter[k++] : 1.0);
+      double jitter = 1.0;
+      if (k < lanes && at[k] == applied) {
+        jitter = std::max(0.0, 1.0 + nodes_.burstiness[i] * draws[k++]);
+      }
+      const double bits = mean_bits * jitter;
       if (bits <= 0.0) continue;
       nodes_.push_chunk(i, bits, time_s);
       nodes_.queued_bits[i] += bits;

@@ -315,6 +315,9 @@ class CellEngine {
   /// Per-event randomness: Rng::stream(seed, node, seq). The stream is
   /// pure — identical at any worker count.
   Rng event_stream(std::uint64_t node, std::uint64_t event_seq) const;
+  /// event_stream's engine seed, Rng::stream_key(seed, node, seq): the key
+  /// the arrival pass draws its jitter with (Rng::first_gaussians).
+  std::uint64_t event_key(std::uint64_t node, std::uint64_t event_seq) const;
   void register_node_metrics(std::size_t i);
   void dispatch(const Event& e);
   void dispatch_join(const Event& e);

@@ -113,15 +113,15 @@ channel::NodePose MultiCellEngine::local_pose(std::size_t c,
 }
 
 std::size_t MultiCellEngine::add_node(std::string id, const GlobalPose& pose,
-                                      double arrival_rate_bps, double burstiness,
+                                      const RoamingTraffic& traffic,
                                       double join_time_s) {
   MILBACK_REQUIRE(!ran_, "MultiCellEngine::add_node: engine already ran");
   require_finite(join_time_s, "join_time_s");
   require_float_pose(pose);
   MILBACK_REQUIRE(nodes_.size() < kNone, "add_node: node table full");
   const std::size_t home = nearest_cell(pose.x_m, pose.y_m);
-  const core::TrafficSpec spec{local_pose(home, pose), arrival_rate_bps,
-                               burstiness};
+  const core::TrafficSpec spec{local_pose(home, pose), traffic.arrival_rate_bps,
+                               traffic.burstiness};
   const std::size_t local =
       engines_[home]->add_node(std::move(id), spec, join_time_s);
   if (nodes_.size() == nodes_.capacity() && !nodes_.empty()) {

@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "milback/cell/cell_engine.hpp"
@@ -62,6 +63,13 @@ struct GlobalPose {
   double x_m = 0.0;
   double y_m = 0.0;
   double orientation_deg = 0.0;  ///< FSA normal vs the serving-AP line.
+};
+
+/// A roaming node's offered load: core::TrafficSpec without the pose, which
+/// MultiCellEngine::add_node takes on the deployment plan.
+struct RoamingTraffic {
+  double arrival_rate_bps = 50e3;  ///< Mean offered uplink load.
+  double burstiness = 1.0;         ///< Arrival jitter: 0 = CBR, 1 = heavy jitter.
 };
 
 /// Multi-cell tuning.
@@ -121,8 +129,17 @@ class MultiCellEngine {
   /// coordinates must stay finite as float (the driver stores them so).
   /// Returns the node's global index (stable for the engine's lifetime).
   std::size_t add_node(std::string id, const GlobalPose& pose,
-                       double arrival_rate_bps, double burstiness = 1.0,
-                       double join_time_s = 0.0);
+                       const RoamingTraffic& traffic, double join_time_s = 0.0);
+
+  /// add_node(id, pose, {arrival_rate_bps}): burstiness 1, present from the
+  /// start. No form takes the rate and a join time as two bare doubles, so
+  /// a join time cannot pass for the burstiness.
+  // milback-analyze: no-contract(forwards to the checked add_node above)
+  std::size_t add_node(std::string id, const GlobalPose& pose,
+                       double arrival_rate_bps) {
+    return add_node(std::move(id), pose,
+                    RoamingTraffic{.arrival_rate_bps = arrival_rate_bps});
+  }
 
   /// Schedules a mobility waypoint on the deployment plan. Waypoints are
   /// applied inside the serving cell at their exact time; handoff (if the

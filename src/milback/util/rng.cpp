@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "milback/util/units.hpp"
 
@@ -11,19 +12,32 @@ namespace {
 
 constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;  // top 33 bits
 constexpr std::uint64_t kTwistA = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kSeedMul = 6364136223846793005ULL;  // seed recurrence
+constexpr std::size_t kTwistM = 156;    // Engine::kM
+constexpr std::size_t kFirstWords = 4;  // Engine::kFirstEnd: the first two polar pairs
 
-/// One MT19937-64 twist step. The low bit of y picks the constant through a
-/// mask, not a branch: the bit is random, and the masked form vectorizes.
-inline std::uint64_t twist_word(std::uint64_t cur, std::uint64_t next, std::uint64_t far) {
-  const std::uint64_t y = (cur & kUpper) | (next & ~kUpper);
-  return far ^ (y >> 1) ^ (-(y & 1) & kTwistA);
+// The twist and temper helpers serve words and first_words' vector lanes
+// alike. They take and write references: a 64-byte vector passed or
+// returned by value would cross an ABI that differs between the baseline
+// and the wide build.
+
+/// One MT19937-64 twist step, in place on `cur`. The low bit of y picks the
+/// constant through a mask, not a branch: the bit is random, and the masked
+/// form vectorizes.
+template <typename W>
+[[gnu::always_inline]] inline void twist_word(W& cur, const W& next, const W& far) {
+  const W y = (cur & kUpper) | (next & ~kUpper);
+  cur = far ^ (y >> 1) ^ (-(y & 1) & kTwistA);
 }
 
-inline std::uint64_t temper(std::uint64_t z) {
-  z ^= (z >> 29) & 0x5555555555555555ULL;
-  z ^= (z << 17) & 0x71d67fffeda60000ULL;
-  z ^= (z << 37) & 0xfff7eee000000000ULL;
-  return z ^ (z >> 43);
+/// out = the tempered output of state word z.
+template <typename W>
+[[gnu::always_inline]] inline void temper(const W& z, W& out) {
+  W t = z;
+  t ^= (t >> 29) & 0x5555555555555555ULL;
+  t ^= (t << 17) & 0x71d67fffeda60000ULL;
+  t ^= (t << 37) & 0xfff7eee000000000ULL;
+  out = t ^ (t >> 43);
 }
 
 /// Uniform in [-1, 1) from one engine word (53 significand bits). The word
@@ -83,6 +97,128 @@ inline double unit_gaussian(Rng::Engine& engine) {
   return y * polar_radius(r2);
 }
 
+/// The seeding kernel behind Rng::first_gaussians: the first kFirstWords
+/// tempered outputs of `W` lanes of streams side by side, lane w seeded
+/// with keys[w]. A lane `L` is one word or a vector of words; the body is
+/// integer-only, so every build of it is exact. It runs refill()'s
+/// first-block recurrence through seed word kTwistM + kFirstWords - 1 but
+/// keeps only the words the first twists read, [0, kFirstWords] and
+/// [kTwistM, kTwistM + kFirstWords). The lane loops unroll so each lane's
+/// word stays in a register; rolled, every step waits on a store and a
+/// reload.
+template <typename L, std::size_t W>
+[[gnu::always_inline]] inline void first_words(const L (&keys)[W],
+                                               L (&out)[kFirstWords][W]) {
+  // Left unfilled: the loops below write every element before reading it,
+  // and zeroing them first costs ~5% of a block.
+  L prev[W];
+  L lo[kFirstWords + 1][W];
+  L hi[kFirstWords][W];
+#pragma GCC unroll 8
+  for (std::size_t w = 0; w < W; ++w) lo[0][w] = prev[w] = keys[w];
+  for (std::size_t i = 1; i <= kFirstWords; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t w = 0; w < W; ++w) {
+      prev[w] = kSeedMul * (prev[w] ^ (prev[w] >> 62)) + i;
+      lo[i][w] = prev[w];
+    }
+  }
+  for (std::size_t i = kFirstWords + 1; i < kTwistM; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t w = 0; w < W; ++w) prev[w] = kSeedMul * (prev[w] ^ (prev[w] >> 62)) + i;
+  }
+  for (std::size_t i = kTwistM; i < kTwistM + kFirstWords; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t w = 0; w < W; ++w) {
+      prev[w] = kSeedMul * (prev[w] ^ (prev[w] >> 62)) + i;
+      hi[i - kTwistM][w] = prev[w];
+    }
+  }
+  for (std::size_t k = 0; k < kFirstWords; ++k) {
+#pragma GCC unroll 8
+    for (std::size_t w = 0; w < W; ++w) {
+      twist_word(lo[k][w], lo[k + 1][w], hi[k][w]);
+      temper(lo[k][w], out[k][w]);
+    }
+  }
+}
+
+/// A block build of first_words: the first kFirstWords outputs of the
+/// streams keys[0, B) into words[k * B + i] (output k of key i).
+using FirstWordsBlock = void (*)(const std::uint64_t* keys, std::uint64_t* words);
+
+/// Keys per block of the scalar build: eight interleaved recurrences.
+constexpr std::size_t kNarrowBlock = 8;
+
+void narrow_block(const std::uint64_t* keys, std::uint64_t* words) {
+  std::uint64_t lanes[kNarrowBlock]{};
+  std::uint64_t out[kFirstWords][kNarrowBlock];  // first_words writes it all
+  std::copy_n(keys, kNarrowBlock, lanes);
+  first_words(lanes, out);
+  std::memcpy(words, out, sizeof out);
+}
+
+/// Keys per block of the vector build: eight vectors of eight keys.
+constexpr std::size_t kWideBlock = 64;
+
+#if defined(__x86_64__)
+typedef std::uint64_t Lanes8 __attribute__((vector_size(64)));
+
+// The only code built for another ISA; it holds no floating-point step (once
+// FMA is on, GCC would contract a * b + c into one rounding).
+[[gnu::target("arch=x86-64-v4")]] void wide_block(const std::uint64_t* keys,
+                                                  std::uint64_t* words) {
+  Lanes8 lanes[kWideBlock / 8]{};
+  Lanes8 out[kFirstWords][kWideBlock / 8];  // first_words writes it all
+  std::memcpy(lanes, keys, sizeof lanes);
+  first_words(lanes, out);
+  std::memcpy(words, out, sizeof out);
+}
+#endif
+
+/// gaussian()'s draw from a stream's first kFirstWords outputs w[0],
+/// w[stride], ...: the first of their two polar pairs StdPolar accepts, or
+/// (both rejected) the full draw of the stream `key` seeds.
+double first_gaussian(std::uint64_t key, const std::uint64_t* w, std::size_t stride,
+                      double mean, double sigma) {
+  for (std::size_t k = 0; k < kFirstWords; k += 2) {
+    const double x = StdPolar::coord(w[k * stride]);
+    const double y = StdPolar::coord(w[(k + 1) * stride]);
+    const double r2 = x * x + y * y;
+    if (StdPolar::accept(r2)) return y * polar_radius(r2) * sigma + mean;
+  }
+  return Rng(key).gaussian(mean, sigma);
+}
+
+/// Runs `block`, a B-key build, over `keys`; the last block is padded with
+/// zero keys whose outputs are dropped.
+template <std::size_t B>
+void draw_blocks(FirstWordsBlock block, std::span<const std::uint64_t> keys,
+                 double mean, double sigma, double* out) {
+  std::uint64_t pad[B]{};
+  std::uint64_t words[kFirstWords * B]{};
+  for (std::size_t at = 0; at < keys.size(); at += B) {
+    const std::size_t m = std::min(B, keys.size() - at);
+    const std::uint64_t* in = keys.data() + at;
+    if (m < B) {
+      std::fill(std::copy_n(in, m, pad), pad + B, std::uint64_t{0});
+      in = pad;
+    }
+    block(in, words);
+    for (std::size_t i = 0; i < m; ++i) {
+      out[at + i] = first_gaussian(keys[at + i], words + i, B, mean, sigma);
+    }
+  }
+}
+
+void require_first_gaussians(std::span<const std::uint64_t> keys, double sigma,
+                             std::span<double> out) {
+  MILBACK_REQUIRE(std::isfinite(sigma) && sigma >= 0.0,
+                  "Rng::first_gaussians: sigma must be finite and >= 0");
+  MILBACK_REQUIRE(out.size() == keys.size(),
+                  "Rng::first_gaussians: needs one output per key");
+}
+
 }  // namespace
 
 /// Accepted polar points of one pass, compacted to the front.
@@ -95,13 +231,13 @@ void Rng::Engine::refill() {
   if (end_ == kN) {  // block spent: twist and temper all of the next one
     // Constant bounds, and the second run stops two short of the block so
     // its trip count stays even: both runs vectorize without an epilogue.
-    for (std::size_t k = 0; k < kN - kM; ++k) x_[k] = twist_word(x_[k], x_[k + 1], x_[k + kM]);
+    for (std::size_t k = 0; k < kN - kM; ++k) twist_word(x_[k], x_[k + 1], x_[k + kM]);
     for (std::size_t k = kN - kM; k < kN - 2; ++k) {
-      x_[k] = twist_word(x_[k], x_[k + 1], x_[k - (kN - kM)]);
+      twist_word(x_[k], x_[k + 1], x_[k - (kN - kM)]);
     }
-    x_[kN - 2] = twist_word(x_[kN - 2], x_[kN - 1], x_[kM - 2]);
-    x_[kN - 1] = twist_word(x_[kN - 1], x_[0], x_[kM - 1]);
-    for (std::size_t k = 0; k < kN; ++k) out_[k] = temper(x_[k]);
+    twist_word(x_[kN - 2], x_[kN - 1], x_[kM - 2]);
+    twist_word(x_[kN - 1], x_[0], x_[kM - 1]);
+    for (std::size_t k = 0; k < kN; ++k) temper(x_[k], out_[k]);
     idx_ = 0;
     return;
   }
@@ -113,7 +249,7 @@ void Rng::Engine::refill() {
   const std::size_t need = std::min(kN, end + kM);
   std::uint64_t prev = x_[seeded_ - 1];
   for (std::size_t i = seeded_; i < need; ++i) {
-    prev = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+    prev = kSeedMul * (prev ^ (prev >> 62)) + i;
     x_[i] = prev;
   }
   seeded_ = std::max(seeded_, need);
@@ -121,61 +257,56 @@ void Rng::Engine::refill() {
   // seed words k, k+1 and k+kM; later words read the new word k-kM; the
   // last reads the new word 0. Temper each as it is twisted.
   std::size_t k = end_;
-  for (; k < std::min(end, kN - kM); ++k) x_[k] = twist_word(x_[k], x_[k + 1], x_[k + kM]);
-  for (; k < std::min(end, kN - 1); ++k) x_[k] = twist_word(x_[k], x_[k + 1], x_[k - kM]);
-  if (k < end) x_[kN - 1] = twist_word(x_[kN - 1], x_[0], x_[kM - 1]);
-  for (k = end_; k < end; ++k) out_[k] = temper(x_[k]);
+  for (; k < std::min(end, kN - kM); ++k) twist_word(x_[k], x_[k + 1], x_[k + kM]);
+  for (; k < std::min(end, kN - 1); ++k) twist_word(x_[k], x_[k + 1], x_[k - kM]);
+  if (k < end) twist_word(x_[kN - 1], x_[0], x_[kM - 1]);
+  for (k = end_; k < end; ++k) temper(x_[k], out_[k]);
   end_ = end;
 }
 
-template <std::size_t W>
-void Rng::Engine::prime_lanes(Engine* const* engines) {
-  std::array<Engine*, W> e;
-  std::array<std::uint64_t, W> prev;
-  for (std::size_t w = 0; w < W; ++w) {
-    e[w] = engines[w];
-    MILBACK_REQUIRE(e[w]->fresh(), "Rng::Engine::prime: engine already drew or was primed");
-    for (std::size_t v = 0; v < w; ++v) {
-      MILBACK_REQUIRE(e[v] != e[w], "Rng::Engine::prime: engine listed twice");
-    }
-    prev[w] = e[w]->x_[0];
+void Rng::first_gaussians(std::span<const std::uint64_t> keys, double mean,
+                          double sigma, std::span<double> out) {
+  static_assert(kTwistM == Engine::kM && kFirstWords == Engine::kFirstEnd);
+  require_first_gaussians(keys, sigma, out);
+  if (!detail::first_gaussians_wide_supported()) {
+    draw_blocks<kNarrowBlock>(narrow_block, keys, mean, sigma, out.data());
+    return;
   }
-  // refill()'s first block, lane by lane at each step: seed words
-  // [1, kFirstEnd + kM), then twist and temper outputs [0, kFirstEnd). The
-  // lane loop is unrolled so each lane's word lives in a register; rolled,
-  // prev stays an array in memory and every step waits on a store and a
-  // reload.
-  constexpr std::size_t kNeed = kFirstEnd + kM;
-  for (std::size_t i = 1; i < kNeed; ++i) {
-#pragma GCC unroll 4
-    for (std::size_t w = 0; w < W; ++w) {
-      prev[w] = 6364136223846793005ULL * (prev[w] ^ (prev[w] >> 62)) + i;
-      e[w]->x_[i] = prev[w];
-    }
-  }
-  for (std::size_t w = 0; w < W; ++w) {
-    Engine& g = *e[w];
-    for (std::size_t k = 0; k < kFirstEnd; ++k) {
-      g.x_[k] = twist_word(g.x_[k], g.x_[k + 1], g.x_[k + kM]);
-      g.out_[k] = temper(g.x_[k]);
-    }
-    g.seeded_ = kNeed;
-    g.end_ = kFirstEnd;
-  }
+  // Whole wide blocks, then the tail: one padded wide block when that beats
+  // its narrow blocks (a wide block costs about two narrow ones).
+  const std::size_t tail = keys.size() % kWideBlock;
+  const std::size_t wide = tail > 2 * kNarrowBlock ? keys.size() : keys.size() - tail;
+  detail::first_gaussians_wide(keys.first(wide), mean, sigma, out.first(wide));
+  draw_blocks<kNarrowBlock>(narrow_block, keys.subspan(wide), mean, sigma,
+                            out.data() + wide);
 }
 
-void Rng::Engine::prime(std::span<Engine* const> engines) {
-  std::size_t k = 0;
-  for (; k + kPrimeLanes <= engines.size(); k += kPrimeLanes) {
-    prime_lanes<kPrimeLanes>(engines.data() + k);
-  }
-  static_assert(kPrimeLanes == 4, "the tail below covers 1..3 leftover engines");
-  switch (engines.size() - k) {
-    case 3: prime_lanes<3>(engines.data() + k); break;
-    case 2: prime_lanes<2>(engines.data() + k); break;
-    case 1: prime_lanes<1>(engines.data() + k); break;
-    default: break;
-  }
+void detail::first_gaussians_narrow(std::span<const std::uint64_t> keys, double mean,
+                                    double sigma, std::span<double> out) {
+  require_first_gaussians(keys, sigma, out);
+  draw_blocks<kNarrowBlock>(narrow_block, keys, mean, sigma, out.data());
+}
+
+void detail::first_gaussians_wide(std::span<const std::uint64_t> keys, double mean,
+                                  double sigma, std::span<double> out) {
+  require_first_gaussians(keys, sigma, out);
+  MILBACK_REQUIRE(first_gaussians_wide_supported(),
+                  "detail::first_gaussians_wide: this CPU lacks x86-64-v4");
+#if defined(__x86_64__)
+  draw_blocks<kWideBlock>(wide_block, keys, mean, sigma, out.data());
+#endif
+}
+
+bool detail::first_gaussians_wide_supported() noexcept {
+#if defined(__x86_64__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("x86-64-v4") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
 }
 
 double Rng::phase() { return uniform(-kPi, kPi); }

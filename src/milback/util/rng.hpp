@@ -21,15 +21,19 @@
 // only on the stack (built per trial, event or burst from `stream`), never
 // as a persistent member.
 //
-// Priming. A stream that takes one draw spends almost all its time in the
-// first block's seed recurrence: 159 serial multiply-xor steps, each waiting
-// on the one before. `Engine::prime` seeds the first block of several fresh
-// engines at once, running their recurrences interleaved (kPrimeLanes at a
-// time) so the steps of different streams overlap in the pipeline. Each
-// engine ends in exactly the state its own first draw leaves it in (seed
-// words [0, 160), outputs [0, 4) twisted and tempered), so every draw after
-// it is unchanged; a draw past output 4 takes the ordinary lazy path. The
-// cell engine primes the jitter streams of a sweep's bursty arrivals.
+// First Gaussians in bulk. A stream that takes one Gaussian spends almost all
+// its time in the first block's seed recurrence: 159 serial multiply-xor
+// steps, each waiting on the one before, for the four words the first two
+// polar pairs read. `first_gaussians` runs those recurrences for a block of
+// stream keys side by side in an integer-only kernel (64 keys as eight
+// 8-lane vectors on an x86-64-v4 CPU, chosen once at run time; 8 scalar keys
+// elsewhere), keeps only the seed words the first four outputs read, twists
+// and tempers those four, and maps them through the same polar step and
+// scalar log/sqrt as `gaussian`. Integer steps are exact and every
+// floating-point step runs in baseline code, so each result equals
+// Rng(key).gaussian(mean, sigma) bit for bit; a key whose first two pairs
+// both reject (~4.6%) takes that full draw. The cell engine draws the jitter
+// of a sweep's bursty arrivals this way.
 #pragma once
 
 #include <algorithm>
@@ -84,30 +88,12 @@ class Rng {
       return out_[idx_++];
     }
 
-    /// Engines `prime` seeds side by side.
-    static constexpr std::size_t kPrimeLanes = 4;
-
-    /// Seeds the first block of every engine in `engines`, kPrimeLanes at a
-    /// time with the seed recurrences interleaved, leaving each exactly as
-    /// its own first draw would (see the header comment). Each engine must
-    /// be fresh (no draw taken, not primed) and listed once; any count is
-    /// valid, zero included.
-    // milback-analyze: no-contract(prime_lanes checks each engine fresh and distinct just before its group is seeded)
-    static void prime(std::span<Engine* const> engines);
-
    private:
     friend class Rng;  // the bulk kernels read the tempered block in place
 
     static constexpr std::size_t kN = 312;  // state words (one block of outputs)
     static constexpr std::size_t kM = 156;  // twist offset
     static constexpr std::size_t kFirstEnd = 4;  // outputs of the first refill
-
-    /// Whether no draw has touched the engine yet.
-    bool fresh() const noexcept { return idx_ == 0 && end_ == 0 && seeded_ == 1; }
-
-    /// prime's kernel: seeds `W` distinct fresh engines side by side.
-    template <std::size_t W>
-    static void prime_lanes(Engine* const* engines);
 
     /// Makes outputs [idx_, end_) available: the next doubling of the
     /// first block's twisted prefix, or a full twist once the block is spent.
@@ -212,8 +198,29 @@ class Rng {
   template <typename... Ids>
   // milback-analyze: no-contract(total by construction; any (seed, ids...) tuple is a valid stream key)
   static Rng stream(std::uint64_t seed, Ids... ids) {
-    return Rng(stream_chain(seed, ids...));
+    return Rng(stream_key(seed, ids...));
   }
+
+  /// The engine seed of stream(seed, ids...), so that stream is exactly
+  /// Rng(stream_key(seed, ids...)): the SplitMix64 hash chain of the salted
+  /// seed, then one mix per id. The keys `first_gaussians` takes.
+  template <typename... Ids>
+  // milback-analyze: no-contract(total by construction; any (seed, ids...) tuple is a valid stream key)
+  static std::uint64_t stream_key(std::uint64_t seed, Ids... ids) {
+    static_assert((std::is_integral_v<Ids> && ...),
+                  "stream ids must be integers (cast floats explicitly)");
+    std::uint64_t h = mix64(seed ^ kStreamSalt);
+    ((h = mix64(h ^ (static_cast<std::uint64_t>(ids) + kGolden))), ...);
+    return h;
+  }
+
+  /// out[i] = Rng(keys[i]).gaussian(mean, sigma) for every key, bit for bit,
+  /// with the keys' seed recurrences run side by side (see the header
+  /// comment). `sigma` must be finite and >= 0 and `out` as long as `keys`;
+  /// any count is valid, zero included.
+  // milback-analyze: no-contract(its first statement, require_first_gaussians in rng.cpp, checks sigma and the output length)
+  static void first_gaussians(std::span<const std::uint64_t> keys, double mean,
+                              double sigma, std::span<double> out);
 
   /// The seed that continues stream's hash chain past a key prefix:
   /// stream(stream_seed(s, a...), b...) == stream(s, a..., b...) for every
@@ -223,7 +230,7 @@ class Rng {
   template <typename... Ids>
   // milback-analyze: no-contract(total by construction; any (seed, ids...) tuple is a valid stream key)
   static std::uint64_t stream_seed(std::uint64_t seed, Ids... ids) {
-    return unmix64(stream_chain(seed, ids...)) ^ kStreamSalt;
+    return unmix64(stream_key(seed, ids...)) ^ kStreamSalt;
   }
 
   /// Underlying engine access (for std distributions not wrapped here).
@@ -234,17 +241,6 @@ class Rng {
   static constexpr std::uint64_t kStreamSalt = 0x6d696c2d73696dULL;  // "mil-sim"
   /// Golden-ratio increment (same constant SplitMix64 uses to step).
   static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-
-  /// The SplitMix64 hash chain of (seed, ids...) behind stream and
-  /// stream_seed: the salted seed, then one mix per id.
-  template <typename... Ids>
-  static std::uint64_t stream_chain(std::uint64_t seed, Ids... ids) {
-    static_assert((std::is_integral_v<Ids> && ...),
-                  "stream ids must be integers (cast floats explicitly)");
-    std::uint64_t h = mix64(seed ^ kStreamSalt);
-    ((h = mix64(h ^ (static_cast<std::uint64_t>(ids) + kGolden))), ...);
-    return h;
-  }
 
   /// Inverse of mix64 (unmix64(mix64(z)) == z).
   static std::uint64_t unmix64(std::uint64_t z) noexcept;
@@ -259,5 +255,24 @@ class Rng {
 
   Engine engine_;
 };
+
+namespace detail {
+
+/// Rng::first_gaussians on one build of its seeding kernel, so tests can
+/// cover both on one host; simulation code calls Rng::first_gaussians, which
+/// picks the build by CPU feature. `narrow` runs 8-key blocks on any x86-64;
+/// `wide` runs 64-key blocks and needs `first_gaussians_wide_supported()`.
+/// Same contracts as Rng::first_gaussians.
+void first_gaussians_narrow(std::span<const std::uint64_t> keys, double mean,
+                            double sigma, std::span<double> out);
+void first_gaussians_wide(std::span<const std::uint64_t> keys, double mean,
+                          double sigma, std::span<double> out);
+
+/// Whether this CPU runs the wide kernel (x86-64-v4: AVX-512 F/BW/CD/DQ/VL).
+/// Tested once, thread-safely, on the first call.
+// milback-analyze: no-contract(a CPU feature query; takes no input)
+bool first_gaussians_wide_supported() noexcept;
+
+}  // namespace detail
 
 }  // namespace milback

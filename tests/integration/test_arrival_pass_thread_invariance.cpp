@@ -235,8 +235,9 @@ MultiCellEngine build_campus() {
     const double orient = -15.0 + 1.5 * double(i % 23);
     const double join = i % 11 == 6 ? kPeriodS * double(1 + i % 3) : 0.0;
     engine.add_node("roam-" + std::to_string(i), {px, py, orient},
-                    i % 10 == 9 ? 0.0 : 10e3 + 2e3 * double(i % 5),
-                    (i % 3 == 0) ? 0.0 : 1.0, join);
+                    {i % 10 == 9 ? 0.0 : 10e3 + 2e3 * double(i % 5),
+                     (i % 3 == 0) ? 0.0 : 1.0},
+                    join);
     if (i % 8 == 3) {
       const double tx = (home % 2) ? 3.0 : 27.0;
       engine.schedule_waypoint(i, kPeriodS * double(2 + i % 5), {tx, py, orient});

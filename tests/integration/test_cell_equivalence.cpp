@@ -762,7 +762,7 @@ TEST(SweepMemo, TwoCellHandoffAndInterferenceMatchARecompute) {
   }
   const std::size_t roamer = engine.add_node("memo-mc-roamer", {2.0, 0.5, 4.0}, 30e3);
   engine.schedule_waypoint(roamer, 0.043, {17.5, 0.8, 4.0});
-  engine.add_node("memo-mc-late", {2.5, -1.0, 6.0}, 30e3, 1.0, 0.045);
+  engine.add_node("memo-mc-late", {2.5, -1.0, 6.0}, {30e3, 1.0}, 0.045);
   for (std::size_t i = 0; i < 12; i += 2) engine.schedule_leave(i, 0.085);
 
   std::vector<SweepCheck> checks;

@@ -31,6 +31,38 @@ MultiCellEngine make_engine(MultiCellConfig cfg) {
                          std::move(cfg));
 }
 
+// add_node takes the traffic as a struct, then the join time. A bare rate
+// is the one double it takes after the pose: a rate and a join time as two
+// bare doubles must not compile, or the join time would pass for the
+// burstiness and the node would join at t = 0.
+template <typename... Traffic>
+concept AddNodeTakes = requires(MultiCellEngine& e, Traffic... traffic) {
+  e.add_node(std::string{}, GlobalPose{}, traffic...);
+};
+static_assert(AddNodeTakes<double>);
+static_assert(AddNodeTakes<RoamingTraffic>);
+static_assert(AddNodeTakes<RoamingTraffic, double>);
+static_assert(!AddNodeTakes<double, double>);
+static_assert(!AddNodeTakes<double, double, double>);
+
+TEST(MultiCell, BareRateMeansDefaultBurstinessPresentFromTheStart) {
+  const auto run_with = [](bool bare) {
+    auto engine = make_engine(two_cell_config());
+    if (bare) {
+      engine.add_node("a", {2.0, 1.0, 0.0}, 40e3);
+    } else {
+      engine.add_node("a", {2.0, 1.0, 0.0}, {.arrival_rate_bps = 40e3, .burstiness = 1.0}, 0.0);
+    }
+    return engine.run(0.1, 8);
+  };
+  const MultiCellReport bare = run_with(true);
+  const MultiCellReport full = run_with(false);
+  EXPECT_EQ(bare.nodes[0].offered_bits, full.nodes[0].offered_bits);
+  EXPECT_GT(bare.nodes[0].offered_bits, 0.0);
+  EXPECT_DOUBLE_EQ(bare.cells[0].nodes[0].join_time_s, 0.0);
+  EXPECT_EQ(bare.aggregate_goodput_bps, full.aggregate_goodput_bps);
+}
+
 TEST(MultiCell, GeometryMapsGlobalPoseIntoServingCellFrame) {
   auto engine = make_engine(two_cell_config());
   EXPECT_EQ(engine.cell_count(), 2u);
@@ -245,7 +277,7 @@ TEST(MultiCell, OneApShardIsAStandaloneCell) {
   obs::set_enabled(true, false);
   auto multi = make_engine(cfg);
   for (const auto& n : specs) {
-    multi.add_node(n.id, n.pose, n.rate_bps, n.burstiness, n.join_s);
+    multi.add_node(n.id, n.pose, {n.rate_bps, n.burstiness}, n.join_s);
   }
   const MultiCellReport sharded = multi.run(kHorizonS, kSeed);
   const std::string sharded_export = cell_export("cell.c0.");

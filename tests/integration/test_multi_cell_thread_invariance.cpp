@@ -70,8 +70,7 @@ MultiCellEngine build_campus() {
     const double orient = -15.0 + 1.5 * double(i % 23);
     const double join = (i % 7 == 6) ? 0.01 + 0.0005 * double(i) : 0.0;
     engine.add_node("tag-" + std::to_string(i), {px, py, orient},
-                    15e3 + 2e3 * double(i % 5),
-                    (i % 3 == 0) ? 0.0 : 1.0, join);
+                    {15e3 + 2e3 * double(i % 5), (i % 3 == 0) ? 0.0 : 1.0}, join);
     if (i % 10 == 3) {
       // Roam toward the horizontally adjacent AP: crosses the coverage
       // boundary, so the next barrier hands the node off.

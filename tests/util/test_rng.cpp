@@ -1,16 +1,20 @@
 // Deterministic RNG tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "milback/core/contract.hpp"
+#include "milback/sim/trial_runner.hpp"
 #include "milback/util/rng.hpp"
 #include "milback/util/stats.hpp"
 #include "milback/util/units.hpp"
@@ -459,61 +463,175 @@ TEST(RngEngine, InterleavedDistributionsMatchStdEngine) {
   }
 }
 
-TEST(RngEngine, PrimedEnginesMatchLazilySeededOnes) {
-  // Every group width prime runs (full groups of kPrimeLanes and each tail),
-  // compared word for word through the first block's lazy doublings, the
-  // block edge (312, 313) and into the second block (700).
-  for (std::size_t k = 0; k <= 9; ++k) {
-    for (const std::size_t draws : {4, 5, 8, 312, 313, 700}) {
-      SCOPED_TRACE("k " + std::to_string(k) + ", draws " + std::to_string(draws));
-      std::vector<Rng> primed, lazy;
-      for (std::size_t i = 0; i < k; ++i) {
-        primed.push_back(Rng::stream(17, k, draws, i));
-        lazy.push_back(Rng::stream(17, k, draws, i));
-      }
-      std::vector<Rng::Engine*> engines;
-      for (auto& r : primed) engines.push_back(&r.engine());
-      Rng::Engine::prime(engines);
-      for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t d = 0; d < draws; ++d) {
-          ASSERT_EQ(primed[i].engine()(), lazy[i].engine()())
-              << "engine " << i << " word " << d;
-        }
-      }
+// A reference std engine that counts the words a distribution takes.
+struct CountingMt {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() {
+    ++words;
+    return mt();
+  }
+  std::mt19937_64 mt;
+  std::size_t words = 0;
+};
+
+// Whether the stream `key` seeds rejects both of its first two polar pairs,
+// so its first Gaussian reads past output 4 (first_gaussians' full-draw
+// path). Decided on std::mt19937_64 and std::normal_distribution alone.
+bool rejects_first_two_pairs(std::uint64_t key) {
+  CountingMt e{std::mt19937_64(key)};
+  std::normal_distribution<double>(0.0, 1.0)(e);
+  return e.words > 4;
+}
+
+// A stream id list for first_gaussians: `regular` plain ids, with at least
+// `fallback` ids whose streams take the full draw spread through it.
+struct KeyedIds {
+  std::uint64_t seed;
+  std::vector<std::uint64_t> ids;
+  std::vector<std::uint64_t> keys;
+};
+
+KeyedIds first_gaussian_ids(std::uint64_t seed, std::size_t regular, std::size_t fallback) {
+  KeyedIds out{seed, {}, {}};
+  std::size_t found = 0;
+  for (std::uint64_t id = 0; out.ids.size() - found < regular || found < fallback; ++id) {
+    const bool rejects = rejects_first_two_pairs(Rng::stream_key(seed, id));
+    if (rejects && found < fallback) {
+      out.ids.push_back(id);
+      ++found;
+    } else if (!rejects && out.ids.size() - found < regular) {
+      out.ids.push_back(id);
     }
-    // The cell engine's use: one Gaussian per primed stream, then more (a
-    // rejection past word 4 takes the lazy path).
-    std::vector<Rng> primed, lazy;
-    for (std::size_t i = 0; i < k; ++i) {
-      primed.push_back(Rng::stream(23, k, i));
-      lazy.push_back(Rng::stream(23, k, i));
-    }
-    std::vector<Rng::Engine*> engines;
-    for (auto& r : primed) engines.push_back(&r.engine());
-    Rng::Engine::prime(engines);
-    for (std::size_t i = 0; i < k; ++i) {
-      for (int g = 0; g < 200; ++g) {
-        ASSERT_EQ(primed[i].gaussian(0.0, 0.5), lazy[i].gaussian(0.0, 0.5)) << "engine " << i;
-      }
-    }
+  }
+  for (const auto id : out.ids) out.keys.push_back(Rng::stream_key(seed, id));
+  return out;
+}
+
+using FirstGaussiansFn = void (*)(std::span<const std::uint64_t>, double, double,
+                                  std::span<double>);
+
+// The builds under test: the public dispatch, the scalar kernel (every
+// host) and the vector kernel (hosts that have it).
+std::vector<std::pair<std::string, FirstGaussiansFn>> first_gaussian_builds() {
+  std::vector<std::pair<std::string, FirstGaussiansFn>> out = {
+      {"dispatch", &Rng::first_gaussians}, {"narrow", &detail::first_gaussians_narrow}};
+  if (detail::first_gaussians_wide_supported()) {
+    out.emplace_back("wide", &detail::first_gaussians_wide);
+  }
+  return out;
+}
+
+// Number of keys[0, n) whose draw differs in any bit from
+// Rng::stream(seed, id).gaussian(mean, sigma).
+std::size_t first_gaussian_mismatches(FirstGaussiansFn fn, const KeyedIds& k, std::size_t n,
+                                      double mean, double sigma) {
+  std::vector<double> got(n, std::numeric_limits<double>::quiet_NaN());
+  fn(std::span(k.keys).first(n), mean, sigma, got);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = Rng::stream(k.seed, k.ids[i]).gaussian(mean, sigma);
+    bad += std::bit_cast<std::uint64_t>(got[i]) != std::bit_cast<std::uint64_t>(want);
+  }
+  return bad;
+}
+
+TEST(RngFirstGaussians, StreamKeySeedsTheStream) {
+  for (std::uint64_t id = 0; id < 50; ++id) {
+    Rng keyed(Rng::stream_key(11, id, 3 * id));
+    Rng streamed = Rng::stream(11, id, 3 * id);
+    for (int d = 0; d < 20; ++d) ASSERT_EQ(keyed.engine()(), streamed.engine()());
+  }
+  EXPECT_EQ(Rng::stream_key(42, 7), stream_key(42, 7));
+}
+
+TEST(RngFirstGaussians, MatchStreamGaussiansBitForBit) {
+  // 10k ordinary keys with 128 full-draw keys spread among them, each build.
+  const KeyedIds k = first_gaussian_ids(2023, 10000, 128);
+  std::size_t fallback = 0;
+  for (const auto key : k.keys) fallback += rejects_first_two_pairs(key);
+  ASSERT_GE(fallback, 128u);
+  for (const auto& [name, fn] : first_gaussian_builds()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(first_gaussian_mismatches(fn, k, k.keys.size(), 0.0, 0.5), 0u);
+    EXPECT_EQ(first_gaussian_mismatches(fn, k, k.keys.size(), -3.25, 7.0), 0u);
+  }
+  if (!detail::first_gaussians_wide_supported()) {
+    GTEST_SKIP() << "this CPU lacks x86-64-v4: the wide kernel was not run";
   }
 }
 
-TEST(RngEngine, PrimeRejectsEnginesThatAreNotFresh) {
-  Rng drawn = Rng::stream(5, 1);
-  drawn.engine()();
-  Rng fresh = Rng::stream(5, 2);
-  std::vector<Rng::Engine*> engines{&fresh.engine(), &drawn.engine()};
-  EXPECT_THROW(Rng::Engine::prime(engines), ContractViolation);
+TEST(RngFirstGaussians, EveryBatchSizeAroundTheBlockEdges) {
+  // In search order, and with the 100 full-draw keys moved to the front so
+  // even the short batches take that path.
+  const KeyedIds k = first_gaussian_ids(77, 4000, 100);
+  KeyedIds mixed = k;
+  std::stable_partition(mixed.ids.begin(), mixed.ids.end(), [](std::uint64_t id) {
+    return rejects_first_two_pairs(Rng::stream_key(77, id));
+  });
+  for (std::size_t i = 0; i < mixed.ids.size(); ++i) {
+    mixed.keys[i] = Rng::stream_key(77, mixed.ids[i]);
+  }
+  for (const auto& [name, fn] : first_gaussian_builds()) {
+    for (const std::size_t n : {0, 1, 7, 8, 9, 63, 64, 65, 4000}) {
+      SCOPED_TRACE(name + ", batch " + std::to_string(n));
+      EXPECT_EQ(first_gaussian_mismatches(fn, k, n, 1.0, 2.0), 0u);
+      EXPECT_EQ(first_gaussian_mismatches(fn, mixed, n, 1.0, 2.0), 0u);
+    }
+  }
+  if (!detail::first_gaussians_wide_supported()) {
+    GTEST_SKIP() << "this CPU lacks x86-64-v4: the wide kernel was not run";
+  }
+}
 
-  Rng once = Rng::stream(5, 3);
-  std::vector<Rng::Engine*> one{&once.engine()};
-  Rng::Engine::prime(one);
-  EXPECT_THROW(Rng::Engine::prime(one), ContractViolation);  // already primed
+TEST(RngFirstGaussians, ZeroSigmaReturnsTheMean) {
+  const KeyedIds k = first_gaussian_ids(5, 200, 20);
+  for (const auto& [name, fn] : first_gaussian_builds()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(first_gaussian_mismatches(fn, k, k.keys.size(), 0.0, 0.0), 0u);
+    EXPECT_EQ(first_gaussian_mismatches(fn, k, k.keys.size(), 2.5, 0.0), 0u);
+    std::vector<double> got(k.keys.size());
+    fn(k.keys, 2.5, 0.0, got);
+    for (const double g : got) ASSERT_EQ(g, 2.5);
+  }
+}
 
-  Rng twice = Rng::stream(5, 4);
-  std::vector<Rng::Engine*> dup{&twice.engine(), &twice.engine()};
-  EXPECT_THROW(Rng::Engine::prime(dup), ContractViolation);  // listed twice
+TEST(RngFirstGaussians, RejectNegativeOrNonFiniteSigmaAndShortOutput) {
+  const std::vector<std::uint64_t> keys = {1, 2, 3};
+  std::vector<double> out(3);
+  std::vector<double> short_out(2);
+  for (const auto& [name, fn] : first_gaussian_builds()) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(fn(keys, 0.0, -1.0, out), ContractViolation);
+    EXPECT_THROW(fn(keys, 0.0, std::numeric_limits<double>::quiet_NaN(), out),
+                 ContractViolation);
+    EXPECT_THROW(fn(keys, 0.0, std::numeric_limits<double>::infinity(), out),
+                 ContractViolation);
+    EXPECT_THROW(fn(keys, 0.0, 1.0, short_out), ContractViolation);
+    EXPECT_NO_THROW(fn({}, 0.0, 1.0, {}));
+  }
+}
+
+TEST(FirstGaussiansThreadInvariance, FourWorkersMatchTheSerialDraws) {
+  // The first call of the process picks the kernel build; four workers race
+  // to make it (the ThreadSanitizer suite runs this test).
+  const KeyedIds k = first_gaussian_ids(9, 2000, 40);
+  const sim::TrialRunner runner(4);
+  const auto batches = runner.map<std::vector<double>>(16, [&k](std::size_t t) {
+    const auto keys = std::span(k.keys).subspan(t * 100, 257);
+    std::vector<double> out(keys.size());
+    Rng::first_gaussians(keys, 0.0, 0.5, out);
+    return out;
+  });
+  for (std::size_t t = 0; t < batches.size(); ++t) {
+    for (std::size_t i = 0; i < batches[t].size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batches[t][i]),
+                std::bit_cast<std::uint64_t>(
+                    Rng::stream(k.seed, k.ids[t * 100 + i]).gaussian(0.0, 0.5)))
+          << "batch " << t << " key " << i;
+    }
+  }
 }
 
 // FNV-1a over the bytes of a buffer of doubles or words.
