@@ -274,7 +274,7 @@ void BM_Rng_FirstGaussians(benchmark::State& state) {
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) * std::int64_t(k));
 }
-BENCHMARK(BM_Rng_FirstGaussians)->Arg(1)->Arg(64)->Arg(4000);
+BENCHMARK(BM_Rng_FirstGaussians)->Arg(1)->Arg(2)->Arg(64)->Arg(4000);
 
 // TrialRunner region overhead at 1, 2 and 4 workers: one region of no-op
 // tasks (pure hand-off cost) and one of 64 ~1 us tasks (the cell sweep's

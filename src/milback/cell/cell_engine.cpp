@@ -807,6 +807,11 @@ CellReport CellEngine::finish() {
   }
   report_.peak_population = peak_population_;
   report_.final_population = population();
+  report_.nodes.reserve(nodes_.size());
+  // One buffer for every node's samples: the mean reads them oldest first
+  // (its summation order, hence its rounding, is the insertion order), then
+  // the percentiles select in place on the same buffer.
+  std::vector<double> latencies;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     CellNodeReport r;
     r.id = nodes_.id[i];
@@ -814,11 +819,10 @@ CellReport CellEngine::finish() {
     r.leave_time_s = nodes_.leave_time_s[i];
     r.offered_bits = nodes_.offered_bits[i];
     r.delivered_bits = nodes_.delivered_bits[i];
-    const auto latencies = nodes_.latencies(i);
+    nodes_.latencies(i, latencies);
     r.mean_latency_s = mean(latencies);
-    const auto pcts = percentiles(latencies, {50.0, 95.0});
-    r.p50_latency_s = pcts[0];
-    r.p95_latency_s = pcts[1];
+    r.p50_latency_s = percentile_in_place(latencies, 50.0);
+    r.p95_latency_s = percentile_in_place(latencies, 95.0);
     r.peak_queue_bits = nodes_.peak_queue_bits[i];
     r.final_queue_bits = nodes_.queued_bits[i];
     r.service_rate_bps = nodes_.rate_bps[i];

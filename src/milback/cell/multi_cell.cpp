@@ -19,9 +19,11 @@ struct MultiObs {
   obs::Counter runs;      ///< multicell.runs
   obs::Counter epochs;    ///< multicell.epochs — barriers executed.
   obs::Counter handoffs;  ///< multicell.handoffs — boundary crossings.
-  // Wall-clock halves of the epoch barrier (kRuntime).
+  // Wall-clock halves of the epoch barrier and the run's epilogue (the
+  // shard-finish fan-out and the node report), all kRuntime.
   obs::Histogram handoff_ns;       ///< multicell.barrier.handoff_ns
   obs::Histogram interference_ns;  ///< multicell.barrier.interference_ns
+  obs::Histogram finish_ns;        ///< multicell.finish_ns
 };
 
 const MultiObs& multi_obs() {
@@ -33,7 +35,8 @@ const MultiObs& multi_obs() {
     return MultiObs{r.counter("multicell.runs"), r.counter("multicell.epochs"),
                     r.counter("multicell.handoffs"),
                     span("multicell.barrier.handoff_ns"),
-                    span("multicell.barrier.interference_ns")};
+                    span("multicell.barrier.interference_ns"),
+                    span("multicell.finish_ns")};
   }();
   return instance;
 }
@@ -189,7 +192,8 @@ std::size_t MultiCellEngine::node_cell(std::size_t node) const {
 std::size_t MultiCellEngine::memory_bytes() const noexcept {
   std::size_t bytes = sizeof(*this) + nodes_.capacity() * sizeof(GlobalNode) +
                       directives_.capacity() * sizeof(Directive) +
-                      past_.capacity() * sizeof(PastInstance);
+                      past_.capacity() * sizeof(PastInstance) +
+                      (directed_.capacity() + watch_.capacity()) * sizeof(std::uint32_t);
   for (const auto& e : engines_) bytes += e->memory_bytes();
   return bytes;
 }
@@ -197,7 +201,11 @@ std::size_t MultiCellEngine::memory_bytes() const noexcept {
 void MultiCellEngine::forward_directives(double until_s) {
   // Node-index order; within a node, (time, insertion) order — the same
   // total order at any worker count, so event seq stamps are reproducible.
-  for (auto& n : nodes_) {
+  // Only directed_ is walked; it keeps node order as drained chains drop out.
+  std::size_t kept = 0;
+  for (const std::uint32_t i : directed_) {
+    auto& n = nodes_[i];
+    if (directives_[n.dir_head].time_s < until_s) watch_.push_back(i);
     while (n.dir_head != kNone && directives_[n.dir_head].time_s < until_s) {
       const Directive& d = directives_[n.dir_head];
       n.dir_head = d.next;
@@ -214,40 +222,70 @@ void MultiCellEngine::forward_directives(double until_s) {
         n.orientation_deg = d.orientation_deg;
       }
     }
+    if (n.dir_head != kNone) directed_[kept++] = i;
   }
+  directed_.resize(kept);
 }
 
-void MultiCellEngine::barrier(double time_s) {
+bool MultiCellEngine::examine(std::size_t i, double time_s) {
+  auto& n = nodes_[i];
+  if (n.left) return false;
+  if (!engines_[n.cell]->node_alive(n.local)) {
+    // Either a scheduled leave fired this epoch, or the node has not
+    // joined yet; only the former is permanent. The cell's join-time
+    // column (exact, as scheduled) distinguishes the two.
+    if (engines_[n.cell]->node_join_time_s(n.local) < time_s) n.left = 1;
+    return !n.left;
+  }
+  const GlobalPose pose = node_pose(n);
+  const double dx = pose.x_m - config_.aps[n.cell].x_m;
+  const double dy = pose.y_m - config_.aps[n.cell].y_m;
+  if (std::hypot(dx, dy) <= config_.coverage_radius_m) return false;
+  const std::size_t target = nearest_cell(pose.x_m, pose.y_m);
+  if (target == n.cell) return false;  // out of range but no closer AP
+  CarriedNode carried = engines_[n.cell]->detach_node(n.local, time_s);
+  carried.spec.pose = local_pose(target, pose);
+  past_.push_back(PastInstance{static_cast<std::uint32_t>(i), n.cell, n.local});
+  n.local = static_cast<std::uint32_t>(engines_[target]->attach_node(carried, time_s));
+  n.cell = static_cast<std::uint32_t>(target);
+  n.handoffs += 1;
+  handoffs_ += 1;
+  multi_obs().handoffs.add();
+  return false;
+}
+
+void MultiCellEngine::barrier(double time_s, bool all) {
   // Serial, driver-thread-only: handoffs in node-index order, then the
   // interference refresh in cell-index order. This fixed order is what
   // makes the cross-cell coupling thread-count invariant.
+  //
+  // A node examined at an earlier barrier and alive there ended it inside
+  // coverage or in the nearest cell to its plan pose. Only a forwarded
+  // directive changes that pose or ends its life, so until one reaches it
+  // examining it again is a no-op; watch_ holds the rest: nodes waiting to
+  // join and nodes a directive reached. The first barrier examines every
+  // node, since add_node chose the home cell from the double pose and the
+  // barrier reads the float one.
   {
     const obs::ProfileScope profile(multi_obs().handoff_ns);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      auto& n = nodes_[i];
-      if (n.left) continue;
-      if (!engines_[n.cell]->node_alive(n.local)) {
-        // Either a scheduled leave fired this epoch, or the node has not
-        // joined yet; only the former is permanent. The cell's join-time
-        // column (exact, as scheduled) distinguishes the two.
-        if (engines_[n.cell]->node_join_time_s(n.local) < time_s) n.left = 1;
-        continue;
+    if (all) {
+      watch_.clear();
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        if (examine(i, time_s)) watch_.push_back(static_cast<std::uint32_t>(i));
       }
-      const GlobalPose pose = node_pose(n);
-      const double dx = pose.x_m - config_.aps[n.cell].x_m;
-      const double dy = pose.y_m - config_.aps[n.cell].y_m;
-      if (std::hypot(dx, dy) <= config_.coverage_radius_m) continue;
-      const std::size_t target = nearest_cell(pose.x_m, pose.y_m);
-      if (target == n.cell) continue;  // out of range but no closer AP
-      CarriedNode carried = engines_[n.cell]->detach_node(n.local, time_s);
-      carried.spec.pose = local_pose(target, pose);
-      past_.push_back(PastInstance{static_cast<std::uint32_t>(i), n.cell, n.local});
-      n.local = static_cast<std::uint32_t>(engines_[target]->attach_node(carried, time_s));
-      n.cell = static_cast<std::uint32_t>(target);
-      n.handoffs += 1;
-      handoffs_ += 1;
-      multi_obs().handoffs.add();
+    } else {
+      // Merge the two node-ordered runs: the last barrier's joiners and the
+      // nodes forward_directives reached since.
+      const auto joiners_end = watch_.begin() + std::ptrdiff_t(joiners_);
+      std::inplace_merge(watch_.begin(), joiners_end, watch_.end());
+      watch_.erase(std::unique(watch_.begin(), watch_.end()), watch_.end());
+      std::size_t kept = 0;
+      for (const std::uint32_t i : watch_) {
+        if (examine(i, time_s)) watch_[kept++] = i;
+      }
+      watch_.resize(kept);
     }
+    joiners_ = watch_.size();
   }
 
   // Co-channel interference: each active sibling on the same frequency
@@ -299,7 +337,8 @@ MultiCellReport MultiCellEngine::run(double duration_s, std::uint64_t seed) {
   // order the old per-node stable_sort produced.
   {
     std::vector<std::uint32_t> chain;
-    for (auto& n : nodes_) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      auto& n = nodes_[i];
       chain.clear();
       for (std::uint32_t s = n.dir_head; s != kNone; s = directives_[s].next) {
         chain.push_back(s);
@@ -317,6 +356,7 @@ MultiCellReport MultiCellEngine::run(double duration_s, std::uint64_t seed) {
       }
       directives_[chain.back()].next = kNone;
       n.dir_head = chain.front();
+      directed_.push_back(static_cast<std::uint32_t>(i));
     }
   }
   // Shard c draws Rng::stream(seed, c, ...): its seed continues the key
@@ -338,7 +378,7 @@ MultiCellReport MultiCellEngine::run(double duration_s, std::uint64_t seed) {
     // barrier below, so the shards are independent TrialRunner tasks.
     runner.for_each(engines_.size(),
                     [&](std::size_t c) { engines_[c]->advance_to(t_end); });
-    barrier(t_end);
+    barrier(t_end, epochs == 0);
     epochs += 1;
     multi_obs().epochs.add();
     t = t_end;
@@ -350,40 +390,48 @@ MultiCellReport MultiCellEngine::run(double duration_s, std::uint64_t seed) {
   report.handoffs = handoffs_;
   report.peak_population = peak_population_;
   report.max_interference_db = max_interference_db_;
-  report.cells.reserve(engines_.size());
-  for (auto& e : engines_) {
-    CellReport cell = e->finish();
-    // milback-analyze: no-reduction(serial aggregation in fixed cell-index order; single thread by construction)
-    report.aggregate_goodput_bps += cell.aggregate_goodput_bps;
-    report.stable = report.stable && cell.stable;
-    report.cells.push_back(std::move(cell));
-  }
-  // Recover each node's visit history: its past_ entries (appended at
-  // handoff, so already in chronological order per node) plus the current
-  // instance. Bucketing is transient report-time state.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> visits(
-      nodes_.size());
-  for (const auto& p : past_) visits[p.node].emplace_back(p.cell, p.local);
-  report.nodes.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto& n = nodes_[i];
-    visits[i].emplace_back(n.cell, n.local);
-    MultiCellNodeReport r;
-    const auto [home_cell, home_local] = visits[i].front();
-    r.id = engines_[home_cell]->node_id(home_local);
-    r.home_cell = home_cell;
-    r.final_cell = n.cell;
-    r.handoffs = n.handoffs;
-    for (const auto& [c, l] : visits[i]) {
-      const CellNodeReport& nr = report.cells[c].nodes[l];
-      // milback-analyze: no-reduction(serial aggregation in fixed visit order; single thread by construction)
-      r.offered_bits += nr.offered_bits;
-      // milback-analyze: no-reduction(serial aggregation in fixed visit order; single thread by construction)
-      r.delivered_bits += nr.delivered_bits;
-      r.rounds_served += nr.rounds_served;
+  {
+    const obs::ProfileScope profile(multi_obs().finish_ns);
+    // Each shard's finish() touches only its own engine and report slot.
+    report.cells.resize(engines_.size());
+    runner.for_each(engines_.size(),
+                    [&](std::size_t c) { report.cells[c] = engines_[c]->finish(); });
+    for (const CellReport& cell : report.cells) {
+      // milback-analyze: no-reduction(serial aggregation in fixed cell-index order after the fan-out joins; single thread by construction)
+      report.aggregate_goodput_bps += cell.aggregate_goodput_bps;
+      report.stable = report.stable && cell.stable;
     }
-    r.final_queue_bits = report.cells[n.cell].nodes[n.local].final_queue_bits;
-    report.nodes.push_back(r);
+    // Each node's visit history: its past_ entries (appended at handoff, so
+    // chronological per node, and a stable sort keeps that) and then the
+    // current instance.
+    std::vector<PastInstance> past = past_;
+    std::stable_sort(past.begin(), past.end(),
+                     [](const PastInstance& a, const PastInstance& b) {
+                       return a.node < b.node;
+                     });
+    auto visit = past.cbegin();
+    report.nodes.reserve(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      const auto& n = nodes_[i];
+      MultiCellNodeReport r;
+      const bool moved = visit != past.cend() && visit->node == i;
+      r.home_cell = moved ? visit->cell : n.cell;
+      r.id = engines_[r.home_cell]->node_id(moved ? visit->local : n.local);
+      r.final_cell = n.cell;
+      r.handoffs = n.handoffs;
+      const auto add = [&](std::size_t c, std::size_t l) {
+        const CellNodeReport& nr = report.cells[c].nodes[l];
+        // milback-analyze: no-reduction(serial aggregation in fixed visit order; single thread by construction)
+        r.offered_bits += nr.offered_bits;
+        // milback-analyze: no-reduction(serial aggregation in fixed visit order; single thread by construction)
+        r.delivered_bits += nr.delivered_bits;
+        r.rounds_served += nr.rounds_served;
+      };
+      for (; visit != past.cend() && visit->node == i; ++visit) add(visit->cell, visit->local);
+      add(n.cell, n.local);
+      r.final_queue_bits = report.cells[n.cell].nodes[n.local].final_queue_bits;
+      report.nodes.push_back(r);
+    }
   }
   multi_obs().runs.add();
   MILBACK_ENSURE(report.nodes.size() == nodes_.size(),

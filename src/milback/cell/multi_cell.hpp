@@ -29,9 +29,11 @@
 // (MultiCell.OneApShardIsAStandaloneCell).
 //
 // Determinism: the barrier runs on the driver thread in cell-index then
-// node-index order, every in-cell draw is keyed by (seed, cell), and
-// nothing crosses cells except at barriers — so MultiCellReport (and the
-// obs export) is bit-identical at any MILBACK_SIM_THREADS
+// node-index order, every in-cell draw is keyed by (seed, cell), nothing
+// crosses cells except at barriers, and the shards' finish() calls run as
+// tasks that each touch only their own engine and report slot — so
+// MultiCellReport (and the obs export) is bit-identical at any
+// MILBACK_SIM_THREADS
 // (tests/integration/test_multi_cell_thread_invariance.cpp).
 //
 // Geometry: APs sit on a 2D floor plan, all sharing one prototype channel.
@@ -231,7 +233,7 @@ class MultiCellEngine {
   };
 
   /// A (cell, local) pair a node occupied before a handoff, in handoff
-  /// order network-wide (per-node order is recovered by a stable scan).
+  /// order network-wide (per-node order is recovered by a stable sort).
   struct PastInstance {
     std::uint32_t node = 0;
     std::uint32_t cell = 0;
@@ -242,7 +244,12 @@ class MultiCellEngine {
     return GlobalPose{double(n.x_m), double(n.y_m), double(n.orientation_deg)};
   }
   void forward_directives(double until_s);
-  void barrier(double time_s);
+  /// Applies node i's handoff, if due, at the barrier at `time_s` (or marks
+  /// it departed). Returns whether it is still waiting to join.
+  bool examine(std::size_t i, double time_s);
+  /// `all` examines every node (the first barrier); later barriers examine
+  /// only watch_.
+  void barrier(double time_s, bool all);
 
   MultiCellConfig config_;
   std::vector<std::unique_ptr<CellEngine>> engines_;
@@ -253,6 +260,13 @@ class MultiCellEngine {
   std::vector<GlobalNode> nodes_;
   std::vector<Directive> directives_;   ///< Shared store, chained per node.
   std::vector<PastInstance> past_;      ///< Pre-handoff instances, in order.
+  /// Nodes whose directive chain is not yet drained, in node order.
+  std::vector<std::uint32_t> directed_;
+  /// Nodes the next barrier examines: those still waiting to join at the
+  /// last barrier (node order), then those forward_directives reached since
+  /// (node order). Every other node's barrier outcome cannot have changed.
+  std::vector<std::uint32_t> watch_;
+  std::size_t joiners_ = 0;  ///< Length of watch_'s waiting-to-join run.
   bool ran_ = false;
   std::size_t handoffs_ = 0;
   std::size_t peak_population_ = 0;

@@ -86,9 +86,9 @@ void NodeSoA::push_latency(std::size_t i, double latency_s) {
   latency_head_[i] = slot;
 }
 
-std::vector<double> NodeSoA::latencies(std::size_t i) const {
+void NodeSoA::latencies(std::size_t i, std::vector<double>& out) const {
   MILBACK_REQUIRE(i < size(), "NodeSoA::latencies: node out of range");
-  std::vector<double> out;
+  out.clear();
   for (std::uint32_t slot = latency_head_[i]; slot != kNone;
        slot = latency_pool_.next(slot)) {
     out.push_back(latency_pool_.value(slot));
@@ -96,7 +96,6 @@ std::vector<double> NodeSoA::latencies(std::size_t i) const {
   // The chain is newest-first; reports consume samples oldest-first (the
   // mean's summation order — hence its rounding — must not change).
   std::reverse(out.begin(), out.end());
-  return out;
 }
 
 namespace {

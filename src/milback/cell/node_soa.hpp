@@ -82,8 +82,10 @@ class NodeSoA {
   /// report statistics match the old vector layout sample-for-sample).
   void push_latency(std::size_t i, double latency_s);
 
-  /// Materializes node i's samples in insertion order (report construction).
-  std::vector<double> latencies(std::size_t i) const;
+  /// Replaces `out`'s contents with node i's samples in insertion order
+  /// (report construction: one buffer reused across nodes, no allocation
+  /// once it has grown to the longest chain).
+  void latencies(std::size_t i, std::vector<double>& out) const;
 
   /// --- Capacity ----------------------------------------------------------
 
@@ -130,7 +132,7 @@ class NodeSoA {
 
   std::vector<std::uint32_t> chunk_head_, chunk_tail_;
   /// Latency chains are PREPENDED (newest first) so no tail column is
-  /// needed; latencies() reverses on materialization to restore insertion
+  /// needed; latencies() reverses its fill to restore insertion
   /// order (report statistics stay sample-for-sample identical).
   std::vector<std::uint32_t> latency_head_;
   ChainPool<Chunk> chunk_pool_;

@@ -158,6 +158,13 @@ void narrow_block(const std::uint64_t* keys, std::uint64_t* words) {
   std::memcpy(words, out, sizeof out);
 }
 
+/// A narrow block's last keys below this count draw from their own
+/// streams instead (the same draws). The crossover, on a 4-vCPU x86-64-v4
+/// VM: a padded block for one key (BM_Rng_FirstGaussians/1) reads ~0.85 us
+/// and one key's own stream (BM_Rng_StreamOneGaussian) ~0.46 us, but two
+/// keys' streams (~1.03 us) already cost more than the block (~0.88 us).
+constexpr std::size_t kPerKeyTail = 2;
+
 /// Keys per block of the vector build: eight vectors of eight keys.
 constexpr std::size_t kWideBlock = 64;
 
@@ -268,17 +275,24 @@ void Rng::first_gaussians(std::span<const std::uint64_t> keys, double mean,
                           double sigma, std::span<double> out) {
   static_assert(kTwistM == Engine::kM && kFirstWords == Engine::kFirstEnd);
   require_first_gaussians(keys, sigma, out);
-  if (!detail::first_gaussians_wide_supported()) {
-    draw_blocks<kNarrowBlock>(narrow_block, keys, mean, sigma, out.data());
-    return;
-  }
   // Whole wide blocks, then the tail: one padded wide block when that beats
   // its narrow blocks (a wide block costs about two narrow ones).
-  const std::size_t tail = keys.size() % kWideBlock;
-  const std::size_t wide = tail > 2 * kNarrowBlock ? keys.size() : keys.size() - tail;
-  detail::first_gaussians_wide(keys.first(wide), mean, sigma, out.first(wide));
-  draw_blocks<kNarrowBlock>(narrow_block, keys.subspan(wide), mean, sigma,
+  std::size_t wide = 0;
+  if (detail::first_gaussians_wide_supported()) {
+    const std::size_t tail = keys.size() % kWideBlock;
+    wide = tail > 2 * kNarrowBlock ? keys.size() : keys.size() - tail;
+    detail::first_gaussians_wide(keys.first(wide), mean, sigma, out.first(wide));
+  }
+  // Narrow blocks, but a last block of fewer than kPerKeyTail keys costs
+  // more padded than its keys' own streams do.
+  const std::size_t rest = keys.size() - wide;
+  const std::size_t short_tail = rest % kNarrowBlock < kPerKeyTail ? rest % kNarrowBlock : 0;
+  const std::size_t narrow = rest - short_tail;
+  draw_blocks<kNarrowBlock>(narrow_block, keys.subspan(wide, narrow), mean, sigma,
                             out.data() + wide);
+  for (std::size_t i = wide + narrow; i < keys.size(); ++i) {
+    out[i] = Rng(keys[i]).gaussian(mean, sigma);
+  }
 }
 
 void detail::first_gaussians_narrow(std::span<const std::uint64_t> keys, double mean,

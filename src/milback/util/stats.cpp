@@ -65,37 +65,35 @@ double interpolate(double at_lo, double at_hi, double frac) {
   return at_lo * (1.0 - frac) + at_hi * frac;
 }
 
-// Interpolated percentile of an already-sorted, non-empty sample.
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  const Rank r = percentile_rank(sorted.size(), p);
-  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
-}
-
 }  // namespace
 
-double percentile(std::span<const double> xs, double p) {
+double percentile_in_place(std::span<double> xs, double p) {
   require_finite(p, "p");
   if (xs.empty()) return 0.0;
   // Selection, not a sort: order statistic lo by nth_element, and hi (at
   // most lo + 1) as the least value above it. The same two values as a full
   // sort, through the same interpolation.
-  std::vector<double> v(xs.begin(), xs.end());
-  const Rank r = percentile_rank(v.size(), p);
-  const auto lo = v.begin() + std::ptrdiff_t(r.lo);
-  std::nth_element(v.begin(), lo, v.end());
-  const double at_hi = r.hi == r.lo ? *lo : *std::min_element(lo + 1, v.end());
+  const Rank r = percentile_rank(xs.size(), p);
+  const auto lo = xs.begin() + std::ptrdiff_t(r.lo);
+  std::nth_element(xs.begin(), lo, xs.end());
+  const double at_hi = r.hi == r.lo ? *lo : *std::min_element(lo + 1, xs.end());
   return interpolate(*lo, at_hi, r.frac);
+}
+
+// milback-analyze: no-contract(forwards to percentile_in_place, which checks p)
+double percentile(std::span<const double> xs, double p) {
+  std::vector<double> v(xs.begin(), xs.end());
+  return percentile_in_place(v, p);
 }
 
 std::vector<double> percentiles(std::span<const double> xs,
                                 std::span<const double> ps) {
   for (const double p : ps) require_finite(p, "p");
   if (xs.empty()) return std::vector<double>(ps.size(), 0.0);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> v(xs.begin(), xs.end());
   std::vector<double> out;
   out.reserve(ps.size());
-  for (const double p : ps) out.push_back(sorted_percentile(sorted, p));
+  for (const double p : ps) out.push_back(percentile_in_place(v, p));
   return out;
 }
 

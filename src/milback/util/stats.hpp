@@ -27,15 +27,21 @@ double min_value(std::span<const double> xs) noexcept;
 /// Maximum element; 0 for an empty span.
 double max_value(std::span<const double> xs) noexcept;
 
-/// Linear-interpolated percentile, p in [0, 100]. Copies and selects the
-/// two order statistics it interpolates (linear time, no full sort); equal
-/// bit for bit to interpolating a sorted copy. Returns 0 for an empty span.
+/// Linear-interpolated percentile, p in [0, 100], by selection in place:
+/// reorders `xs` (a caller's scratch buffer) to find the two order
+/// statistics it interpolates (linear time, no full sort). Equal bit for
+/// bit to interpolating a sorted copy, whatever order `xs` is in, so
+/// several percentiles may be taken from one buffer in turn. Returns 0 for
+/// an empty span.
+double percentile_in_place(std::span<double> xs, double p);
+
+/// percentile_in_place on a copy of `xs`.
 double percentile(std::span<const double> xs, double p);
 
-/// Several percentiles of the same sample in one pass: copies and sorts `xs`
-/// ONCE, then interpolates every requested p (in [0, 100]). Result aligns
-/// with `ps`; each entry equals percentile(xs, ps[i]) exactly. Returns all
-/// zeros for an empty sample.
+/// Several percentiles of the same sample: copies `xs` ONCE, then takes
+/// every requested p (in [0, 100]) from the copy by percentile_in_place.
+/// Result aligns with `ps`; each entry equals percentile(xs, ps[i]) exactly.
+/// Returns all zeros for an empty sample.
 std::vector<double> percentiles(std::span<const double> xs,
                                 std::span<const double> ps);
 

@@ -9,11 +9,14 @@
 //
 // This suite matches the check.sh TSan stage's test regex
 // ("ThreadInvariance"), so it doubles as the race-detector workload for the
-// sharded path.
+// sharded path, the epoch fan-out and the shard-finish fan-out alike.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "milback/cell/multi_cell.hpp"
 #include "milback/obs/exporters.hpp"
@@ -182,6 +185,169 @@ TEST(MultiCellThreadInvariance, MetricExportsAreByteIdentical) {
   EXPECT_NE(serial.find("cell.c1.events.handoff_in"), std::string::npos);
   EXPECT_NE(serial.find("multicell.handoffs"), std::string::npos);
   EXPECT_EQ(serial, parallel);
+}
+
+/// FNV-1a over the folded values' bytes (doubles by bit pattern).
+class Fnv {
+ public:
+  void add(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) byte(static_cast<unsigned char>(v >> (8 * b)));
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::string_view s) {
+    add(std::uint64_t{s.size()});
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(unsigned char c) {
+    h_ ^= c;
+    h_ *= 0x100000001b3ULL;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// 2^-6 s: epoch boundaries k * kEpochS are exact sums, so a directive can
+// land exactly on one.
+constexpr double kEpochS = 0.015625;
+
+/// Node indices of the barrier's edge cases in build_barrier_edges().
+struct EdgeNodes {
+  std::size_t outside = 0;         ///< Beyond every coverage radius.
+  std::size_t bisector = 0;        ///< Home by the double pose, not the float.
+  std::size_t late_bisector = 0;   ///< The same, joining in epoch 2.
+  std::size_t leave_first = 0;     ///< Leave dated before its join.
+  std::size_t move_and_leave = 0;  ///< Waypoint and leave in one epoch.
+  std::size_t on_boundary = 0;     ///< Waypoint exactly on an epoch boundary.
+  std::size_t round_trip = 0;      ///< Out across a cell edge and back.
+};
+
+/// 2x2 grid at 20 m pitch with 8 m coverage, 48 parked nodes (some joining
+/// late, at and between epoch boundaries) plus one node per barrier edge
+/// case. Directives are scheduled out of node order, and several roamers
+/// hand off into one cell at one barrier, so handoff order is observable.
+MultiCellEngine build_barrier_edges(EdgeNodes& edge) {
+  MultiCellConfig cfg;
+  cfg.aps = {{0.0, 0.0}, {20.0, 0.0}, {0.0, 20.0}, {20.0, 20.0}};
+  cfg.coverage_radius_m = 8.0;
+  cfg.epoch_s = kEpochS;
+  cfg.frequency_channels = 2;
+  cfg.interference_node_db = -20.0;
+  cfg.cell.service_period_s = kEpochS;
+  Rng env(5);
+  MultiCellEngine engine(channel::BackscatterChannel::make_default(
+                             channel::Environment::indoor_office(env)),
+                         std::move(cfg));
+  const auto ap = [](std::size_t c) {
+    return std::pair{(c % 2) ? 20.0 : 0.0, (c / 2) ? 20.0 : 0.0};
+  };
+  for (std::size_t i = 0; i < 48; ++i) {
+    const auto [hx, hy] = ap(i % 4);
+    const double join = i % 9 == 4 ? kEpochS * double(1 + i % 4)         // on a boundary
+                        : i % 9 == 7 ? kEpochS * (0.5 + double(i % 5))  // between
+                                     : 0.0;
+    engine.add_node("edge-" + std::to_string(i),
+                    {hx + 1.0 + 0.07 * double(i % 13), hy - 1.5 + 0.11 * double(i % 17),
+                     -12.0 + 1.3 * double(i % 19)},
+                    {12e3 + 3e3 * double(i % 4), (i % 3 == 0) ? 0.0 : 1.0}, join);
+  }
+  // Roamers into cell 3 at one barrier, scheduled highest node first.
+  for (const std::size_t i : {45u, 29u, 13u}) {
+    engine.schedule_waypoint(i, kEpochS * 4.5 + 0.001 * double(i % 3),
+                             {18.5 + 0.1 * double(i % 7), 19.0, 5.0});
+  }
+  const RoamingTraffic traffic{.arrival_rate_bps = 20e3, .burstiness = 1.0};
+  edge.outside = engine.add_node("edge-outside", {9.0, 31.0, 0.0}, traffic);
+  // 10 + 1e-7 rounds to 10.0f: the double pose is nearer AP 1, the float
+  // pose ties (AP 0 wins), and 10 m is beyond coverage.
+  edge.bisector = engine.add_node("edge-bisector", {10.0000001, 0.0, 3.0}, traffic);
+  edge.late_bisector = engine.add_node("edge-late-bisector", {10.0000001, 0.5, -3.0},
+                                       traffic, kEpochS * 2.5);
+  edge.leave_first = engine.add_node("edge-leave-first", {1.5, 1.0, 0.0}, traffic,
+                                     kEpochS * 4.2);
+  engine.schedule_leave(edge.leave_first, kEpochS * 1.7);
+  edge.move_and_leave = engine.add_node("edge-move-and-leave", {2.0, -1.0, 4.0}, traffic);
+  engine.schedule_leave(edge.move_and_leave, kEpochS * 3.6);
+  engine.schedule_waypoint(edge.move_and_leave, kEpochS * 3.2, {18.0, -1.0, 4.0});
+  edge.on_boundary = engine.add_node("edge-on-boundary", {21.0, 1.0, -6.0}, traffic);
+  engine.schedule_waypoint(edge.on_boundary, kEpochS * 3.0, {1.0, 18.5, -6.0});
+  edge.round_trip = engine.add_node("edge-round-trip", {1.0, 19.0, 8.0}, traffic);
+  engine.schedule_waypoint(edge.round_trip, kEpochS * 6.8, {1.0, 19.0, 8.0});
+  engine.schedule_waypoint(edge.round_trip, kEpochS * 2.3, {19.0, 19.5, 8.0});
+  return engine;
+}
+
+void fold(Fnv& f, const CellReport& r) {
+  f.add(std::uint64_t{r.service_rounds});
+  f.add(std::uint64_t{r.events_dispatched});
+  f.add(std::uint64_t{r.peak_population});
+  f.add(std::uint64_t{r.final_population});
+  f.add(r.aggregate_goodput_bps);
+  f.add(r.cell_capacity_bps);
+  f.add(std::uint64_t{r.stable});
+  for (const auto& n : r.nodes) {
+    f.add(n.id.view());
+    f.add(n.join_time_s);
+    f.add(n.leave_time_s);
+    f.add(n.offered_bits);
+    f.add(n.delivered_bits);
+    f.add(n.mean_latency_s);
+    f.add(n.p50_latency_s);
+    f.add(n.p95_latency_s);
+    f.add(n.peak_queue_bits);
+    f.add(n.final_queue_bits);
+    f.add(n.service_rate_bps);
+    f.add(std::uint64_t{n.rounds_served});
+  }
+}
+
+std::uint64_t barrier_edges_digest(const char* threads) {
+  ScopedThreads guard(threads);
+  EdgeNodes edge;
+  auto engine = build_barrier_edges(edge);
+  const MultiCellReport report = engine.run(kEpochS * 12.0, 2718);
+  Fnv f;
+  f.add(std::uint64_t{report.epochs});
+  f.add(std::uint64_t{report.handoffs});
+  f.add(std::uint64_t{report.peak_population});
+  f.add(report.aggregate_goodput_bps);
+  f.add(report.max_interference_db);
+  f.add(std::uint64_t{report.stable});
+  for (const auto& cell : report.cells) fold(f, cell);
+  for (const auto& n : report.nodes) {
+    f.add(n.id.view());
+    f.add(std::uint64_t{n.home_cell});
+    f.add(std::uint64_t{n.final_cell});
+    f.add(std::uint64_t{n.handoffs});
+    f.add(n.offered_bits);
+    f.add(n.delivered_bits);
+    f.add(n.final_queue_bits);
+    f.add(std::uint64_t{n.rounds_served});
+  }
+  // Sanity: each edge case does what its name says.
+  const auto& nodes = report.nodes;
+  EXPECT_EQ(nodes[edge.outside].handoffs, 0u);
+  EXPECT_EQ(nodes[edge.bisector].home_cell, 1u);
+  EXPECT_EQ(nodes[edge.bisector].final_cell, 0u);
+  EXPECT_EQ(nodes[edge.late_bisector].home_cell, 1u);
+  EXPECT_EQ(nodes[edge.late_bisector].final_cell, 0u);
+  EXPECT_EQ(nodes[edge.move_and_leave].handoffs, 0u);
+  EXPECT_EQ(nodes[edge.on_boundary].final_cell, 2u);
+  EXPECT_EQ(nodes[edge.round_trip].handoffs, 2u);
+  EXPECT_EQ(nodes[edge.round_trip].final_cell, 2u);
+  EXPECT_EQ(nodes[13].final_cell, 3u);
+  EXPECT_EQ(nodes[45].final_cell, 3u);
+  EXPECT_GT(report.cells[0].nodes[0].p95_latency_s, 0.0);
+  return f.value();
+}
+
+TEST(MultiCellThreadInvariance, BarrierEdgeCasesMatchTheParent) {
+  // Taken from the engine whose barrier examined every node at every epoch
+  // and whose shards finished serially on the thread that called run().
+  constexpr std::uint64_t kPinned = 0xcc76295686d134c3ULL;
+  EXPECT_EQ(barrier_edges_digest("1"), kPinned);
+  EXPECT_EQ(barrier_edges_digest("4"), kPinned);
 }
 
 }  // namespace

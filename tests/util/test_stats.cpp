@@ -88,6 +88,30 @@ TEST(Stats, PercentileSelectionMatchesSortedReference) {
   }
 }
 
+TEST(Stats, PercentileInPlaceTakesProbesInTurnFromOneBuffer) {
+  // Each selection leaves the buffer in a new order; the next probe must
+  // still read the sorted reference's bits.
+  const double probes[] = {50.0, 95.0, 0.0, 33.3, 100.0, 50.0, 99.9, 10.0};
+  Rng rng(23);
+  for (const std::size_t n : {1u, 2u, 5u, 64u, 999u}) {
+    for (const bool duplicates : {false, true}) {
+      std::vector<double> xs(n);
+      for (auto& x : xs) {
+        x = duplicates ? double(rng.uniform_int(-3, 3)) : rng.uniform(0.0, 2.0);
+      }
+      std::vector<double> buffer = xs;
+      for (const double p : probes) {
+        const double got = percentile_in_place(buffer, p);
+        const double want = sorted_reference(xs, p);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << "n " << n << " duplicates " << duplicates << " p " << p;
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(percentile_in_place(empty, 50.0), 0.0);
+}
+
 TEST(Stats, PercentilesMatchesSingleCalls) {
   std::vector<double> xs{50.0, 10.0, 40.0, 20.0, 30.0};
   const auto ps = percentiles(xs, {0.0, 25.0, 50.0, 90.0, 100.0});
