@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   constexpr double kPeriodS = 0.1;
 
   cell::CellConfig cfg;
-  cfg.run_sessions = true;
+  cfg.sessions.emplace();
   cfg.service_period_s = kPeriodS;
   Rng env_rng = Rng::stream(seed, std::uint64_t{1});
   cell::CellEngine engine(bench::make_indoor_channel(env_rng), cfg);
@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   double delivered_total_bits = 0.0;
   std::size_t rounds_tracking = 0;
-  const std::size_t payload_bits = cfg.session.payload_bits;
+  const std::size_t payload_bits = cfg.sessions->payload_bits;
   engine.set_observer([&](const cell::ServiceObservation& obs) {
     const auto& step = obs.session;
     const double d = walk_distance_m(obs.round);

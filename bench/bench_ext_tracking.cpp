@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   constexpr std::size_t kSteps = 80;
 
   cell::CellConfig cfg;
-  cfg.run_sessions = true;
+  cfg.sessions.emplace();
   cfg.service_period_s = kDtS;
-  cfg.session.tracker.dt_s = kDtS;
+  cfg.sessions->tracker.dt_s = kDtS;
   Rng env_rng = Rng::stream(seed, std::uint64_t{1});
   cell::CellEngine engine(bench::make_indoor_channel(env_rng), cfg);
 

@@ -141,7 +141,7 @@ BENCHMARK(BM_CellEngine_StaticCell)->Arg(4)->Arg(16)->Unit(benchmark::kMilliseco
 
 void BM_CellEngine_SessionCell(benchmark::State& state) {
   cell::CellConfig cfg;
-  cfg.run_sessions = true;
+  cfg.sessions.emplace();
   cfg.service_period_s = 0.01;
   for (auto _ : state) {
     auto engine = make_cell_engine(cfg);

@@ -28,10 +28,11 @@ ctest --preset asan-ubsan
 
 echo "== tsan build + sim engine tests =="
 # TSan only pays off on the multi-threaded paths: the sim engine suites and
-# the thread-invariance integration tests that drive TrialRunner at >1 worker.
+# the thread-invariance integration tests that drive TrialRunner at >1 worker
+# (the tsan test preset's filter in CMakePresets.json selects them).
 cmake --preset tsan
 cmake --build --preset tsan -j "${jobs}"
-ctest --preset tsan -R 'TrialRunner|Sweep|Accumulator|ThreadInvariance'
+ctest --preset tsan
 
 # One `git archive` of HEAD serves both HEAD-vs-tree stages below.
 head_dir="$(mktemp -d)"

@@ -6,7 +6,8 @@
 // nodes off the current boresight are attenuated by the TX and RX horn
 // patterns — keeps steering positions whose post-processing SNR clears the
 // detection threshold, merges adjacent hits, and refines each cluster with a
-// full Localizer run pointed at the best steering.
+// full run of the caller's Localizer (the AP's own) pointed at the best
+// steering. The radar budget's chirp and node switch are that localizer's.
 #pragma once
 
 #include <vector>
@@ -21,7 +22,6 @@ struct BeamScanConfig {
   double max_azimuth_deg = 40.0;   ///< Sector edge.
   double step_deg = 6.0;           ///< Steering grid (~ horn beamwidth / 3).
   double detection_snr_db = 15.0;  ///< Post-processing SNR to call a hit.
-  LocalizerConfig localizer{};     ///< Fine-fix configuration.
 };
 
 /// One acquired node.
@@ -38,13 +38,17 @@ class BeamScanner {
   explicit BeamScanner(const BeamScanConfig& config = {});
 
   /// Budget SNR [dB] of a node at `pose` when the horns point at
-  /// `steering_deg` (both horn patterns attenuate the off-axis return).
+  /// `steering_deg` (both horn patterns attenuate the off-axis return), for
+  /// `localizer`'s chirp and node switch.
   double steered_snr_db(const channel::BackscatterChannel& channel,
-                        const channel::NodePose& pose, double steering_deg) const;
+                        const Localizer& localizer, const channel::NodePose& pose,
+                        double steering_deg) const;
 
   /// Sweeps the sector over ground-truth `nodes` (the simulation's world
-  /// state), clusters grid hits, and returns one fine fix per cluster.
+  /// state), clusters grid hits, and returns one fine fix per cluster, each
+  /// from `localizer`.
   std::vector<ScanDetection> scan(const channel::BackscatterChannel& channel,
+                                  const Localizer& localizer,
                                   const std::vector<channel::NodePose>& nodes,
                                   milback::Rng& rng) const;
 

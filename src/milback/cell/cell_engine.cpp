@@ -173,10 +173,6 @@ CellEngine::~CellEngine() = default;
 
 void CellEngine::set_mesh(mesh::MeshConfig config) {
   MILBACK_REQUIRE(!ran_, "CellEngine::set_mesh: install before begin()");
-  if (!config.enabled) {
-    mesh_.reset();
-    return;
-  }
   mesh_ = std::make_unique<mesh::MeshRuntime>(std::move(config));
 }
 
@@ -218,6 +214,8 @@ void CellEngine::schedule_leave(std::size_t node, double time_s) {
   MILBACK_REQUIRE(node < nodes_.size(), "schedule_leave: node out of range");
   MILBACK_REQUIRE(!ran_ || time_s >= clock_s_,
                   "schedule_leave: time is before the engine's clock");
+  MILBACK_REQUIRE(time_s >= nodes_.join_time_s[node],
+                  "schedule_leave: time is before the node's join");
   queue_.push(Event{.time_s = time_s, .kind = EventKind::kLeave, .node = node});
 }
 
@@ -282,44 +280,25 @@ std::vector<std::size_t> CellEngine::alive_indices() const {
 }
 
 void CellEngine::ensure_session(std::size_t i) {
-  if (!config_.run_sessions) return;
+  if (!config_.sessions) return;
   if (nodes_.session.size() < nodes_.size()) nodes_.session.resize(nodes_.size());
   if (nodes_.session[i].has_value()) return;
-  // The session gets its own channel copy carrying the current blockage +
-  // interference state; later changes are propagated by apply_channel_loss.
-  nodes_.session[i].emplace(link_.channel(), config_.session);
-}
-
-void CellEngine::apply_channel_loss() {
-  // Blockage episodes hit only the DIRECT path (a configured reflector
-  // routes around them); co-channel interference is ambient and degrades
-  // every path. Both flow through the same PathSet budget queries.
-  link_.channel().config().blockage_loss_db = blockage_db_;
-  link_.channel().config().ambient_loss_db = external_db_;
-  for (auto& s : nodes_.session) {
-    if (s) {
-      auto& cfg = s->link().channel().config();
-      cfg.blockage_loss_db = blockage_db_;
-      cfg.ambient_loss_db = external_db_;
-    }
-  }
+  nodes_.session[i].emplace(*config_.sessions);
 }
 
 void CellEngine::set_multipath(channel::MultipathConfig multipath) {
   MILBACK_REQUIRE(!ran_, "CellEngine::set_multipath: install before begin()");
-  for (auto& s : nodes_.session) {
-    if (s) s->link().channel().set_multipath(multipath);
-  }
   link_.channel().set_multipath(std::move(multipath));
 }
 
 void CellEngine::set_external_interference_db(double loss_db) {
   require_finite(loss_db, "external interference loss_db");
   require_non_negative(loss_db, "external interference loss_db");
-  if (loss_db == external_db_) return;
-  external_db_ = loss_db;
+  // Co-channel interference is ambient: it degrades every path.
+  auto& ambient = link_.channel().config().ambient_loss_db;
+  if (loss_db == ambient) return;
+  ambient = loss_db;
   sweep_dirty_ = true;
-  apply_channel_loss();
 }
 
 void CellEngine::wake_service(double time_s) {
@@ -438,7 +417,7 @@ double CellEngine::slot_period_s(const std::vector<std::size_t>& alive) const {
 void CellEngine::recompute_sweep(const std::vector<std::size_t>& alive) {
   MILBACK_REQUIRE(alive.size() <= std::numeric_limits<std::uint32_t>::max(),
                   "recompute_sweep: population exceeds the slot list's range");
-  if (!config_.run_sessions) {
+  if (!config_.sessions) {
     // Rate recomputation fans out on the TrialRunner: each trial touches
     // only its own node and reads the frozen channel, so the sweep is
     // thread-count invariant.
@@ -478,18 +457,14 @@ void CellEngine::dispatch_service(const Event& e) {
   // geometry (thread-count invariant by construction).
   link_.channel().set_path_time_s(e.time_s);
   std::vector<core::SessionStep> steps;
-  if (config_.run_sessions) {
-    for (const auto i : alive) {
-      if (nodes_.session[i]) {
-        nodes_.session[i]->link().channel().set_path_time_s(e.time_s);
-      }
-    }
-    // Each session steps on its own node and draws from (seed, node, event
-    // seq), so the fan-out is thread-count invariant.
+  if (config_.sessions) {
+    // Each session steps its own node on the shared const link and draws
+    // from (seed, node, event seq), so the fan-out is thread-count
+    // invariant.
     const sim::TrialRunner runner(config_.sweep_threads);
     steps = runner.map<core::SessionStep>(alive.size(), [&](std::size_t k) {
       auto rng = event_stream(std::uint64_t{alive[k]}, e.seq);
-      return nodes_.session[alive[k]]->step(nodes_.pose[alive[k]], rng);
+      return nodes_.session[alive[k]]->step(link_, nodes_.pose[alive[k]], rng);
     });
     for (std::size_t k = 0; k < alive.size(); ++k) {
       nodes_.rate_bps[alive[k]] =
@@ -511,7 +486,7 @@ void CellEngine::dispatch_service(const Event& e) {
   // alive list) marks sweep_dirty_, so a clean sweep without sessions or
   // blockers (the one input that moves with the clock) keeps the last rates
   // and slots: the bits a recompute would give.
-  const bool reuse = !sweep_dirty_ && !config_.run_sessions &&
+  const bool reuse = !sweep_dirty_ && !config_.sessions &&
                      link_.channel().multipath().blockers.empty();
   if (reuse) {
     MILBACK_ASSERT(slot_members_.size() == alive.size());
@@ -603,7 +578,7 @@ void CellEngine::dispatch_service(const Event& e) {
       obs.slot = slot_of[k];
       obs.drained_bits = drained[k];
       obs.queued_bits = nodes_.queued_bits[i];
-      if (config_.run_sessions) {
+      if (config_.sessions) {
         obs.has_session = true;
         obs.session = steps[k];
       }
@@ -638,8 +613,8 @@ void CellEngine::mesh_sweep(const Event& e,
     }
     obs::Span discover_span(mesh_->discover_trace_id(), e.time_s,
                             obs::trace_lane(obs::kLaneCell, 2));
-    mesh_->rebuild(link_.channel().multipath(), blockage_db_, external_db_,
-                   xs, ys, nodes_.alive, nodes_.rate_bps, e.time_s);
+    mesh_->rebuild(link_.channel(), xs, ys, nodes_.alive, nodes_.rate_bps,
+                   e.time_s);
     discover_span.end(e.time_s);
   }
 
@@ -692,8 +667,8 @@ void CellEngine::mesh_sweep(const Event& e,
 void CellEngine::begin(double duration_s, std::uint64_t seed) {
   MILBACK_REQUIRE(!ran_, "CellEngine::run is single-shot; build a fresh engine");
   require_positive(duration_s, "duration_s");
-  MILBACK_REQUIRE(!config_.run_sessions || config_.service_period_s > 0.0,
-                  "CellEngine: run_sessions requires a pinned service_period_s "
+  MILBACK_REQUIRE(!config_.sessions || config_.service_period_s > 0.0,
+                  "CellEngine: sessions require a pinned service_period_s "
                   "(acquisition needs sweeps before any rate is known)");
   ran_ = true;
   running_ = true;
@@ -762,17 +737,17 @@ void CellEngine::dispatch(const Event& e) {
       if (mesh_) mesh_->mark_dirty();
       blockage_span_ = obs::Span(obs_->blockage_span, e.time_s,
                                  obs::trace_lane(obs::kLaneCell, 1));
-      blockage_db_ = e.value;
+      // Blockage severs only the DIRECT path; a configured reflector
+      // routes around it.
+      link_.channel().config().blockage_loss_db = e.value;
       sweep_dirty_ = true;
-      apply_channel_loss();
       break;
     case EventKind::kBlockageEnd:
       obs_->ev_blockage_end.add();
       if (mesh_) mesh_->mark_dirty();
       blockage_span_.end(e.time_s);
-      blockage_db_ = 0.0;
+      link_.channel().config().blockage_loss_db = 0.0;
       sweep_dirty_ = true;
-      apply_channel_loss();
       if (population() > 0) wake_service(e.time_s);
       break;
   }
@@ -803,7 +778,8 @@ CellReport CellEngine::finish() {
 
   if (mesh_) {
     report_.mesh =
-        mesh_->finalize(link_.channel(), nodes_.pose, nodes_.alive, seed_);
+        mesh_->finalize(link_.channel(), link_.access_point().localizer(),
+                        nodes_.pose, nodes_.alive, seed_);
   }
   report_.peak_population = peak_population_;
   report_.final_population = population();

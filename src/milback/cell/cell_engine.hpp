@@ -7,7 +7,12 @@
 // pass on seqs reserved from it; see event_queue.hpp for the ordering
 // contract. A static population can also be served one waveform-level SDM
 // round at a time (run_uplink_round/run_downlink_round), and each node can
-// run a full AdaptiveSession (CellConfig::run_sessions).
+// run a full AdaptiveSession (CellConfig::sessions).
+//
+// One link per cell: the engine's MilBackLink is the cell's only AP model.
+// Its channel is the one home of the scene, the path clock, blockage
+// (blockage_loss_db) and co-channel interference (ambient_loss_db); every
+// session steps on it, and the mesh's radar fixes use its localizer.
 //
 // Determinism: run(duration, seed) is a pure function of the scenario and
 // the seed. Every random draw comes from Rng::stream(seed, node, event.seq)
@@ -39,6 +44,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,11 +77,10 @@ struct CellConfig {
   std::size_t payload_symbols = 512;  ///< Symbols per service packet.
   double service_period_s = 0.0;      ///< > 0 pins the sweep period; 0 derives
                                       ///< it per sweep from the SDM slot times.
-  bool run_sessions = false;          ///< Drive a full AdaptiveSession per node
-                                      ///< (acquire/track/lost) instead of the
-                                      ///< budget probe. Requires a pinned
-                                      ///< service_period_s.
-  core::SessionConfig session{};      ///< Per-node session tuning (run_sessions).
+  /// Set: drive a full AdaptiveSession per node (acquire/track/lost) with
+  /// this tuning instead of the budget probe. Requires a pinned
+  /// service_period_s.
+  std::optional<core::SessionConfig> sessions;
   std::string metric_prefix = "cell.";  ///< Prefix of the cell-wide metric
                                       ///< names (<prefix>sweeps, ...); a
                                       ///< MultiCellEngine gives shard k
@@ -99,7 +104,7 @@ struct ServiceObservation {
   double drained_bits = 0.0;    ///< Queue bits drained this sweep.
   double queued_bits = 0.0;     ///< Backlog after the sweep.
   bool has_session = false;     ///< Whether `session` is meaningful.
-  core::SessionStep session{};  ///< The node's session round (run_sessions).
+  core::SessionStep session{};  ///< The node's session round (sessions mode).
 };
 
 /// Per-node outcome of a run.
@@ -167,10 +172,11 @@ class CellEngine {
   std::size_t add_node(std::string id, const core::TrafficSpec& spec,
                        double join_time_s = 0.0);
 
-  /// Schedules the node's departure (its backlog freezes at that instant).
-  /// Once the run has begun, this and every schedule_* call below need a
-  /// time at or after the last advance_to limit: the engine has already
-  /// dispatched everything before it.
+  /// Schedules the node's departure (its backlog freezes at that instant),
+  /// at or after the node's join: a later join would undo it. Once the run
+  /// has begun, this and every schedule_* call below need a time at or
+  /// after the last advance_to limit: the engine has already dispatched
+  /// everything before it.
   void schedule_leave(std::size_t node, double time_s);
 
   /// Schedules a pose update (mobility waypoint). The pose is checked as
@@ -187,18 +193,18 @@ class CellEngine {
   void schedule_blockage(double start_s, double end_s, double loss_db);
 
   /// Installs the scene geometry (walls + moving blockers) on the cell's
-  /// channel and every live session's channel copy. Call before begin()
-  /// (throws ContractViolation after); the per-sweep path clock is advanced
-  /// by the service dispatcher. Any blocker keeps every sweep re-probing.
+  /// channel. Call before begin() (throws ContractViolation after); the
+  /// per-sweep path clock is advanced by the service dispatcher. Any blocker
+  /// keeps every sweep re-probing.
   void set_multipath(channel::MultipathConfig multipath);
 
-  /// Installs (or, with `config.enabled == false`, uninstalls) the
-  /// multi-hop relay mesh. Call before begin(), like set_multipath. With a
-  /// mesh installed, nodes the AP cannot serve directly push their backlog
-  /// through store-and-forward relays during each service sweep, and the
-  /// final report carries a MeshReport (routes, relay traffic, and
-  /// anchor-fused or radar positions). Without one the engine never touches
-  /// the mesh layer and runs bit-identically to the pre-mesh build.
+  /// Installs the multi-hop relay mesh. Call before begin(), like
+  /// set_multipath. With a mesh installed, nodes the AP cannot serve
+  /// directly push their backlog through store-and-forward relays during
+  /// each service sweep, and the final report carries a MeshReport (routes,
+  /// relay traffic, and anchor-fused positions or radar fixes from the
+  /// link's localizer). Without one the engine never touches the mesh layer
+  /// and runs bit-identically to the pre-mesh build.
   void set_mesh(mesh::MeshConfig config);
 
   /// Installs the per-service observer (benches tap per-sweep detail here).
@@ -238,10 +244,11 @@ class CellEngine {
   /// spans the handoff). Returns the node's index in *this* cell.
   std::size_t attach_node(const CarriedNode& carried, double time_s);
 
-  /// Extra one-way path loss [dB] from co-channel sibling cells, applied on
-  /// top of any active blockage episode through the same channel fold. The
-  /// MultiCellEngine recomputes this at every epoch barrier; an unchanged
-  /// value changes nothing, so the next sweep may reuse the last rates.
+  /// Extra one-way path loss [dB] from co-channel sibling cells: the link
+  /// channel's ambient_loss_db, which degrades every path on top of any
+  /// active blockage episode's direct-path loss. The MultiCellEngine
+  /// recomputes this at every epoch barrier; an unchanged value changes
+  /// nothing, so the next sweep may reuse the last rates.
   void set_external_interference_db(double loss_db);
 
   /// --- Static-population one-shots ---------------------------------------
@@ -302,7 +309,6 @@ class CellEngine {
  private:
   std::vector<std::size_t> alive_indices() const;
   void ensure_session(std::size_t i);
-  void apply_channel_loss();
   /// Service period of the kept SDM slots over the `alive` rows: each slot
   /// lasts as long as its slowest member's packet at the current rates,
   /// summed slot-major.
@@ -373,8 +379,6 @@ class CellEngine {
   double clock_s_ = 0.0;     ///< Last advance_to limit: everything before it
                              ///< has been dispatched.
   std::uint64_t seed_ = 0;
-  double blockage_db_ = 0.0;
-  double external_db_ = 0.0;
   std::unique_ptr<mesh::MeshRuntime> mesh_;  ///< Null unless set_mesh ran.
   CellReport report_;        ///< Accumulated during dispatch, sealed by finish().
 };

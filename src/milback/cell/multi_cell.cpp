@@ -164,6 +164,8 @@ void MultiCellEngine::schedule_leave(std::size_t node, double time_s) {
   require_finite(time_s, "time_s");
   require_non_negative(time_s, "time_s");
   auto& n = nodes_[node];
+  MILBACK_REQUIRE(time_s >= engines_[n.cell]->node_join_time_s(n.local),
+                  "schedule_leave: time is before the node's join");
   MILBACK_ENSURE(directives_.size() < kNone, "schedule_leave: directive store full");
   directives_.push_back(Directive{time_s, 0.0f, 0.0f, 0.0f, n.dir_head, true});
   n.dir_head = static_cast<std::uint32_t>(directives_.size() - 1);

@@ -150,7 +150,8 @@ class MultiCellEngine {
   void schedule_waypoint(std::size_t node, double time_s,
                          const GlobalPose& pose);
 
-  /// Schedules the node's departure from the network.
+  /// Schedules the node's departure from the network, at or after its join
+  /// time.
   void schedule_leave(std::size_t node, double time_s);
 
   /// Installs the same scene geometry (walls + moving blockers) on every

@@ -112,9 +112,10 @@ class NodeSoA {
   std::vector<double> delivered_bits;
   std::vector<double> peak_queue_bits;
   std::vector<std::uint32_t> rounds_served;
-  /// Sized lazily by the engine in run_sessions mode only (an
-  /// AdaptiveSession embeds a full link copy — far above the per-node byte
-  /// budget, so probe-mode cells never pay for the column).
+  /// Sized lazily by the engine in sessions mode only (a session's scanner,
+  /// tracker and counters, ~300 bytes/row, would push a row past the
+  /// per-node byte budget, so probe-mode cells never pay for the column).
+  /// A session holds no link: it steps on the engine's.
   std::vector<std::optional<core::AdaptiveSession>> session;
   /// Per-node telemetry handles. Sized lazily by the engine the first time
   /// it registers a node with metrics enabled (68 bytes/row — outside the

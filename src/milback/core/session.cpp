@@ -40,10 +40,8 @@ const SessionObs& session_obs() {
 
 }  // namespace
 
-AdaptiveSession::AdaptiveSession(channel::BackscatterChannel channel,
-                                 SessionConfig config)
+AdaptiveSession::AdaptiveSession(const SessionConfig& config)
     : config_(config),
-      link_(std::move(channel), config.link),
       scanner_(config.scan),
       tracker_(config.tracker) {}
 
@@ -55,7 +53,8 @@ std::pair<double, bool> AdaptiveSession::adapt(double snr_db) const {
   return {decision.rate_bps, decision.fec};
 }
 
-SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
+SessionStep AdaptiveSession::step(const MilBackLink& link,
+                                  const channel::NodePose& true_pose,
                                   milback::Rng& rng) {
   require_positive(true_pose.distance_m, "true_pose.distance_m");
   require_finite(true_pose.azimuth_deg, "true_pose.azimuth_deg");
@@ -65,7 +64,8 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
 
   if (state_ != SessionState::kTracking) {
     // --- Acquisition: sweep the sector. ---
-    const auto dets = scanner_.scan(link_.channel(), {true_pose}, rng);
+    const auto dets = scanner_.scan(link.channel(), link.access_point().localizer(),
+                                    {true_pose}, rng);
     if (!dets.empty() && dets.front().fix.detected) {
       session_obs().acquired.add();
       tracker_ = NodeTracker(config_.tracker);  // fresh track
@@ -87,7 +87,7 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   }
 
   // --- Tracking round: localize, adapt, exchange. ---
-  const auto fix = link_.localize(true_pose, rng);
+  const auto fix = link.localize(true_pose, rng);
   tracker_.update(fix, std::nullopt);
   out.localized = fix.detected;
   out.range_m = tracker_.state().range_m();
@@ -106,14 +106,14 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   }
 
   // Budget SNR at the tracked range (10 Mbps reference bandwidth).
-  rf::RfSwitch sw{link_.node().config().rf_switch};
+  rf::RfSwitch sw{link.node().config().rf_switch};
   const auto pair =
-      link_.channel().fsa().carrier_pair_for_angle(true_pose.orientation_deg);
+      link.channel().fsa().carrier_pair_for_angle(true_pose.orientation_deg);
   if (pair) {
     channel::NodePose tracked = true_pose;
     tracked.distance_m = std::max(out.range_m, 0.3);
     const auto budget = channel::compute_uplink_budget(
-        link_.channel(), tracked, antenna::FsaPort::kA, pair->first, sw, 10e6);
+        link.channel(), tracked, antenna::FsaPort::kA, pair->first, sw, 10e6);
     out.budget_snr_db = budget.snr_db;
   }
 
@@ -126,7 +126,7 @@ SessionStep AdaptiveSession::step(const channel::NodePose& true_pose,
   auto data_rng = rng.fork(0x5e55);
   const auto data = data_rng.bits(config_.payload_bits);
   const auto tx_bits = fec ? hamming74_encode(data) : data;
-  const auto run = link_.run_uplink(true_pose, tx_bits, rng, rate);
+  const auto run = link.run_uplink(true_pose, tx_bits, rng, rate);
   // Liveness: only the node's modulated reply proves the link is real. A
   // clutter residue can fake a localization fix but cannot answer a query.
   const bool comm_failed = !run.carriers_ok || run.ber > config_.comm_failure_ber;

@@ -13,6 +13,10 @@
 // Rate adaptation uses the same budget the benches sweep: 40 Mbps needs
 // ~6 dB more SNR than 10 Mbps (4x noise bandwidth); FEC is switched in when
 // the margin over the raw-BER target gets thin.
+//
+// A session is only this state machine. Every step runs on a MilBackLink
+// its caller owns — the AP's one radar, localizer and channel, shared by
+// every session the AP serves — and the scan refines with that localizer.
 #pragma once
 
 #include "milback/ap/beam_scanner.hpp"
@@ -25,7 +29,6 @@ namespace milback::core {
 
 /// Session tuning.
 struct SessionConfig {
-  LinkConfig link{};
   ap::BeamScanConfig scan{};
   TrackerConfig tracker{};
   RateAdaptConfig rate{};           ///< Shared rate/FEC thresholds (the same
@@ -71,22 +74,19 @@ struct SessionStep {
 /// One node's adaptive session.
 class AdaptiveSession {
  public:
-  /// Builds the session over a channel.
-  AdaptiveSession(channel::BackscatterChannel channel, SessionConfig config = {});
+  /// Builds a session in kAcquiring.
+  explicit AdaptiveSession(const SessionConfig& config = {});
 
-  /// Runs one protocol round against the node's current true pose.
-  SessionStep step(const channel::NodePose& true_pose, milback::Rng& rng);
+  /// Runs one protocol round on `link` against the node's current true
+  /// pose.
+  SessionStep step(const MilBackLink& link, const channel::NodePose& true_pose,
+                   milback::Rng& rng);
 
   /// Current state.
   SessionState state() const noexcept { return state_; }
 
   /// The track (valid while kTracking).
   const NodeTracker& tracker() const noexcept { return tracker_; }
-
-  /// Underlying link (mutable so tests can, e.g., inject blockage).
-  MilBackLink& link() noexcept { return link_; }
-  /// Const link access.
-  const MilBackLink& link() const noexcept { return link_; }
 
   /// Config echo.
   const SessionConfig& config() const noexcept { return config_; }
@@ -96,7 +96,6 @@ class AdaptiveSession {
   std::pair<double, bool> adapt(double snr_db) const;
 
   SessionConfig config_;
-  MilBackLink link_;
   ap::BeamScanner scanner_;
   NodeTracker tracker_;
   SessionState state_ = SessionState::kAcquiring;

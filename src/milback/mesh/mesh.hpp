@@ -56,7 +56,6 @@ struct MeshAnchor {
 /// over the same multipath PathSet as AP links — so walls carry relay edges
 /// around blockage and moving blockers sever them, exactly like AP links.
 struct MeshConfig {
-  bool enabled = true;               ///< set_mesh with false uninstalls.
   double carrier_hz = 28e9;          ///< FSPL reference for relay margins.
   double relay_snr_at_1m_db = 28.0;  ///< Node-node link SNR at 1 m (sets the
                                      ///< relay range: ~8 m at the defaults).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "milback/ap/localizer.hpp"
 #include "milback/core/contract.hpp"
 #include "milback/obs/registry.hpp"
 #include "milback/util/rng.hpp"
@@ -81,8 +80,7 @@ void MeshRuntime::ensure_sized(std::size_t n) {
   in_flight_bits_.resize(n, 0.0);
 }
 
-void MeshRuntime::rebuild(const channel::MultipathConfig& scene,
-                          double blockage_loss_db, double ambient_loss_db,
+void MeshRuntime::rebuild(const channel::BackscatterChannel& channel,
                           std::span<const double> x_m,
                           std::span<const double> y_m,
                           std::span<const std::uint8_t> alive,
@@ -97,8 +95,10 @@ void MeshRuntime::rebuild(const channel::MultipathConfig& scene,
   for (std::size_t i = 0; i < n; ++i) {
     direct[i] = (alive[i] != 0 && rate_bps[i] > 0.0) ? 1 : 0;
   }
-  neighbors_ = build_neighbor_table(config_, scene, blockage_loss_db,
-                                    ambient_loss_db, x_m, y_m, alive, time_s);
+  neighbors_ = build_neighbor_table(config_, channel.multipath(),
+                                    channel.config().blockage_loss_db,
+                                    channel.config().ambient_loss_db, x_m, y_m,
+                                    alive, time_s);
   routes_ = build_routes(neighbors_, direct, config_.max_ttl);
 
   connected_ = 0;
@@ -271,6 +271,7 @@ std::size_t MeshRuntime::allocated_bytes() const noexcept {
 }
 
 MeshReport MeshRuntime::finalize(const channel::BackscatterChannel& channel,
+                                 const ap::Localizer& localizer,
                                  std::span<const channel::NodePose> poses,
                                  std::span<const std::uint8_t> alive,
                                  std::uint64_t seed) {
@@ -295,7 +296,6 @@ MeshReport MeshRuntime::finalize(const channel::BackscatterChannel& channel,
 
   MeshReport report;
   report.nodes.resize(n);
-  ap::Localizer localizer;
   for (std::size_t i = 0; i < n; ++i) {
     MeshNodeReport& node = report.nodes[i];
     node.node = std::uint32_t(i);

@@ -27,6 +27,7 @@
 #include <span>
 #include <vector>
 
+#include "milback/ap/localizer.hpp"
 #include "milback/channel/backscatter_channel.hpp"
 #include "milback/mesh/anchor_fusion.hpp"
 #include "milback/mesh/mesh.hpp"
@@ -61,11 +62,12 @@ class MeshRuntime {
   std::uint32_t discover_trace_id() const noexcept;
 
   /// Rediscovers the topology: neighbor table from pairwise link budgets
-  /// over the (translated) multipath scene, then the bounded-TTL flood.
-  /// `direct` roots are nodes with a live AP service rate. All spans are
-  /// node-index order and share one size.
-  void rebuild(const channel::MultipathConfig& scene, double blockage_loss_db,
-               double ambient_loss_db, std::span<const double> x_m,
+  /// over the cell channel's (translated) multipath scene, blockage and
+  /// ambient losses, then the bounded-TTL flood. `direct` roots are nodes
+  /// with a live AP service rate. All spans are node-index order and share
+  /// one size.
+  void rebuild(const channel::BackscatterChannel& channel,
+               std::span<const double> x_m,
                std::span<const double> y_m,
                std::span<const std::uint8_t> alive,
                std::span<const double> rate_bps, double time_s);
@@ -105,9 +107,11 @@ class MeshRuntime {
 
   /// Seals the MeshReport: routes, per-node relay stats, anchor-fused
   /// positions, and — for <=1-hop nodes when configured — the AP's full
-  /// radar localization, keyed Rng::stream(seed, kMeshStreamTag, node).
-  /// Serial; call once from CellEngine::finish().
+  /// radar localization by `localizer` (the cell link's own) over
+  /// `channel`, keyed Rng::stream(seed, kMeshStreamTag, node). Serial; call
+  /// once from CellEngine::finish().
   MeshReport finalize(const channel::BackscatterChannel& channel,
+                      const ap::Localizer& localizer,
                       std::span<const channel::NodePose> poses,
                       std::span<const std::uint8_t> alive, std::uint64_t seed);
 

@@ -119,7 +119,7 @@ TEST(CellEngine, ObserverSeesEveryServedSweep) {
 
 TEST(CellEngine, SessionModeTracksAndDelivers) {
   CellConfig cfg;
-  cfg.run_sessions = true;
+  cfg.sessions.emplace();
   cfg.service_period_s = 0.01;
   auto engine = make_engine(cfg);
   engine.add_node("a", spec(3.0, 10.0));
@@ -136,7 +136,7 @@ TEST(CellEngine, SessionModeTracksAndDelivers) {
 
 TEST(CellEngine, SessionModeRequiresPinnedPeriod) {
   CellConfig cfg;
-  cfg.run_sessions = true;  // service_period_s left at 0
+  cfg.sessions.emplace();  // service_period_s left at 0
   auto engine = make_engine(cfg);
   engine.add_node("a", spec(2.0, 0.0));
   EXPECT_THROW(engine.run(0.1, 1), milback::ContractViolation);
@@ -245,6 +245,22 @@ TEST(CellEngine, ScheduleRejectsTimesBeforeTheClock) {
   const auto report = engine.finish();
   EXPECT_DOUBLE_EQ(report.nodes[0].leave_time_s, 0.5);
   EXPECT_EQ(report.nodes[1].leave_time_s, -1.0);
+}
+
+TEST(CellEngine, ScheduleLeaveRejectsTimesBeforeTheJoin) {
+  // A later kJoin would make the node alive again, and the report would
+  // show a leave before the join.
+  auto engine = make_engine();
+  engine.add_node("a", spec(2.0, 0.0));
+  const auto late = engine.add_node("late", spec(3.0, 15.0), 0.2);
+  EXPECT_THROW(engine.schedule_leave(late, 0.1), milback::ContractViolation);
+  // At or after the join is allowed; a present-from-start node may leave
+  // at any time.
+  engine.schedule_leave(late, 0.2);
+  engine.schedule_leave(0, 0.05);
+  const auto report = engine.run(0.3, 5);
+  EXPECT_DOUBLE_EQ(report.nodes[late].leave_time_s, 0.2);
+  EXPECT_DOUBLE_EQ(report.nodes[0].leave_time_s, 0.05);
 }
 
 TEST(CellEngine, AddNodeRejectsDegeneratePoses) {

@@ -4,8 +4,8 @@
 // digest. The constants were taken from the per-node arrival events that
 // the one arrival pass per sweep replaced, so a moved draw, a reordered
 // seq, a changed event count or a changed queue-depth gauge fails here.
-// Every scenario runs at 1 and 4 workers; the suite name matches the TSan
-// stage's "ThreadInvariance" regex.
+// Every scenario runs at 1 and 4 workers; the suite name matches the tsan
+// test preset's "ThreadInvariance" filter.
 //
 //  - Standalone: churn (join, leave, move) lands exactly on sweep times
 //    (the pinned period is a power of two, so sweep times sum exactly),
@@ -17,10 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -31,75 +29,13 @@
 #include "milback/obs/exporters.hpp"
 #include "milback/obs/registry.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback::cell {
 namespace {
 
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-/// FNV-1a over the folded values' bytes (doubles by bit pattern).
-class Fnv {
- public:
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) byte(static_cast<unsigned char>(v >> (8 * b)));
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(std::string_view s) {
-    add(std::uint64_t{s.size()});
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void byte(unsigned char c) {
-    h_ ^= c;
-    h_ *= 0x100000001b3ULL;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 void fold(Fnv& f, const CellReport& r) {
-  f.add(std::uint64_t{r.service_rounds});
-  f.add(std::uint64_t{r.events_dispatched});
-  f.add(std::uint64_t{r.peak_population});
-  f.add(std::uint64_t{r.final_population});
-  f.add(r.aggregate_goodput_bps);
-  f.add(r.cell_capacity_bps);
-  f.add(std::uint64_t{r.stable});
-  for (const auto& n : r.nodes) {
-    f.add(n.id.view());
-    f.add(n.join_time_s);
-    f.add(n.leave_time_s);
-    f.add(n.offered_bits);
-    f.add(n.delivered_bits);
-    f.add(n.mean_latency_s);
-    f.add(n.p50_latency_s);
-    f.add(n.p95_latency_s);
-    f.add(n.peak_queue_bits);
-    f.add(n.final_queue_bits);
-    f.add(n.service_rate_bps);
-    f.add(std::uint64_t{n.rounds_served});
-  }
+  fold_traffic(f, r);
   const auto& m = r.mesh;
   f.add(std::uint64_t{m.nodes.size()});
   f.add(std::uint64_t{m.discoveries});

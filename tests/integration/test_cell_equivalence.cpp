@@ -791,7 +791,7 @@ TEST(SweepMemo, BlockerScenesAndSessionCellsProbeEverySweep) {
   cell::CellConfig cfg;
   cfg.sweep_threads = 1;
   cell::CellConfig session_cfg = cfg;
-  session_cfg.run_sessions = true;
+  session_cfg.sessions.emplace();
   session_cfg.service_period_s = 0.004;
   struct Case {
     const char* name;
@@ -802,7 +802,7 @@ TEST(SweepMemo, BlockerScenesAndSessionCellsProbeEverySweep) {
                         Case{"session", session_cfg, channel::MultipathConfig{}}}) {
     SCOPED_TRACE(c.name);
     auto engine = build_churn_cell(c.cfg, c.scene);
-    SweepCheck check(engine, /*check_rates=*/!c.cfg.run_sessions, /*count_probes=*/true);
+    SweepCheck check(engine, /*check_rates=*/!c.cfg.sessions, /*count_probes=*/true);
     engine.set_observer([&](const cell::ServiceObservation& o) { check.observe(o); });
     engine.run(0.15, 11);
     const std::size_t sweeps = check.finish();

@@ -5,40 +5,21 @@
 // Rng::stream(seed, node, event_seq) and the per-sweep fan-out reduces in
 // node-index order, so the worker count is a pure performance knob.
 //
-// This suite matches the check.sh TSan stage's test regex, so it is also the
-// designated race-detector workload for the engine's parallel path.
+// This suite matches the tsan test preset's filter, so it is also the
+// designated race-detector workload for the engine's parallel path. The
+// session-scene digest also pins session mode against the engine in which
+// every session carried its own link.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <string>
 
 #include "milback/cell/cell_engine.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback::cell {
 namespace {
-
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 CellEngine make_engine(CellConfig config = {}) {
   Rng env(5);
@@ -73,29 +54,6 @@ void build_churn_scenario(CellEngine& engine) {
   engine.schedule_blockage(0.08, 0.12, 18.0);
 }
 
-void expect_reports_identical(const CellReport& a, const CellReport& b) {
-  EXPECT_EQ(a.service_rounds, b.service_rounds);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.peak_population, b.peak_population);
-  EXPECT_EQ(a.final_population, b.final_population);
-  EXPECT_EQ(a.stable, b.stable);
-  EXPECT_DOUBLE_EQ(a.aggregate_goodput_bps, b.aggregate_goodput_bps);
-  EXPECT_DOUBLE_EQ(a.cell_capacity_bps, b.cell_capacity_bps);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    SCOPED_TRACE(a.nodes[i].id);
-    EXPECT_EQ(a.nodes[i].id, b.nodes[i].id);
-    EXPECT_EQ(a.nodes[i].rounds_served, b.nodes[i].rounds_served);
-    EXPECT_DOUBLE_EQ(a.nodes[i].offered_bits, b.nodes[i].offered_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].delivered_bits, b.nodes[i].delivered_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].mean_latency_s, b.nodes[i].mean_latency_s);
-    EXPECT_DOUBLE_EQ(a.nodes[i].p95_latency_s, b.nodes[i].p95_latency_s);
-    EXPECT_DOUBLE_EQ(a.nodes[i].peak_queue_bits, b.nodes[i].peak_queue_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].final_queue_bits, b.nodes[i].final_queue_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].service_rate_bps, b.nodes[i].service_rate_bps);
-  }
-}
-
 TEST(CellThreadInvariance, FiftyNodeChurnScenarioIsBitIdentical) {
   CellReport serial, parallel;
   {
@@ -121,7 +79,7 @@ TEST(CellThreadInvariance, SessionModeCellIsBitIdentical) {
   // Session mode runs a full AdaptiveSession per node inside the fan-out —
   // the heaviest shared-state surface (each trial mutates its own session).
   CellConfig cfg;
-  cfg.run_sessions = true;
+  cfg.sessions.emplace();
   cfg.service_period_s = 0.02;
   const auto build = [&]() {
     auto engine = make_engine(cfg);
@@ -147,6 +105,75 @@ TEST(CellThreadInvariance, SessionModeCellIsBitIdentical) {
   }
   EXPECT_GT(serial.service_rounds, 5u);
   expect_reports_identical(serial, parallel);
+}
+
+/// Session cell over a wall and a moving blocker that crosses node "a"'s
+/// direct path mid-run, with a blockage episode, a co-channel interference
+/// change between two advance_to calls, a late joiner, a move and a leave.
+/// Returns an FNV digest of the CellReport and of every observed
+/// SessionStep.
+std::uint64_t session_scene_digest(const char* threads) {
+  ScopedThreads guard(threads);
+  CellConfig cfg;
+  cfg.sessions.emplace();
+  cfg.service_period_s = 0.02;
+  auto engine = make_engine(cfg);
+  channel::MultipathConfig scene;
+  scene.walls.push_back({0.5, 0.9, 3.5, 0.9, 10.0});
+  // At (1.2, -1.0) when the run starts, crossing y = 0 at t = 0.2 s.
+  scene.blockers.push_back({.x_m = 1.2, .y_m = -1.0, .vx_mps = 0.0, .vy_mps = 5.0,
+                            .radius_m = 0.3, .penetration_loss_db = 30.0});
+  engine.set_multipath(scene);
+  engine.add_node("a", {.pose = {2.5, 0.0, 10.0}, .arrival_rate_bps = 80e3});
+  engine.add_node("b", {.pose = {2.2, -25.0, -8.0}, .arrival_rate_bps = 60e3,
+                        .burstiness = 1.0});
+  engine.add_node("c", {.pose = {3.0, 20.0, 12.0}, .arrival_rate_bps = 80e3});
+  engine.add_node("late", {.pose = {2.8, 32.0, 5.0}, .arrival_rate_bps = 80e3},
+                  0.09);
+  engine.schedule_move(1, 0.13, {2.6, -15.0, -8.0});
+  engine.schedule_leave(2, 0.31);
+  engine.schedule_blockage(0.22, 0.27, 12.0);
+
+  Fnv f;
+  std::size_t tracking = 0;
+  engine.set_observer([&](const ServiceObservation& o) {
+    const core::SessionStep& s = o.session;
+    f.add(o.time_s);
+    f.add(std::uint64_t{o.node});
+    f.add(std::uint64_t(s.state));
+    f.add(std::uint64_t{s.localized});
+    f.add(s.range_m);
+    f.add(s.angle_deg);
+    f.add(s.raw_range_m);
+    f.add(s.raw_angle_deg);
+    f.add(s.speed_mps);
+    f.add(s.budget_snr_db);
+    f.add(s.uplink_rate_bps);
+    f.add(std::uint64_t{s.fec_enabled});
+    f.add(std::uint64_t{s.payload_bit_errors});
+    f.add(s.delivered_data_bps);
+    if (s.state == core::SessionState::kTracking) ++tracking;
+  });
+  engine.begin(0.4, 4242);
+  engine.advance_to(0.15);
+  engine.set_external_interference_db(6.0);
+  engine.advance_to(0.3);
+  const CellReport report = engine.finish();
+  fold_traffic(f, report);
+  // Sanity: the sessions track, churn happened and the scene was served.
+  EXPECT_GT(tracking, 20u);
+  EXPECT_EQ(report.peak_population, 4u);
+  EXPECT_EQ(report.final_population, 3u);
+  EXPECT_GT(report.nodes[3].rounds_served, 0u);
+  return f.value();
+}
+
+TEST(CellThreadInvariance, SessionSceneDigestMatchesTheParent) {
+  // Taken from the engine whose sessions each stepped on their own link
+  // and channel copy, kept in sync by the engine's per-session loops.
+  constexpr std::uint64_t kPinned = 0xa55038dc6628bae0ULL;
+  EXPECT_EQ(session_scene_digest("1"), kPinned);
+  EXPECT_EQ(session_scene_digest("4"), kPinned);
 }
 
 }  // namespace

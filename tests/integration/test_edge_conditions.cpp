@@ -55,17 +55,15 @@ TEST(EdgeConditions, ModerateBlockageDownlinkOutlivesUplink) {
 TEST(EdgeConditions, SessionTracksAtNormalIncidence) {
   // Orientation ~0: OAQFM degenerates to OOK, but the session must still
   // acquire, track and deliver (at half spectral efficiency).
-  Rng env(1);
-  core::AdaptiveSession session(channel::BackscatterChannel::make_default(
-                                    channel::Environment::indoor_office(env)),
-                                core::SessionConfig{});
+  const auto link = make_link();
+  core::AdaptiveSession session;
   Rng rng(2);
   const channel::NodePose pose{2.5, 5.0, 0.3};
-  auto first = session.step(pose, rng);
+  auto first = session.step(link, pose, rng);
   ASSERT_EQ(first.state, core::SessionState::kTracking);
   int delivered_rounds = 0;
   for (int i = 0; i < 4; ++i) {
-    const auto s = session.step(pose, rng);
+    const auto s = session.step(link, pose, rng);
     if (s.state == core::SessionState::kTracking && s.payload_bit_errors == 0) {
       ++delivered_rounds;
     }

@@ -6,42 +6,20 @@
 // Rng::stream(seed, kMeshStreamTag, node), so the worker count (which only
 // fans out the per-sweep rate probes) cannot leak into the mesh outcome.
 //
-// The suite name matches the check.sh TSan stage's test regex
+// The suite name matches the tsan test preset's filter
 // (ThreadInvariance), so this is also the race-detector workload for the
 // mesh-enabled engine.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "milback/cell/cell_engine.hpp"
 #include "milback/channel/multipath.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback::cell {
 namespace {
-
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 CellEngine make_engine() {
   Rng env(5);

@@ -7,46 +7,24 @@
 // happens serially at epoch barriers — so the worker count is a pure
 // performance knob.
 //
-// This suite matches the check.sh TSan stage's test regex
+// This suite matches the tsan test preset's filter
 // ("ThreadInvariance"), so it doubles as the race-detector workload for the
 // sharded path, the epoch fan-out and the shard-finish fan-out alike.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <string_view>
 
 #include "milback/cell/multi_cell.hpp"
+#include "milback/core/contract.hpp"
 #include "milback/obs/exporters.hpp"
 #include "milback/obs/registry.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback::cell {
 namespace {
-
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 /// 2x2 campus grid, 200 nodes: most parked near their home AP, every tenth
 /// node roams into a neighbour cell mid-run (forcing handoffs with backlog
@@ -187,27 +165,6 @@ TEST(MultiCellThreadInvariance, MetricExportsAreByteIdentical) {
   EXPECT_EQ(serial, parallel);
 }
 
-/// FNV-1a over the folded values' bytes (doubles by bit pattern).
-class Fnv {
- public:
-  void add(std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) byte(static_cast<unsigned char>(v >> (8 * b)));
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(std::string_view s) {
-    add(std::uint64_t{s.size()});
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  void byte(unsigned char c) {
-    h_ ^= c;
-    h_ *= 0x100000001b3ULL;
-  }
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
 // 2^-6 s: epoch boundaries k * kEpochS are exact sums, so a directive can
 // land exactly on one.
 constexpr double kEpochS = 0.015625;
@@ -217,7 +174,8 @@ struct EdgeNodes {
   std::size_t outside = 0;         ///< Beyond every coverage radius.
   std::size_t bisector = 0;        ///< Home by the double pose, not the float.
   std::size_t late_bisector = 0;   ///< The same, joining in epoch 2.
-  std::size_t leave_first = 0;     ///< Leave dated before its join.
+  std::size_t leave_first = 0;     ///< Joins in epoch 4; a leave dated
+                                   ///< before that join is refused.
   std::size_t move_and_leave = 0;  ///< Waypoint and leave in one epoch.
   std::size_t on_boundary = 0;     ///< Waypoint exactly on an epoch boundary.
   std::size_t round_trip = 0;      ///< Out across a cell edge and back.
@@ -266,7 +224,6 @@ MultiCellEngine build_barrier_edges(EdgeNodes& edge) {
                                        traffic, kEpochS * 2.5);
   edge.leave_first = engine.add_node("edge-leave-first", {1.5, 1.0, 0.0}, traffic,
                                      kEpochS * 4.2);
-  engine.schedule_leave(edge.leave_first, kEpochS * 1.7);
   edge.move_and_leave = engine.add_node("edge-move-and-leave", {2.0, -1.0, 4.0}, traffic);
   engine.schedule_leave(edge.move_and_leave, kEpochS * 3.6);
   engine.schedule_waypoint(edge.move_and_leave, kEpochS * 3.2, {18.0, -1.0, 4.0});
@@ -276,30 +233,6 @@ MultiCellEngine build_barrier_edges(EdgeNodes& edge) {
   engine.schedule_waypoint(edge.round_trip, kEpochS * 6.8, {1.0, 19.0, 8.0});
   engine.schedule_waypoint(edge.round_trip, kEpochS * 2.3, {19.0, 19.5, 8.0});
   return engine;
-}
-
-void fold(Fnv& f, const CellReport& r) {
-  f.add(std::uint64_t{r.service_rounds});
-  f.add(std::uint64_t{r.events_dispatched});
-  f.add(std::uint64_t{r.peak_population});
-  f.add(std::uint64_t{r.final_population});
-  f.add(r.aggregate_goodput_bps);
-  f.add(r.cell_capacity_bps);
-  f.add(std::uint64_t{r.stable});
-  for (const auto& n : r.nodes) {
-    f.add(n.id.view());
-    f.add(n.join_time_s);
-    f.add(n.leave_time_s);
-    f.add(n.offered_bits);
-    f.add(n.delivered_bits);
-    f.add(n.mean_latency_s);
-    f.add(n.p50_latency_s);
-    f.add(n.p95_latency_s);
-    f.add(n.peak_queue_bits);
-    f.add(n.final_queue_bits);
-    f.add(n.service_rate_bps);
-    f.add(std::uint64_t{n.rounds_served});
-  }
 }
 
 std::uint64_t barrier_edges_digest(const char* threads) {
@@ -314,7 +247,7 @@ std::uint64_t barrier_edges_digest(const char* threads) {
   f.add(report.aggregate_goodput_bps);
   f.add(report.max_interference_db);
   f.add(std::uint64_t{report.stable});
-  for (const auto& cell : report.cells) fold(f, cell);
+  for (const auto& cell : report.cells) fold_traffic(f, cell);
   for (const auto& n : report.nodes) {
     f.add(n.id.view());
     f.add(std::uint64_t{n.home_cell});
@@ -344,10 +277,18 @@ std::uint64_t barrier_edges_digest(const char* threads) {
 
 TEST(MultiCellThreadInvariance, BarrierEdgeCasesMatchTheParent) {
   // Taken from the engine whose barrier examined every node at every epoch
-  // and whose shards finished serially on the thread that called run().
-  constexpr std::uint64_t kPinned = 0xcc76295686d134c3ULL;
+  // and whose shards finished serially on the thread that called run(),
+  // on this scenario (edge-leave-first joins in epoch 4 and never leaves).
+  constexpr std::uint64_t kPinned = 0x31b2683e7d1e783aULL;
   EXPECT_EQ(barrier_edges_digest("1"), kPinned);
   EXPECT_EQ(barrier_edges_digest("4"), kPinned);
+
+  // A leave dated before its node's join is refused at the call: a later
+  // join would otherwise undo it.
+  EdgeNodes edge;
+  auto engine = build_barrier_edges(edge);
+  EXPECT_THROW(engine.schedule_leave(edge.leave_first, kEpochS * 1.7),
+               milback::ContractViolation);
 }
 
 }  // namespace

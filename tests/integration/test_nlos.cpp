@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "milback/ap/downlink_transmitter.hpp"
@@ -27,6 +26,8 @@
 #include "milback/channel/multipath.hpp"
 #include "milback/util/units.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback::cell {
 namespace {
 
@@ -35,58 +36,12 @@ using channel::BackscatterChannel;
 using channel::MultipathConfig;
 using channel::NodePose;
 
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
-
 /// The corridor scenario: node 3 m out on the boresight, a reflecting wall
 /// running alongside the AP-node line (grazing specular bounce at ~31 deg).
 MultipathConfig corridor_walls() {
   MultipathConfig mp;
   mp.walls.push_back({0.5, 0.9, 3.5, 0.9, 10.0});
   return mp;
-}
-
-void expect_reports_identical(const CellReport& a, const CellReport& b) {
-  EXPECT_EQ(a.service_rounds, b.service_rounds);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.peak_population, b.peak_population);
-  EXPECT_EQ(a.final_population, b.final_population);
-  EXPECT_EQ(a.stable, b.stable);
-  EXPECT_DOUBLE_EQ(a.aggregate_goodput_bps, b.aggregate_goodput_bps);
-  EXPECT_DOUBLE_EQ(a.cell_capacity_bps, b.cell_capacity_bps);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    SCOPED_TRACE(a.nodes[i].id);
-    EXPECT_EQ(a.nodes[i].id, b.nodes[i].id);
-    EXPECT_EQ(a.nodes[i].rounds_served, b.nodes[i].rounds_served);
-    EXPECT_DOUBLE_EQ(a.nodes[i].offered_bits, b.nodes[i].offered_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].delivered_bits, b.nodes[i].delivered_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].mean_latency_s, b.nodes[i].mean_latency_s);
-    EXPECT_DOUBLE_EQ(a.nodes[i].p95_latency_s, b.nodes[i].p95_latency_s);
-    EXPECT_DOUBLE_EQ(a.nodes[i].peak_queue_bits, b.nodes[i].peak_queue_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].final_queue_bits, b.nodes[i].final_queue_bits);
-    EXPECT_DOUBLE_EQ(a.nodes[i].service_rate_bps, b.nodes[i].service_rate_bps);
-  }
 }
 
 // --- 1. Degeneracy: an empty scene changes nothing ---------------------------

@@ -5,11 +5,10 @@
 // commutative counters, and exports sort canonically, so the worker count
 // cannot leak into the deterministic telemetry.
 //
-// This suite matches the check.sh TSan stage's test regex ("ThreadInvariance"),
+// This suite matches the tsan test preset's filter ("ThreadInvariance"),
 // so it doubles as the race-detector workload for the per-thread sinks.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <string>
 
@@ -18,31 +17,10 @@
 #include "milback/obs/exporters.hpp"
 #include "milback/obs/registry.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback::cell {
 namespace {
-
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 CellEngine make_engine(CellConfig config = {}) {
   Rng env(5);
@@ -123,7 +101,7 @@ Exports run_session_cell_and_export(const char* threads) {
   ScopedThreads guard(threads);
   obs::Registry::global().reset();
   CellConfig cfg;
-  cfg.run_sessions = true;
+  cfg.sessions.emplace();
   cfg.service_period_s = 0.02;
   auto engine = make_engine(cfg);
   engine.add_node("a", {.pose = {2.0, -30.0, 10.0}, .arrival_rate_bps = 80e3});

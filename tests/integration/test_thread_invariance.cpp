@@ -5,10 +5,10 @@
 // shared state instead of its own (seed, point, trial) stream.
 //
 // This suite is also the designated TSan workload: run it under the `tsan`
-// preset to prove the parallel path is race-free (see scripts/check.sh).
+// preset to prove the parallel path is race-free (its test preset's filter
+// in CMakePresets.json selects this suite).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,31 +21,10 @@
 #include "milback/sim/trial_runner.hpp"
 #include "milback/util/rng.hpp"
 
+#include "invariance_support.hpp"
+
 namespace milback {
 namespace {
-
-/// Scoped MILBACK_SIM_THREADS override (restores the prior value on exit).
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv(kName);
-    if (old) saved_ = old;
-    had_value_ = old != nullptr;
-    ::setenv(kName, value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      ::setenv(kName, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(kName);
-    }
-  }
-
- private:
-  static constexpr const char* kName = "MILBACK_SIM_THREADS";
-  std::string saved_;
-  bool had_value_ = false;
-};
 
 core::MilBackLink make_link(std::uint64_t env_seed) {
   Rng env(env_seed);
